@@ -7,8 +7,9 @@ SMOKE_CACHE := .bench-smoke-cache
 A3_RESULT   := benchmarks/results/claim_a3_identification_quality_scheme_x_routing_matrix.txt
 
 .PHONY: test test-faults test-sharded bench bench-smoke bench-reflection \
-	bench-throughput bench-batched bench-sharded bench-victim profile \
-	clean-cache lint lint-sarif sanitize-smoke typecheck
+	bench-throughput bench-batched bench-sharded bench-victim \
+	bench-pipeline-test profile clean-cache lint lint-sarif sanitize-smoke \
+	typecheck
 
 # Tier-1 gate: the full unit/integration/property suite.
 test:
@@ -90,6 +91,13 @@ test-sharded:
 		tests/test_topology_partition.py \
 		tests/test_properties_batched_equivalence.py -x -q
 	@echo "test-sharded OK: identity matrix and partition properties hold"
+
+# Pipeline-benchmark self-tests: the harness arithmetic (spans, compare)
+# plus engine smoke runs that check the traced replica equals the real
+# experiment and the sharded engine equals the batched one. Seconds, where
+# the full benchmark (BENCHMARK.json) takes most of an hour.
+bench-pipeline-test:
+	$(PYPATH) $(PY) -m pytest benchmarks/pipeline/test_pipeline_bench.py -x -q
 
 # Victim-decode regression gate: measure per-scheme mark decode throughput
 # (per-packet vs columnar observe_batch) and compare against the committed

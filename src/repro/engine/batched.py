@@ -2,13 +2,19 @@
 
 The exact engine executes one discrete event per packet per hop stage;
 Python dispatch dominates at scale. This engine advances the *whole live
-cohort* one hop per round with numpy column operations:
+cohort* one hop per round with numpy column operations. Rows live in a
+slot store indexed by activation rank and never move; each round touches
+only the *moving* rows (just activated or just advanced), while rows
+waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
 
 1. **activate** — injections whose time fell below the round frontier join
-   the cohort (vectorized ``on_inject`` words, TTL, VCT injection overhead);
-2. **retire** — rows at their destination deliver (bulk statistics, columnar
-   :class:`~repro.network.markstream.DeliveryRing` feed); rows over the
-   watchdog hop ceiling or out of TTL drop with counted reasons;
+   the moving set (vectorized ``on_inject`` words, TTL, VCT injection
+   overhead);
+2. **retire** — moving rows at their destination deliver (bulk statistics,
+   columnar :class:`~repro.network.markstream.DeliveryRing` feed); moving
+   rows over the watchdog hop ceiling or out of TTL drop with counted
+   reasons. Parked rows cannot retire: nothing they are checked on has
+   changed since the round that routed them;
 3. **route** — next-hop candidates come from the routers' own memoized
    tables (``routed_candidates`` for stateless routers,
    oracle-profitable ``minimal_candidates`` for fault-free fully-adaptive),
@@ -17,11 +23,15 @@ cohort* one hop per round with numpy column operations:
 4. **select** — vectorized selection-policy twins; congestion and random
    tie-breaks draw from one dedicated per-cohort RNG stream
    (``"batched-cohort"``), so runs are deterministic per seed;
-5. **admit** — credit-based channel admission: at most ``buffer_capacity``
-   rows enter each directed channel per round; the rest wait a round and
-   feed the congestion signal;
-6. **advance** — admitted rows decrement TTL, apply the vectorized marking
-   transform, and step to the next node.
+5. **admit** — the freshly routed keys merge into the sorted parked keys
+   (``searchsorted`` + ``insert``); the first ``buffer_capacity`` keys of
+   each channel — the lowest ranks, so waiting rows outrank newcomers —
+   enter the channel. The rest stay parked, pay the round's deferred
+   time, and feed the congestion signal. Cost per round: O(moved) fancy
+   indexing plus O(parked) contiguous array passes;
+6. **advance** — admitted rows, in rank order, decrement TTL, apply the
+   vectorized marking transform, step to the next node, and form the
+   next round's moving set.
 
 Determinism contract (DESIGN.md §12): same seed, same config => identical
 results, independent of host or run count. Equivalence contract: identical
@@ -487,6 +497,15 @@ class _RoutePlanner:
 # ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
+#: per-row state the engine writes, stored by slot (= activation rank)
+_STORE_COLUMNS = ("pos", "words", "ttls", "hops", "time", "t0", "hold")
+_STORE_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64,
+                 np.float64, np.float64)
+
+#: low half of a parked key ``chan << 32 | slot``
+_SLOT_MASK = (1 << 32) - 1
+
+
 class CohortEngine:
     """Advance a :class:`~repro.network.colqueue.BatchedFabric`'s captured
     injections to completion, one cohort-hop round per iteration."""
@@ -528,39 +547,37 @@ class CohortEngine:
         # One cohort hop: switch pipeline + serialization hold + wire time.
         self.round_delta = cfg.routing_delay + header_hold + cfg.link_latency
 
-        # Live cohort columns (struct-of-arrays, MarkBatch layout plus
-        # routing position and injection bookkeeping). ``nxt`` is the chosen
-        # next hop (-1 = needs routing): a row blocked by admission keeps its
-        # channel across rounds — like a queued packet in the exact engine —
-        # so only freshly advanced rows pay routing and selection.
-        self.pos = np.empty(0, dtype=np.int64)
+        # Slot store: each row lives at its slot — its global activation
+        # rank, the index in the time-sorted capture — from activation to
+        # retirement, so rows never move. Per-row state the engine writes
+        # sits in the _STORE_COLUMNS arrays (sized to the capture by
+        # _install); the read-only columns (destination node, header
+        # addresses, packet id) are the capture's own.
+        for name, dtype in zip(_STORE_COLUMNS, _STORE_DTYPES):
+            setattr(self, name, np.empty(0, dtype=dtype))
         self.dst = np.empty(0, dtype=np.int64)
         self.src_ip = np.empty(0, dtype=np.int64)
         self.dst_ip = np.empty(0, dtype=np.int64)
-        self.words = np.empty(0, dtype=np.int64)
-        self.ttls = np.empty(0, dtype=np.int64)
-        self.hops = np.empty(0, dtype=np.int64)
-        self.time = np.empty(0, dtype=np.float64)
-        self.t0 = np.empty(0, dtype=np.float64)
-        self.hold = np.empty(0, dtype=np.float64)
         self.ids = np.empty(0, dtype=np.int64)
-        self.nxt = np.empty(0, dtype=np.int64)
-        self.chan = np.empty(0, dtype=np.int64)
-        # Global activation rank: the row's index in the time-sorted capture.
-        # In this engine array order *is* rank order (activation appends in
-        # rank order and every filter preserves order), so admission's
-        # array-order tie-break equals lowest-rank-wins; the sharded engine
-        # leans on the explicit column once migration breaks that identity.
-        self.rank = np.empty(0, dtype=np.int64)
+        # Live rows are either moving or parked. Moving: the rank-sorted
+        # slots just activated or just advanced; only these are retired,
+        # routed and selected. Parked: rows routed onto a channel and
+        # waiting for its credit, as sorted keys ``chan << 32 | slot``, so
+        # each channel's queue is contiguous and in rank order.
+        self._moving = np.empty(0, dtype=np.int64)
+        self._parked = np.empty(0, dtype=np.int64)
 
         # Physical channel ids: chan = node * width + port, where port is
         # the neighbor's index in topology.neighbors(node). Candidate-table
         # columns are destination-relative and would conflate channels.
+        # ``_next_hop`` inverts the map: channel -> the node it leads to.
         self.width = self.planner.width
         self._port = np.full(self.n * self.n, -1, dtype=np.int8)
+        self._next_hop = np.full(self.n * self.width, -1, dtype=np.int64)
         for node in topology.nodes():  # per-(node, port), once at build
             for port, neighbor in enumerate(topology.neighbors(node)):
                 self._port[node * self.n + neighbor] = port
+                self._next_hop[node * self.width + port] = neighbor
 
         # Per-round congestion signal: rows deferred last round, per channel.
         self._backlog = np.zeros(self.n * self.width, dtype=np.float64)
@@ -569,8 +586,8 @@ class CohortEngine:
         # run for the classic drain-to-completion call).
         self._delivered_counts = np.zeros(self.n, dtype=np.int64)
         self._hop_counts = np.zeros(64, dtype=np.int64)
-        self._sink_nodes = frozenset(
-            ring.node for ring in fabric._delivery_sinks)
+        self._sink_mask = np.zeros(self.n, dtype=bool)
+        self._refresh_sinks()
         self._sink_rows: List[Tuple[np.ndarray, ...]] = []
         self._max_time = self.sim.now
         self._progressed = False
@@ -578,8 +595,11 @@ class CohortEngine:
 
         # Persistent-run state: the engine survives across advance() calls so
         # run_until can cut a run into segments with live rows carried over.
+        # ``_slots`` lists the slots this engine activates, in activation
+        # order, and ``_times`` their injection times.
         self._pending: Optional[dict] = None
-        self._pending_ranks = np.empty(0, dtype=np.int64)
+        self._slots = np.empty(0, dtype=np.int64)
+        self._times = np.empty(0, dtype=np.float64)
         self._next = 0
         self._flushed_next = 0
         self._started = False
@@ -589,6 +609,10 @@ class CohortEngine:
     def run(self) -> None:
         """Drain all captured injections; raises on stalls via the watchdog."""
         self.advance(None)
+
+    def live(self) -> int:
+        """Rows in flight: moving plus parked."""
+        return int(self._moving.size + self._parked.size)
 
     def advance(self, until: Optional[float]) -> None:
         """Advance cohorts through every round whose frontier is <= ``until``
@@ -615,26 +639,24 @@ class CohortEngine:
             watchdog.start()
         profiler = sim.profile
         self._refresh_pending()
-        self._sink_nodes = frozenset(
-            ring.node for ring in self.fabric._delivery_sinks)
-        pending_times = self._pending["times"]
+        self._refresh_sinks()
+        pending_times = self._times
         total = pending_times.size
         if not self._started and total:
             self.frontier = float(pending_times[0])
             self._started = True
-        while self._next < total or self.pos.size:  # per-round loop  # repro-lint: disable=H3
+        while self._next < total or self.live():  # per-round loop  # repro-lint: disable=H3
             if until is not None:
                 eff = self.frontier
-                if self.pos.size == 0 and self._next < total:
+                if not self.live() and self._next < total:
                     eff = max(eff, float(pending_times[self._next]))
                 if eff > until:
                     break
             if watchdog is not None:
                 watchdog.check_stall(sim)
             self._progressed = False
-            rows = int(self.pos.size)
             if profiler is not None:
-                profiler.record_batch_advance(rows, self._round)
+                profiler.record_batch_advance(self._round)
             else:
                 self._round()
             sim.events_executed += 1
@@ -642,7 +664,7 @@ class CohortEngine:
             if not self._progressed:
                 raise SimulationError(
                     f"batched engine stalled at round {self.rounds} with "
-                    f"{self.pos.size} live rows (internal invariant broken)"
+                    f"{self.live()} live rows (internal invariant broken)"
                 )
         self._flush(until)
 
@@ -652,6 +674,7 @@ class CohortEngine:
         Injections captured between advance() segments are folded in as long
         as they do not rewrite the already-consumed prefix (traffic scheduled
         at or before times the engine has advanced past has no sound replay).
+        The consumed prefix keeps its slots, so live rows stay put.
         """
         log = self.fabric.log
         if self._pending is not None \
@@ -669,97 +692,108 @@ class CohortEngine:
                     "traffic beyond the current frontier or use "
                     "engine='exact'"
                 )
+        self._install(pending,
+                      np.arange(pending["times"].size, dtype=np.int64))
+
+    def _install(self, pending: Dict[str, np.ndarray],
+                 slots: np.ndarray) -> None:
+        """Adopt ``pending`` (the whole time-sorted capture, indexed by
+        slot) and activate the rows at ``slots`` in that order.
+
+        The slot store grows to the capture's size, keeping every slot
+        already written.
+        """
+        size = pending["times"].size
+        for name in _STORE_COLUMNS:  # per-column, once per segment  # repro-lint: disable=H3
+            old = getattr(self, name)
+            column = np.empty(size, dtype=old.dtype)
+            column[:old.size] = old
+            setattr(self, name, column)
+        self.dst = pending["dests"]
+        self.src_ip = pending["sources"]
+        self.dst_ip = pending["dst_ips"]
+        self.ids = pending["ids"]
         self._pending = pending
-        self._pending_ranks = np.arange(pending["times"].size,
-                                        dtype=np.int64)
+        self._slots = slots
+        self._times = pending["times"][slots]
+
+    def _refresh_sinks(self) -> None:
+        """Mark the nodes with a delivery ring attached, once per segment."""
+        self._sink_mask[:] = False
+        self._sink_mask[np.array(
+            [ring.node for ring in self.fabric._delivery_sinks],
+            dtype=np.int64)] = True
 
     # ------------------------------------------------------------------
-    def _round(self) -> None:
-        pending_times = self._pending["times"]
-        if self.pos.size == 0 and self._next < pending_times.size:
+    def _round(self) -> Tuple[int, int]:
+        if not self.live() and self._next < self._times.size:
             # Idle gap: jump the frontier straight to the next injection.
             self.frontier = max(self.frontier,
-                                float(pending_times[self._next]))
-        self._step()
+                                float(self._times[self._next]))
+        counts = self._step()
         self.frontier += self.round_delta
+        return counts
 
-    def _step(self) -> None:
+    def _step(self) -> Tuple[int, int]:
         """One cohort round at the current frontier: activate, retire,
         route/admit/advance. Shared verbatim with the sharded workers, which
-        control the frontier externally."""
-        end = int(np.searchsorted(self._pending["times"], self.frontier,
-                                  side="right"))
+        control the frontier externally. Returns the rows moved (retired,
+        routed and selected) and the rows left parked."""
+        end = int(np.searchsorted(self._times, self.frontier, side="right"))
         if end > self._next:
             self._activate(self._next, end)
             self._next = end
             self._progressed = True
-        if self.pos.size:
+        moved = int(self._moving.size)
+        if moved:
             self._retire()
-        if self.pos.size:
+        if self._moving.size or self._parked.size:
             self._route_and_advance()
+        return moved, int(self._parked.size)
 
     def _activate(self, lo: int, hi: int) -> None:
         pending = self._pending
+        slots = self._slots[lo:hi]
         m = hi - lo
-        times = pending["times"][lo:hi].copy()
-        sizes = pending["sizes"][lo:hi]
+        times = pending["times"][slots]
         if self._vct:
             # VCT charges the payload serialization once at injection.
             times = times + np.maximum(
-                sizes - IPHeader.HEADER_BYTES, 0) / self._bandwidth
-            hold = np.full(m, IPHeader.HEADER_BYTES / self._bandwidth)
+                pending["sizes"][slots] - IPHeader.HEADER_BYTES,
+                0) / self._bandwidth
+            hold = IPHeader.HEADER_BYTES / self._bandwidth
         else:
-            hold = sizes / self._bandwidth
-        self.pos = np.concatenate([self.pos, pending["nodes"][lo:hi]])
-        self.dst = np.concatenate([self.dst, pending["dests"][lo:hi]])
-        self.src_ip = np.concatenate([self.src_ip,
-                                      pending["sources"][lo:hi]])
-        self.dst_ip = np.concatenate([self.dst_ip,
-                                      pending["dst_ips"][lo:hi]])
-        self.words = np.concatenate([self.words,
-                                     self.marker.inject(m, self.rng)])
-        self.ttls = np.concatenate(
-            [self.ttls, np.full(m, self.default_ttl, dtype=np.int64)])
-        self.hops = np.concatenate([self.hops, np.zeros(m, dtype=np.int64)])
-        self.time = np.concatenate([self.time, times])
-        self.t0 = np.concatenate([self.t0, times])
-        self.hold = np.concatenate([self.hold, hold])
-        self.ids = np.concatenate([self.ids, pending["ids"][lo:hi]])
-        self.nxt = np.concatenate([self.nxt, np.full(m, -1, dtype=np.int64)])
-        self.chan = np.concatenate([self.chan,
-                                    np.full(m, -1, dtype=np.int64)])
-        self.rank = np.concatenate([self.rank, self._pending_ranks[lo:hi]])
+            hold = pending["sizes"][slots] / self._bandwidth
+        self.pos[slots] = pending["nodes"][slots]
+        self.words[slots] = self.marker.inject(m, self.rng)
+        self.ttls[slots] = self.default_ttl
+        self.hops[slots] = 0
+        self.time[slots] = times
+        self.t0[slots] = times
+        self.hold[slots] = hold
+        # Activation ranks exceed every live rank (the capture is
+        # time-sorted and the frontier only advances), so appending keeps
+        # the moving set sorted.
+        self._moving = np.concatenate([self._moving, slots])
         self._stats.n_injected += m
-
-    def _filter(self, keep: np.ndarray) -> None:
-        self.pos = self.pos[keep]
-        self.dst = self.dst[keep]
-        self.src_ip = self.src_ip[keep]
-        self.dst_ip = self.dst_ip[keep]
-        self.words = self.words[keep]
-        self.ttls = self.ttls[keep]
-        self.hops = self.hops[keep]
-        self.time = self.time[keep]
-        self.t0 = self.t0[keep]
-        self.hold = self.hold[keep]
-        self.ids = self.ids[keep]
-        self.nxt = self.nxt[keep]
-        self.chan = self.chan[keep]
-        self.rank = self.rank[keep]
 
     def _retire(self) -> None:
         # Delivery first, then hop-ceiling, then TTL — the exact switch's
         # dispatch order (the masks are disjoint by construction, so one
-        # combined filter pass preserves the per-reason accounting).
-        done = self.pos == self.dst
+        # combined filter pass preserves the per-reason accounting). Parked
+        # rows cannot retire: their pos, ttls and hops are unchanged since
+        # the round that routed them passed this check.
+        moving = self._moving
+        done = self.pos[moving] == self.dst[moving]
         gone = done
         retired = False
         if done.any():
-            self._deliver(done)
+            self._deliver(moving[done])
             retired = True
         ceiling = self.fabric.hop_ceiling
         if ceiling is not None:
-            over = ~gone & (self.hops >= ceiling)
+            hops = self.hops[moving]
+            over = ~gone & (hops >= ceiling)
             if over.any():
                 k = int(np.count_nonzero(over))
                 self._drop(k, "livelock")
@@ -768,50 +802,44 @@ class CohortEngine:
                     # Bulk twin of note_livelock: count all k, fire once
                     # past tolerance.
                     watchdog.livelocked_packets += k - 1
-                    watchdog.note_livelock(self.sim,
-                                           int(self.hops[over].max()))
+                    watchdog.note_livelock(self.sim, int(hops[over].max()))
                 gone = gone | over
                 retired = True
-        dead = ~gone & (self.ttls <= 1)
+        dead = ~gone & (self.ttls[moving] <= 1)
         if dead.any():
             self._drop(int(np.count_nonzero(dead)), "ttl_expired")
             gone = gone | dead
             retired = True
         if retired:
-            self._filter(~gone)
+            self._moving = moving[~gone]
             self._progressed = True
 
-    def _deliver(self, mask: np.ndarray) -> None:
-        index = np.flatnonzero(mask)
-        nodes = self.pos[index]
-        times = self.time[index]
-        k = index.size
-        self._stats.n_delivered += k
-        np.add.at(self._delivered_counts, nodes, 1)
-        self._stats.latency.add_array(times - self.t0[index])
-        hops = self.hops[index]
-        top = int(hops.max()) + 1 if k else 1
-        if top > self._hop_counts.size:
-            grown = np.zeros(max(top, 2 * self._hop_counts.size),
-                             dtype=np.int64)
-            grown[:self._hop_counts.size] = self._hop_counts
-            self._hop_counts = grown
-        np.add.at(self._hop_counts, hops, 1)
+    def _deliver(self, slots: np.ndarray) -> None:
+        nodes = self.pos[slots]
+        times = self.time[slots]
+        self._stats.n_delivered += slots.size
+        self._delivered_counts += np.bincount(nodes, minlength=self.n)
+        self._stats.latency.add_array(times - self.t0[slots])
+        hops = self.hops[slots]
+        counts = np.bincount(hops, minlength=self._hop_counts.size)
+        if counts.size > self._hop_counts.size:
+            counts[:self._hop_counts.size] += self._hop_counts
+            self._hop_counts = counts
+        else:
+            self._hop_counts += counts
         self._max_time = max(self._max_time, float(times.max()))
-        if self._sink_nodes:
-            sunk = np.isin(nodes, np.fromiter(self._sink_nodes, dtype=np.int64,
-                                              count=len(self._sink_nodes)))
-            if sunk.any():
-                rows = index[sunk]
-                # The trailing (rank, round) pair is merge metadata: the
-                # single-process flush ignores it, the sharded driver lexsorts
-                # on (time, round, rank) to reproduce this engine's
-                # accumulation order across shards.
-                self._sink_rows.append(
-                    (self.pos[rows], self.time[rows], self.src_ip[rows],
-                     self.dst_ip[rows], self.words[rows], self.ttls[rows],
-                     self.hops[rows], self.ids[rows], self.rank[rows],
-                     np.full(rows.size, self.rounds, dtype=np.int64)))
+        sunk = self._sink_mask[nodes]
+        if sunk.any():
+            rows = slots[sunk]
+            # The trailing (slot, round) pair is merge metadata: the
+            # single-process flush ignores it, the sharded driver lexsorts
+            # on (time, round, slot) to reproduce this engine's
+            # accumulation order across shards.
+            self._sink_rows.append(
+                (nodes[sunk], times[sunk], self.src_ip[rows],
+                 self.dst_ip[rows], self.words[rows], self.ttls[rows],
+                 hops[sunk], self.ids[rows], rows,
+                 np.full(rows.size, self.rounds, dtype=np.int64)))
 
     def _drop(self, count: int, reason: str) -> None:
         stats = self._stats
@@ -821,82 +849,69 @@ class CohortEngine:
 
     # ------------------------------------------------------------------
     def _route_and_advance(self) -> None:
-        # Route and select only the fresh rows (just activated or just
-        # advanced); rows waiting on a full channel keep last round's choice,
-        # like a queued packet holding its output in the exact engine.
-        need = np.flatnonzero(self.nxt < 0)
-        if need.size:
-            candidates, degrees = self.planner.lookup(self.pos[need],
-                                                      self.dst[need])
+        # Route and select only the moving rows; parked rows keep their
+        # channel across rounds, like a queued packet holding its output in
+        # the exact engine.
+        moving = self._moving
+        if moving.size:
+            pos = self.pos[moving]
+            candidates, degrees = self.planner.lookup(pos, self.dst[moving])
             blocked = degrees == 0
             if blocked.any():
                 self._drop(int(np.count_nonzero(blocked)), "unroutable")
-                keep = np.ones(self.pos.size, dtype=bool)
-                keep[need[blocked]] = False
-                self._filter(keep)
                 self._progressed = True
-                if not self.pos.size:
-                    return
-                need = np.flatnonzero(self.nxt < 0)
-                candidates = candidates[~blocked]
-                degrees = degrees[~blocked]
-            if need.size:
-                sub_pos = self.pos[need]
-                cols = self._choose(sub_pos, candidates, degrees)
-                nxt = candidates[np.arange(need.size), cols]
-                self.nxt[need] = nxt
-                self.chan[need] = (sub_pos * self.width
-                                   + self._port[sub_pos * self.n + nxt])
+                routable = ~blocked
+                moving = moving[routable]
+                pos = pos[routable]
+                candidates = candidates[routable]
+                degrees = degrees[routable]
+            if moving.size:
+                cols = self._choose(pos, candidates, degrees)
+                nxt = candidates[np.arange(moving.size), cols]
+                chan = pos * self.width + self._port[pos * self.n + nxt]
+                keys = np.sort((chan << 32) | moving)
+                parked = self._parked
+                self._parked = np.insert(
+                    parked, np.searchsorted(parked, keys), keys)
+        parked = self._parked
+        if not parked.size:  # every moving row was unroutable
+            self._moving = moving
+            return
 
         # Credit-based admission: buffer_capacity rows per directed channel
-        # per round — array order (oldest rows first) breaks ties, so waiting
-        # rows outrank newcomers; the rest wait a round and become the
-        # congestion signal.
-        chan = self.chan
-        order = self._admission_order(chan)
-        sorted_chan = chan[order]
-        starts = np.flatnonzero(
-            np.diff(sorted_chan, prepend=sorted_chan[0] - 1))
-        group_sizes = np.diff(np.append(starts, sorted_chan.size))
-        ranks = np.arange(sorted_chan.size) - np.repeat(starts, group_sizes)
-        admitted = np.empty(chan.size, dtype=bool)
-        admitted[order] = ranks < self.quota
-
-        deferred = ~admitted
-        if deferred.any():
+        # per round, lowest rank first — waiting rows outrank newcomers. A
+        # key is among the first ``quota`` of its channel group iff the key
+        # ``quota`` places earlier belongs to another channel.
+        quota = self.quota
+        chan = parked >> 32
+        admit = np.ones(parked.size, dtype=bool)
+        if parked.size > quota:
+            np.not_equal(chan[quota:], chan[:-quota], out=admit[quota:])
+        moved = parked[admit]
+        self._parked = waiting = parked[~admit]
+        # The rest wait a round — eagerly charged, so float sums match a
+        # row-by-row schedule — and become the congestion signal.
+        if waiting.size:
+            self.time[waiting & _SLOT_MASK] += self.round_delta
+        if self.mode == "congestion":
             self._backlog = np.bincount(
-                chan[deferred],
-                minlength=self._backlog.size).astype(np.float64)
-            self.time[deferred] += self.round_delta
-        elif self._backlog.any():
-            self._backlog.fill(0.0)
+                chan[~admit], minlength=self._backlog.size).astype(np.float64)
 
-        if admitted.any():
-            nxt = self.nxt[admitted]
-            self.ttls[admitted] -= 1
-            self.words[admitted] = self.marker.on_hop(
-                self.words[admitted], self.pos[admitted], nxt,
-                self.ttls[admitted], self.rng)
-            self.hops[admitted] += 1
-            cfg = self.fabric.config
-            self.time[admitted] += (cfg.routing_delay + self.hold[admitted]
-                                    + cfg.link_latency)
-            self.pos[admitted] = nxt
-            self.nxt[admitted] = -1
-            self._progressed = True
-
-    def _admission_order(self, chan: np.ndarray) -> np.ndarray:
-        """Row order for credit admission: channel-major, oldest row first.
-
-        Array order here equals global activation rank (see ``rank``), so a
-        stable channel sort implements lowest-rank-wins. Stable argsort on
-        int16 keys selects numpy's radix sort (~7x the int64 merge path);
-        channel ids fit whenever n*width < 2^15, which covers the 64x64
-        torus exactly.
-        """
-        sort_keys = chan.astype(np.int16) \
-            if self.n * self.width < (1 << 15) else chan
-        return np.argsort(sort_keys, kind="stable")
+        # Admitted rows hop in rank order (the marker's draws follow it).
+        flipped = np.sort(((moved & _SLOT_MASK) << 32) | (moved >> 32))
+        slots = flipped >> 32
+        nxt = self._next_hop[flipped & _SLOT_MASK]
+        ttls = self.ttls[slots] - 1
+        self.ttls[slots] = ttls
+        self.words[slots] = self.marker.on_hop(
+            self.words[slots], self.pos[slots], nxt, ttls, self.rng)
+        self.hops[slots] += 1
+        cfg = self.fabric.config
+        self.time[slots] += (cfg.routing_delay + self.hold[slots]
+                             + cfg.link_latency)
+        self.pos[slots] = nxt
+        self._moving = slots
+        self._progressed = True
 
     def _choose(self, sub_pos: np.ndarray, candidates: np.ndarray,
                 degrees: np.ndarray) -> np.ndarray:
@@ -930,7 +945,8 @@ class CohortEngine:
         sim = self.sim
         nics = fabric.nics
         if self._next > self._flushed_next:
-            nodes = self._pending["nodes"][self._flushed_next:self._next]
+            nodes = self._pending["nodes"][
+                self._slots[self._flushed_next:self._next]]
             injected = np.bincount(nodes, minlength=self.n)
             for node in np.flatnonzero(injected).tolist():  # per-node, once per segment  # repro-lint: disable=H3
                 nics[node].n_injected += int(injected[node])

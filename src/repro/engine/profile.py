@@ -58,12 +58,15 @@ class EventProfiler:
         # the per-event buckets because one flush spans many packets.
         self._flush_buckets: Dict[str, List[float]] = {}
         # Cohort-advance counters for the batched engine: one "event" there
-        # moves a whole cohort of rows, so the per-event buckets alone would
-        # under-report by orders of magnitude. The histogram buckets rounds
-        # by rows-per-advance power of two (key b counts rounds with
-        # 2^(b-1) < rows <= 2^b).
+        # handles a whole cohort of rows, so the per-event buckets alone
+        # would under-report by orders of magnitude. A round's cost follows
+        # the rows it moves (retires, routes and selects); parked rows,
+        # waiting on a channel, cost only their deferred-time add. The
+        # histogram buckets rounds by moved rows per power of two (key b
+        # counts rounds with 2^(b-1) < moved <= 2^b).
         self.batch_advances = 0
-        self.rows_advanced = 0
+        self.rows_moved = 0
+        self.rows_parked = 0
         self._advance_seconds = 0.0
         self._advance_hist: Dict[int, int] = {}
         # Sharded-engine window counters: one conservative time window moves
@@ -115,21 +118,24 @@ class EventProfiler:
             bucket[1] += rows
             bucket[2] += elapsed
 
-    def record_batch_advance(self, rows: int,
-                             fn: Callable[..., Any], *args: Any) -> None:
+    def record_batch_advance(self, fn: Callable[..., Tuple[int, int]],
+                             *args: Any) -> None:
         """Execute one cohort advance ``fn(*args)`` and record its cost.
 
-        The batched engine calls this once per round with the cohort size;
-        ``advance_stats`` then reports rows/event instead of the misleading
+        The batched engine calls this once per round; ``fn`` returns the
+        round's (moved, parked) row counts: the rows it retired, routed and
+        selected, and the rows left waiting for a channel. ``advance_stats``
+        then reports rows/event instead of the misleading
         one-packet-per-event accounting the per-event buckets would give.
         """
         start = perf_counter()
-        fn(*args)
+        moved, parked = fn(*args)
         elapsed = perf_counter() - start
         self.batch_advances += 1
-        self.rows_advanced += rows
+        self.rows_moved += moved
+        self.rows_parked += parked
         self._advance_seconds += elapsed
-        bucket = (max(int(rows), 1) - 1).bit_length()  # ceil(log2(rows))
+        bucket = (max(int(moved), 1) - 1).bit_length()  # ceil(log2(moved))
         self._advance_hist[bucket] = self._advance_hist.get(bucket, 0) + 1
 
     def record_shard_window(self, boundary_rows: int,
@@ -158,16 +164,18 @@ class EventProfiler:
         }
 
     def advance_stats(self) -> Dict[str, object]:
-        """Cohort-advance summary: rounds, rows, seconds, rows/event histogram."""
-        rounds = self.batch_advances
-        rows = self.rows_advanced
+        """Cohort-advance summary: rounds, rows moved and parked, seconds,
+        and the moved-rows-per-round histogram."""
+        rounds = max(self.batch_advances, 1)
         return {
-            "advances": rounds,
-            "rows": rows,
+            "advances": self.batch_advances,
+            "rows_moved": self.rows_moved,
+            "rows_parked": self.rows_parked,
             "total_time": self._advance_seconds,
-            "rows_per_advance": (rows / rounds) if rounds else 0.0,
-            "rows_histogram": {1 << b: count for b, count
-                               in sorted(self._advance_hist.items())},
+            "moved_per_advance": self.rows_moved / rounds,
+            "parked_per_advance": self.rows_parked / rounds,
+            "moved_histogram": {1 << b: count for b, count
+                                in sorted(self._advance_hist.items())},
         }
 
     def flush_stats(self) -> Dict[str, Dict[str, float]]:
@@ -242,13 +250,14 @@ class EventProfiler:
             body = f"{body}\nbatch flushes:\n{flush_table.render()}"
         if self.batch_advances:
             rounds = self.batch_advances
-            rows = self.rows_advanced
-            advance_table = TextTable(["rows/advance <=", "rounds"])
+            advance_table = TextTable(["moved rows/advance <=", "rounds"])
             for power, count in sorted(self._advance_hist.items()):
                 advance_table.add_row([1 << power, count])
             body = (f"{body}\ncohort advances: {rounds} rounds, "
-                    f"{rows} rows "
-                    f"({rows / rounds:.1f} rows/event), "
+                    f"{self.rows_moved} rows moved "
+                    f"({self.rows_moved / rounds:.1f}/event), "
+                    f"{self.rows_parked} rows parked "
+                    f"({self.rows_parked / rounds:.1f}/event), "
                     f"{self._advance_seconds:.4f}s\n{advance_table.render()}")
         return body
 
@@ -258,7 +267,8 @@ class EventProfiler:
         self._flush_buckets.clear()
         self.events_recorded = 0
         self.batch_advances = 0
-        self.rows_advanced = 0
+        self.rows_moved = 0
+        self.rows_parked = 0
         self._advance_seconds = 0.0
         self._advance_hist.clear()
         self.shard_windows = 0

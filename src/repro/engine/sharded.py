@@ -14,27 +14,28 @@ in worker processes under the ``fork`` start method, or serially in-process
   in window *r* is absorbed by its new owner before window *r+1*, precisely
   when the single-process engine would next touch it.
 * **Columnar boundary queues.** Cross-shard rows travel as struct-of-arrays
-  column dicts (the cohort layout itself), so marshalling is numpy slicing
-  plus one pickle per window, never per-packet Python.
+  column dicts (their slots plus the slot-store state), so marshalling is
+  numpy slicing plus one pickle per window, never per-packet Python.
 * **Deterministic merge.** Each shard's deliveries accumulate with their
-  global activation ``rank`` and round index; the driver merges all sink
-  rows with ``np.lexsort((rank, round, time))`` — exactly the single-process
-  engine's stable time sort over its (round, rank) accumulation order — so
-  detectors, victim analysis, and the property-equivalence suite see
-  bit-identical streams.
+  slot (global activation rank) and round index; the driver merges all sink
+  rows with ``np.lexsort((slot, round, time))`` — exactly the
+  single-process engine's stable time sort over its (round, slot)
+  accumulation order — so detectors, victim analysis, and the
+  property-equivalence suite see bit-identical streams.
 
-Equivalence argument (DESIGN.md §14): in the single-process engine, array
-order equals global activation rank at all times, so credit admission's
-"lowest array index wins" tie-break is "lowest rank wins". Each directed
-channel is owned by its source node's shard, so all contenders for a channel
-live in one shard; per-shard admission ordered by ``lexsort((rank, chan))``
-therefore reproduces global admission exactly, and the deferred-row backlog
-(the congestion signal) decomposes per shard without approximation. The
-per-shard RNG streams (``"sharded-cohort:<shard>"``) differ from the global
-engine's single stream, so — exactly as for batched-vs-exact (DESIGN.md §12)
-— bit-equality holds wherever drawn values cannot influence outcomes
-(deterministic marking, p=1.0 marking, first-candidate selection, DDPM under
-any routing) and statistical equivalence elsewhere.
+Equivalence argument (DESIGN.md §14): every shard stores a row at its
+global slot, so a shard's parked keys ``chan << 32 | slot`` sort exactly as
+the single-process engine's do, and credit admission's "lowest slot wins"
+is "lowest global rank wins". Each directed channel is owned by its source
+node's shard, so all contenders for a channel live in one shard; per-shard
+admission therefore reproduces global admission exactly, and the
+deferred-row backlog (the congestion signal) decomposes per shard without
+approximation. The per-shard RNG streams (``"sharded-cohort:<shard>"``)
+differ from the global engine's single stream, so — exactly as for
+batched-vs-exact (DESIGN.md §12) — bit-equality holds wherever drawn values
+cannot influence outcomes (deterministic marking, p=1.0 marking,
+first-candidate selection, DDPM under any routing) and statistical
+equivalence elsewhere.
 
 Per-row Python work is banned here by lint rule H3; the loops below are
 per-shard, per-window, or per-run and carry audited suppressions.
@@ -48,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.batched import CohortEngine
+from repro.engine.batched import _STORE_COLUMNS, CohortEngine
 from repro.engine.stats import WelfordAccumulator
 from repro.engine.watchdog import WatchdogReport
 from repro.errors import (ConfigurationError, SimulationError,
@@ -63,10 +64,10 @@ __all__ = ["ShardedEngine"]
 #: ParallelRunner's pool backstop applies over its in-worker watchdogs.
 _TIMEOUT_GRACE = 10.0
 
-#: cohort columns that migrate across shard boundaries (struct-of-arrays).
-_MIGRATE_COLUMNS = ("pos", "dst", "src_ip", "dst_ip", "words", "ttls",
-                    "hops", "time", "t0", "hold", "ids", "nxt", "chan",
-                    "rank")
+#: columns of a boundary block: the rows' slots (global activation ranks)
+#: and their slot-store state. Every shard holds the whole capture, so the
+#: read-only columns never travel.
+_MIGRATE_COLUMNS = ("slot",) + _STORE_COLUMNS
 
 
 class _ShardStats:
@@ -92,9 +93,9 @@ class _ShardCohortEngine(CohortEngine):
 
     Reuses the batched engine's activate/retire/route/admit/advance round
     verbatim (``_step``); what changes is the frontier (driver-controlled),
-    the admission tie-break (explicit global rank — migration breaks the
-    array-order identity the base class relies on), and the statistics
-    target (a local accumulator harvested once at the end).
+    the rows activated (this shard's slice of the capture, each at its
+    global slot, so admission's slot order is the global rank order), and
+    the statistics target (a local accumulator harvested once at the end).
     """
 
     def __init__(self, fabric, partition: Partition, shard: int):
@@ -108,21 +109,15 @@ class _ShardCohortEngine(CohortEngine):
         self._stats = _ShardStats()
 
     def load(self, pending: Dict[str, np.ndarray],
-             ranks: np.ndarray) -> None:
-        """Install this shard's slice of the global time-sorted capture."""
-        self._pending = pending
-        self._pending_ranks = ranks
+             slots: np.ndarray) -> None:
+        """Install the global time-sorted capture; this shard activates
+        the rows at ``slots``."""
+        self._install(pending, slots)
         self._next = 0
         self._started = True
         watchdog = self.sim.watchdog
         if watchdog is not None:
             watchdog.start()
-
-    def _admission_order(self, chan: np.ndarray) -> np.ndarray:
-        # Migrated rows append out of rank order, so the base class's
-        # array-order tie-break no longer equals lowest-rank-wins; sort on
-        # the explicit rank column to reproduce global admission exactly.
-        return np.lexsort((self.rank, chan))
 
     def advance_window(self, frontier: float,
                        inbox: Optional[Dict[str, np.ndarray]]) -> dict:
@@ -135,42 +130,49 @@ class _ShardCohortEngine(CohortEngine):
         self._progressed = False
         if inbox is not None:
             self._absorb(inbox)
-        self._step()
+        moved, parked = self._step()
         self.rounds += 1
         outboxes = self._extract_outboxes()
         next_time = None
-        if self._next < self._pending["times"].size:
-            next_time = float(self._pending["times"][self._next])
+        if self._next < self._times.size:
+            next_time = float(self._times[self._next])
         return {
             "outboxes": outboxes,
-            "live": int(self.pos.size),
+            "moved": moved,
+            "parked": parked,
+            "live": self.live(),
             "progressed": bool(self._progressed),
             "next_time": next_time,
         }
 
     def _absorb(self, inbox: Dict[str, np.ndarray]) -> None:
-        for name in _MIGRATE_COLUMNS:  # per-column, once per window  # repro-lint: disable=H3
-            setattr(self, name,
-                    np.concatenate([getattr(self, name), inbox[name]]))
+        """Store boundary rows at their slots; they join the moving set."""
+        slots = inbox["slot"]
+        for name in _STORE_COLUMNS:  # per-column, once per window  # repro-lint: disable=H3
+            getattr(self, name)[slots] = inbox[name]
+        self._moving = np.sort(np.concatenate([self._moving, slots]))
 
     def _extract_outboxes(self) -> Dict[int, Dict[str, np.ndarray]]:
-        """Pull rows whose position now lies in another shard, per peer."""
-        if not self.pos.size:
+        """Pull rows whose position now lies in another shard, per peer.
+
+        Only moving rows can have crossed the cut: a parked row has not
+        moved since it was routed from a node this shard owns.
+        """
+        moving = self._moving
+        if not moving.size:
             return {}
-        owner = self._shard_of[self.pos]
+        owner = self._shard_of[self.pos[moving]]
         foreign = owner != self.shard
         if not foreign.any():
             return {}
-        index = np.flatnonzero(foreign)
-        dest = owner[index]
+        leaving = moving[foreign]
+        dest = owner[foreign]
         outboxes: Dict[int, Dict[str, np.ndarray]] = {}
         for peer in np.unique(dest).tolist():  # per-peer-shard, once per window  # repro-lint: disable=H3
-            rows = index[dest == peer]
-            outboxes[int(peer)] = {
-                name: getattr(self, name)[rows] for name in _MIGRATE_COLUMNS}
-        keep = np.ones(self.pos.size, dtype=bool)
-        keep[index] = False
-        self._filter(keep)
+            slots = leaving[dest == peer]
+            outboxes[int(peer)] = {"slot": slots, **{
+                name: getattr(self, name)[slots] for name in _STORE_COLUMNS}}
+        self._moving = moving[~foreign]
         return outboxes
 
     def harvest(self) -> dict:
@@ -181,7 +183,7 @@ class _ShardCohortEngine(CohortEngine):
         if self._sink_rows:
             sink = tuple(np.concatenate(parts)
                          for parts in zip(*self._sink_rows))
-        consumed = self._pending["nodes"][:self._next]
+        consumed = self._pending["nodes"][self._slots[:self._next]]
         return {
             "n_injected": stats.n_injected,
             "n_delivered": stats.n_delivered,
@@ -221,7 +223,7 @@ def _rebuild_error(shard: int,
 
 def _shard_worker(conn, fabric, partition: Partition, shard: int,
                   pending: Dict[str, np.ndarray],
-                  ranks: np.ndarray) -> None:
+                  slots: np.ndarray) -> None:
     """Process entry point: build the shard engine, then serve windows.
 
     Runs under the ``fork`` start method, so ``fabric`` (and everything
@@ -230,7 +232,7 @@ def _shard_worker(conn, fabric, partition: Partition, shard: int,
     """
     try:
         engine = _ShardCohortEngine(fabric, partition, shard)
-        engine.load(pending, ranks)
+        engine.load(pending, slots)
         conn.send(("ready", None))
         while True:
             message = conn.recv()
@@ -256,7 +258,7 @@ class _ProcessShardWorker:
     """Driver-side handle for one fork-spawned shard worker."""
 
     def __init__(self, ctx, fabric, partition: Partition, shard: int,
-                 pending: Dict[str, np.ndarray], ranks: np.ndarray,
+                 pending: Dict[str, np.ndarray], slots: np.ndarray,
                  timeout: Optional[float]):
         self.shard = shard
         self.sim = fabric.sim
@@ -264,7 +266,7 @@ class _ProcessShardWorker:
         self.conn, child = ctx.Pipe()
         self.process = ctx.Process(
             target=_shard_worker,
-            args=(child, fabric, partition, shard, pending, ranks),
+            args=(child, fabric, partition, shard, pending, slots),
             daemon=True)
         self.process.start()
         child.close()
@@ -332,10 +334,10 @@ class _SerialShardWorker:
     """
 
     def __init__(self, fabric, partition: Partition, shard: int,
-                 pending: Dict[str, np.ndarray], ranks: np.ndarray):
+                 pending: Dict[str, np.ndarray], slots: np.ndarray):
         self.shard = shard
         self.engine = _ShardCohortEngine(fabric, partition, shard)
-        self.engine.load(pending, ranks)
+        self.engine.load(pending, slots)
         self._report: Optional[dict] = None
 
     def send_window(self, frontier: float,
@@ -412,14 +414,10 @@ class ShardedEngine:
         total = times.size
         if total == 0:
             return
-        ranks = np.arange(total, dtype=np.int64)
         owner = self.partition.shard_of[pending["nodes"]]
         shard_slices = []
         for shard in range(self.shards):  # per-shard, once per run  # repro-lint: disable=H3
-            rows = np.flatnonzero(owner == shard)
-            shard_slices.append((
-                {name: column[rows] for name, column in pending.items()},
-                ranks[rows]))
+            shard_slices.append((pending, np.flatnonzero(owner == shard)))
 
         timeout = None
         if watchdog is not None and watchdog.wall_clock_limit is not None:
@@ -440,7 +438,7 @@ class ShardedEngine:
                     frontier = max(frontier, float(times[gnext]))
                 if profiler is not None:
                     profiler.record_batch_advance(
-                        live, self._exchange, workers, frontier, inboxes)
+                        self._exchange, workers, frontier, inboxes)
                 else:
                     self._exchange(workers, frontier, inboxes)
                 reports = self._reports
@@ -469,15 +467,15 @@ class ShardedEngine:
         fabric = self.fabric
         workers: list = []
         if self.mode == "serial":
-            for shard, (pending, ranks) in enumerate(shard_slices):  # per-shard, once per run  # repro-lint: disable=H3
+            for shard, (pending, slots) in enumerate(shard_slices):  # per-shard, once per run  # repro-lint: disable=H3
                 workers.append(_SerialShardWorker(
-                    fabric, self.partition, shard, pending, ranks))
+                    fabric, self.partition, shard, pending, slots))
             return workers
         ctx = multiprocessing.get_context("fork")
         try:
-            for shard, (pending, ranks) in enumerate(shard_slices):  # per-shard, once per run  # repro-lint: disable=H3
+            for shard, (pending, slots) in enumerate(shard_slices):  # per-shard, once per run  # repro-lint: disable=H3
                 workers.append(_ProcessShardWorker(
-                    ctx, fabric, self.partition, shard, pending, ranks,
+                    ctx, fabric, self.partition, shard, pending, slots,
                     timeout))
         except BaseException:
             for worker in workers:  # per-shard cleanup  # repro-lint: disable=H3
@@ -485,25 +483,28 @@ class ShardedEngine:
             raise
         return workers
 
-    def _exchange(self, workers, frontier: float, inboxes) -> None:
+    def _exchange(self, workers, frontier: float,
+                  inboxes) -> Tuple[int, int]:
         """Dispatch one window to every worker, then collect in shard order.
 
         Sending everything before collecting anything is where the
         multi-process parallelism happens: all K workers advance their
-        rounds concurrently.
+        rounds concurrently. Returns the fleet's rows moved and parked.
         """
         for worker in workers:  # per-shard, once per window  # repro-lint: disable=H3
             worker.send_window(frontier, inboxes[worker.shard])
-        self._reports = [worker.collect() for worker in workers]
+        self._reports = reports = [worker.collect() for worker in workers]
+        return (sum(r["moved"] for r in reports),
+                sum(r["parked"] for r in reports))
 
     @staticmethod
     def _route_outboxes(reports) -> Tuple[dict, int]:
         """Concatenate every shard's outboxes into per-destination inboxes.
 
         Senders merge in ascending shard order — deterministic, and
-        irrelevant to results: admission orders by global rank and the sink
-        merge orders by (time, round, rank), so inbox concatenation order
-        can never reach an observable.
+        irrelevant to results: absorbed rows land at their slots, admission
+        orders by slot and the sink merge by (time, round, slot), so inbox
+        concatenation order can never reach an observable.
         """
         gathered: Dict[int, List[Dict[str, np.ndarray]]] = {}
         sent = 0
@@ -568,11 +569,11 @@ class ShardedEngine:
         if sinks:
             columns = [np.concatenate(parts) for parts in zip(*sinks)]
             nodes, sink_times = columns[0], columns[1]
-            sink_ranks, sink_rounds = columns[8], columns[9]
+            sink_slots, sink_rounds = columns[8], columns[9]
             # The single-process engine flushes each ring stable-sorted by
-            # time over (round, rank) accumulation order; lexsort with time
-            # primary, round secondary, rank tertiary reproduces it exactly.
-            order = np.lexsort((sink_ranks, sink_rounds, sink_times))
+            # time over (round, slot) accumulation order; lexsort with time
+            # primary, round secondary, slot tertiary reproduces it exactly.
+            order = np.lexsort((sink_slots, sink_rounds, sink_times))
             columns = [column[order] for column in columns]
             nodes, sink_times = columns[0], columns[1]
             for ring in fabric._delivery_sinks:  # per-sink, once per run  # repro-lint: disable=H3

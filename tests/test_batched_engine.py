@@ -235,11 +235,40 @@ class TestProfiler:
         config = _base_config(engine="batched")
         result = run_identification_experiment(config, profile=profiler)
         assert profiler.batch_advances > 0
-        assert profiler.rows_advanced >= result.packets_delivered
+        # A row is moving in the round that delivers it.
+        assert profiler.rows_moved >= result.packets_delivered
         stats = profiler.advance_stats()
         assert stats["advances"] == profiler.batch_advances
-        assert sum(stats["rows_histogram"].values()) == profiler.batch_advances
+        assert stats["rows_moved"] == profiler.rows_moved
+        assert stats["rows_parked"] == profiler.rows_parked
+        assert sum(stats["moved_histogram"].values()) \
+            == profiler.batch_advances
         assert "batch-advance@cohort" in profiler.as_dict()
+        assert "rows parked" in profiler.report()
+
+    def test_moved_and_parked_rows_split(self):
+        """Two packets contend for the one credit of channel 0 -> 1.
+
+        Round 1 moves both and parks the younger; round 2 delivers the
+        older and admits the parked one; round 3 delivers it.
+        """
+        from repro.engine.profile import EventProfiler
+        from repro.network.ip import IPHeader
+
+        profiler = EventProfiler()
+        cluster = Cluster(Mesh((4, 4)), DimensionOrderRouter(),
+                          config=FabricConfig(buffer_capacity=1), seed=0,
+                          profile=profiler, engine="batched")
+        cluster.fabric.selection = FirstCandidatePolicy()
+        for _ in range(2):
+            cluster.fabric.inject(
+                Packet(IPHeader(0, 1, ttl=8, total_length=84), 0, 1),
+                at_node=0)
+        cluster.run()
+        assert cluster.fabric.counters["delivered"] == 2
+        assert profiler.batch_advances == 3
+        assert (profiler.rows_moved, profiler.rows_parked) == (4, 1)
+        assert profiler.advance_stats()["moved_histogram"] == {1: 2, 2: 1}
 
 
 # ----------------------------------------------------------------------
