@@ -10,10 +10,13 @@ everything a batched run reports:
 * per-NIC injected/delivered counts and the per-reason drop counters.
 
 The scenarios cover the congested hotspot workload, 8x8 meshes and tori
-under every batched routing/selection pair and the four batched marking
-schemes, a ``run_until`` segmented run, and a TTL-expiry run. An engine
-refactor that claims bit-identical results must leave the file untouched;
-regenerate it only for an intended behaviour change, and say so.
+under every batched routing/selection pair and the DDPM, DPM, full-index
+PPM and fragment PPM schemes, each remaining scheme the engine admits
+(advanced, XOR and bit-difference PPM, no marking) once on the 8x8 mesh,
+DDPM on a 6-cube, a ``run_until`` segmented run, and a TTL-expiry run.
+An engine refactor that claims bit-identical results must leave the file
+untouched; regenerate it only for an intended behaviour change, and say
+so.
 
 Regenerate with::
 
@@ -49,9 +52,10 @@ MARKINGS = ("ddpm", "dpm", "ppm-full", "ppm-fragment")
 
 
 def _grid_config(kind: str, routing: str, selection: str,
-                 marking: str) -> ExperimentConfig:
+                 marking: str, dims: Tuple[int, ...] = (8, 8),
+                 ) -> ExperimentConfig:
     return ExperimentConfig(
-        topology=TopologySpec(kind, (8, 8)),
+        topology=TopologySpec(kind, dims),
         routing=RoutingSpec(routing),
         marking=MarkingSpec(marking, probability=0.2),
         selection=SelectionSpec(selection),
@@ -78,6 +82,14 @@ SCENARIOS: Dict[str, Tuple[ExperimentConfig, Tuple[float, ...]]] = {
        for kind in ("mesh", "torus")
        for routing, selection in ROUTINGS
        for marking in MARKINGS},
+    # The remaining schemes the engine admits, once each.
+    **{f"mesh8-minimal-adaptive-random-{marking}":
+       (_grid_config("mesh", "minimal-adaptive", "random", marking), ())
+       for marking in ("ppm-advanced", "ppm-xor", "ppm-bitdiff", "none")},
+    # DDPM's XOR offset algebra.
+    "hypercube6-minimal-adaptive-random-ddpm": (
+        _grid_config("hypercube", "minimal-adaptive", "random", "ddpm",
+                     dims=(6,)), ()),
     # Cut into three run_until segments; must equal one uncut run.
     "segmented": (_grid_config("torus", "minimal-adaptive",
                                "least-congested", "ppm-full"), (0.3, 0.7)),
