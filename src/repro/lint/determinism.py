@@ -540,9 +540,13 @@ class NoPerPacketCallbacks(Rule):
 
 # ----------------------------------------------------------------------
 #: the batched cohort-advance path: every per-row operation in these
-#: modules must be a whole-array numpy step, never a Python loop.
-_BATCHED_PATH_MODULES = frozenset({"engine/batched.py", "engine/sharded.py",
-                                   "network/colqueue.py"})
+#: modules must be a whole-array numpy step, never a Python loop. The
+#: marking modules hold the schemes' columnar hops (``on_hop_array``).
+_BATCHED_PATH_MODULES = frozenset({
+    "engine/batched.py", "engine/sharded.py", "network/colqueue.py",
+    "marking/base.py", "marking/ddpm.py", "marking/dpm.py",
+    "marking/ppm.py", "marking/ppm_fragment.py", "marking/advanced_ppm.py",
+})
 
 #: method names that anchor the steady-state advance path.
 _ENGINE_ROOT_METHODS = frozenset({"run", "advance", "advance_window"})
@@ -572,8 +576,9 @@ class NoPerPacketPythonInBatchedPath(ProgramRule):
         "explicit for/while loops and per-packet callback registrations "
         "reachable from the cohort-advance roots "
         "(Engine.run/advance/advance_window) in the batched modules "
-        "(engine/batched.py, engine/sharded.py, network/colqueue.py) "
-        "reintroduce per-row Python cost; build-time construction is exempt"
+        "(engine/batched.py, engine/sharded.py, network/colqueue.py and "
+        "the marking schemes' columnar hops) reintroduce per-row Python "
+        "cost; build-time construction is exempt"
     )
     hint = (
         "express the operation over whole cohort columns with numpy; "

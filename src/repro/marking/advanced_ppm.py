@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Optional, Set, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError, FieldLayoutError
-from repro.marking.base import MarkingScheme, VictimAnalysis
+from repro.marking.base import MarkingScheme, VictimAnalysis, _probe_map
 from repro.marking.field import SubfieldLayout
 from repro.network.ip import MF_BITS
 from repro.network.packet import Packet
@@ -69,6 +69,8 @@ class AdvancedPpmScheme(MarkingScheme):
         self.total_bits = total_bits
         self.name = f"ppm-advanced[h{hash_bits_width}]"
         self.layout: Optional[SubfieldLayout] = None
+        self._mark_words: Dict[int, int] = {}
+        self._continue_words: Dict[int, int] = {}
 
     def _on_attach(self, topology: Topology) -> None:
         distance_bits = self.total_bits - self.hash_bits_width
@@ -85,6 +87,11 @@ class AdvancedPpmScheme(MarkingScheme):
         self.distance_bits = distance_bits
         self._node_hash = {n: hash_bits(n, self.hash_bits_width)
                            for n in topology.nodes()}
+        self._inject_word = self.layout.pack(
+            {"edge": 0, "distance": self.max_distance})
+        # Probe memos of the columnar hop: functions of the topology.
+        self._mark_words = {}
+        self._continue_words = {}
 
     def node_hash(self, node: int) -> int:
         """h(node): the fixed-width switch hash."""
@@ -105,8 +112,7 @@ class AdvancedPpmScheme(MarkingScheme):
         (h(first switch) at the path's depth) forges plausible edges.
         """
         self._require_attached()
-        packet.header.identification = self.layout.pack(
-            {"edge": 0, "distance": self.max_distance})
+        packet.header.identification = self._inject_word
 
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         values = self.layout.unpack(packet.header.identification)
@@ -118,6 +124,42 @@ class AdvancedPpmScheme(MarkingScheme):
                 values["edge"] ^= self.node_hash(from_node)
             values["distance"] = min(values["distance"] + 1, self.max_distance)
         packet.header.identification = self.layout.pack(values)
+
+    def inject_array(self, n: int) -> np.ndarray:
+        """Columnar :meth:`on_inject`: ``n`` saturated-distance words."""
+        self._require_attached()
+        return np.full(n, self._inject_word, dtype=np.int64)
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: one coin per row, drawn from ``rng``.
+
+        A mark is a pure function of the node, a continue of (word, node);
+        both are served through probed memos.
+        """
+        n = self._require_attached().num_nodes
+        out = words.copy()
+        mark = rng.random(words.size) < self.probability
+        if mark.any():
+            out[mark] = _probe_map(src[mark], self._mark_words,
+                                   self._mark_word)
+        rest = ~mark
+        if rest.any():
+            out[rest] = _probe_map(words[rest] * n + src[rest],
+                                   self._continue_words, self._continue_word)
+        return out
+
+    def _mark_word(self, node: int) -> int:
+        return self.layout.pack({"edge": self.node_hash(node), "distance": 0})
+
+    def _continue_word(self, key: int) -> int:
+        word, node = divmod(key, self._require_attached().num_nodes)
+        values = self.layout.unpack(word)
+        if values["distance"] == 0:
+            values["edge"] ^= self.node_hash(node)
+        values["distance"] = min(values["distance"] + 1, self.max_distance)
+        return self.layout.pack(values)
 
     # -- victim side -----------------------------------------------------------
     def new_victim_analysis(self, victim: int) -> "AdvancedPpmVictimAnalysis":

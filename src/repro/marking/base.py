@@ -14,7 +14,9 @@ good as its (route-stability-dependent) signature table.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Optional, TYPE_CHECKING
+from typing import Callable, Dict, FrozenSet, Optional, TYPE_CHECKING
+
+import numpy as np
 
 from repro.errors import (ConfigurationError, IdentificationError,
                           MarkingError)
@@ -25,6 +27,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.network.markstream import MarkBatch
 
 __all__ = ["MarkingScheme", "VictimAnalysis"]
+
+
+def _probe_map(keys: np.ndarray, table: Dict[int, int],
+               fn: Callable[[int], int]) -> np.ndarray:
+    """Map int keys through a lazily probed scalar function.
+
+    Only *distinct unseen* keys ever reach the Python function — the
+    steady-state cost is one ``np.unique`` plus a dict hit per distinct key,
+    exactly the int-keyed per-hop memo pattern the exact engine uses, read
+    back as a lookup array. ``table`` is the caller's memo; it must be
+    rebuilt whenever ``fn`` changes (schemes rebuild theirs on attach).
+    """
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    values = np.empty(uniq.size, dtype=np.int64)
+    for i, key in enumerate(uniq.tolist()):  # per-unique-key probe  # repro-lint: disable=H3
+        hit = table.get(key)
+        if hit is None:
+            hit = table[key] = int(fn(key))
+        values[i] = hit
+    return values[inverse]
 
 
 class VictimAnalysis(ABC):
@@ -89,7 +111,18 @@ class VictimAnalysis(ABC):
 
 
 class MarkingScheme(ABC):
-    """Switch-side marking logic plus a factory for its victim analysis."""
+    """Switch-side marking logic plus a factory for its victim analysis.
+
+    The switch side has a scalar form per packet (``on_inject``,
+    ``on_hop``; the exact engine) and a columnar form per cohort
+    (``inject_array``, ``on_hop_array``; the batched and sharded engines).
+    ``on_hop_array(words, src, dst, ttls, rng) -> words`` applies
+    :meth:`on_hop` to row i: MF word ``words[i]`` forwarded from node
+    ``src[i]`` to ``dst[i]`` with decremented TTL ``ttls[i]``, drawing from
+    ``rng`` in row order. It has no default. A class that overrides a
+    scalar method overrides its twin too, or the cohort engines refuse the
+    scheme (DESIGN.md §12).
+    """
 
     #: human-readable scheme name
     name: str = "abstract"
@@ -129,6 +162,14 @@ class MarkingScheme(ABC):
     @abstractmethod
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         """Per-hop mark applied by the switch at ``from_node`` after routing."""
+
+    def inject_array(self, n: int) -> np.ndarray:
+        """Columnar :meth:`on_inject`: the MF words of ``n`` injected packets.
+
+        Default zeroes them, like :meth:`on_inject`.
+        """
+        self._require_attached()
+        return np.zeros(n, dtype=np.int64)
 
     # -- victim side -------------------------------------------------------
     @abstractmethod

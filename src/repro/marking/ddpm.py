@@ -102,6 +102,33 @@ class DdpmScheme(MarkingScheme):
             self._hop_cache[key] = word
         packet.header.identification = word
 
+    def inject_array(self, n: int) -> np.ndarray:
+        """Columnar :meth:`on_inject`: ``n`` zero distance vectors."""
+        self._require_attached()
+        return np.full(n, self._inject_word, dtype=np.int64)
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: decode, add ``Y - X``, encode, per row.
+
+        Per-hop deltas telescope (their sum is the destination coordinate
+        minus the source coordinate, mod k on tori, XOR on hypercubes), so
+        the delivered word does not depend on the route taken. Torus deltas
+        here are raw coordinate differences; the encoder's fold to minimal
+        residues removes the multiple of k a wrap link adds. Unlike the
+        scalar form, a corrupted word that overflows is not forwarded
+        unchanged: honest cohort words never overflow.
+        """
+        topo = self._require_attached()
+        coords = topo.coord_array()
+        vectors = self.layout.decode_array(words)
+        if topo.kind == "hypercube":
+            vectors ^= coords[dst] ^ coords[src]
+        else:
+            vectors += coords[dst] - coords[src]
+        return self.layout.encode_array(vectors)
+
     # -- victim side -------------------------------------------------------
     def identify_word(self, word: int, victim: int) -> int:
         """Decode one MF word's source node: S = D (-) V.

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, Optional, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.marking.base import MarkingScheme, VictimAnalysis
+from repro.marking.base import MarkingScheme, VictimAnalysis, _probe_map
 from repro.marking.ppm_encoding import EdgeMark, MarkEncoder
 from repro.marking.ppm_reconstruct import reconstruct_paths
 from repro.network.packet import Packet
@@ -58,15 +58,16 @@ class PpmScheme(MarkingScheme):
             raise ConfigurationError("PpmScheme requires a seeded rng")
         self.rng = rng
         self.name = f"ppm[{encoder.name}]"
+        self._start_words: Dict[int, int] = {}
+        self._continue_words: Dict[int, int] = {}
 
     def _on_attach(self, topology: Topology) -> None:
         self.encoder.attach(topology)
+        # Probe memos of the columnar hop: functions of the topology.
+        self._start_words = {}
+        self._continue_words = {}
 
     # -- switch side -------------------------------------------------------
-    def on_inject(self, packet: Packet, node: int) -> None:
-        self._require_attached()
-        packet.header.identification = 0
-
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         word = packet.header.identification
         if self.rng.random() < self.probability:
@@ -74,6 +75,33 @@ class PpmScheme(MarkingScheme):
         else:
             word = self.encoder.write_continue(word, from_node)
         packet.header.identification = word
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: one coin per row, drawn from ``rng``.
+
+        Both branches are pure functions — ``write_start`` of the node,
+        ``write_continue`` of (word, node) — served through probed memos.
+        """
+        n = self._require_attached().num_nodes
+        out = words.copy()
+        mark = rng.random(words.size) < self.probability
+        if mark.any():
+            out[mark] = _probe_map(src[mark], self._start_words,
+                                   self._start_word)
+        rest = ~mark
+        if rest.any():
+            out[rest] = _probe_map(words[rest] * n + src[rest],
+                                   self._continue_words, self._continue_word)
+        return out
+
+    def _start_word(self, node: int) -> int:
+        return self.encoder.write_start(0, node)
+
+    def _continue_word(self, key: int) -> int:
+        word, node = divmod(key, self._require_attached().num_nodes)
+        return self.encoder.write_continue(word, node)
 
     # -- victim side -------------------------------------------------------
     def new_victim_analysis(self, victim: int) -> "PpmVictimAnalysis":

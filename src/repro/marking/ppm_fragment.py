@@ -22,7 +22,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple, TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError, FieldLayoutError, MarkingError
-from repro.marking.base import MarkingScheme, VictimAnalysis
+from repro.marking.base import MarkingScheme, VictimAnalysis, _probe_map
 from repro.marking.field import SubfieldLayout
 from repro.marking.ppm_encoding import EdgeMark, gray_label, gray_label_bits, gray_unlabel
 from repro.marking.ppm_reconstruct import reconstruct_paths
@@ -145,13 +145,14 @@ class FragmentPpmScheme(MarkingScheme):
         self.rng = rng
         self.encoder = encoder if encoder is not None else FragmentEncoder()
         self.name = f"ppm[fragment/{self.encoder.num_fragments}]"
+        self._mark_words: Dict[int, int] = {}
+        self._continue_words: Dict[int, int] = {}
 
     def _on_attach(self, topology: Topology) -> None:
         self.encoder.attach(topology)
-
-    def on_inject(self, packet: Packet, node: int) -> None:
-        self._require_attached()
-        packet.header.identification = 0
+        # Probe memos of the columnar hop: functions of the topology.
+        self._mark_words = {}
+        self._continue_words = {}
 
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         enc = self.encoder
@@ -167,6 +168,43 @@ class FragmentPpmScheme(MarkingScheme):
             values = enc.layout.unpack(packet.header.identification)
             values["distance"] = min(values["distance"] + 1, enc.max_distance)
             packet.header.identification = enc.layout.pack(values)
+
+    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
+                     dst: np.ndarray, ttls: np.ndarray,
+                     rng: np.random.Generator) -> np.ndarray:
+        """Columnar :meth:`on_hop`: a coin per row, then an offset per mark.
+
+        A mark is a pure function of (edge, offset), a continue of the
+        word alone; both are served through probed memos.
+        """
+        n = self._require_attached().num_nodes
+        k = self.encoder.num_fragments
+        out = words.copy()
+        mark = rng.random(words.size) < self.probability
+        m = int(np.count_nonzero(mark))
+        if m:
+            offsets = rng.integers(k, size=m)
+            keys = (src[mark] * n + dst[mark]) * k + offsets
+            out[mark] = _probe_map(keys, self._mark_words, self._mark_word)
+        rest = ~mark
+        if rest.any():
+            out[rest] = _probe_map(words[rest], self._continue_words,
+                                   self._continue_word)
+        return out
+
+    def _mark_word(self, key: int) -> int:
+        enc = self.encoder
+        edge, offset = divmod(key, enc.num_fragments)
+        u, v = divmod(edge, self._require_attached().num_nodes)
+        word = enc.edge_word(u, v)
+        return enc.layout.pack({"fragment": enc.fragment_of(word, offset),
+                                "offset": offset, "distance": 0})
+
+    def _continue_word(self, word: int) -> int:
+        enc = self.encoder
+        values = enc.layout.unpack(word)
+        values["distance"] = min(values["distance"] + 1, enc.max_distance)
+        return enc.layout.pack(values)
 
     def new_victim_analysis(self, victim: int) -> "FragmentVictimAnalysis":
         return FragmentVictimAnalysis(self, victim)

@@ -11,7 +11,9 @@ into a source coordinate (paper §5). Meshes and tori use signed addition
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology import coords as C
@@ -45,6 +47,7 @@ class Topology(ABC):
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
         self._oracle = None
         self._coords = None
+        self._coord_array: Optional[np.ndarray] = None
         self.links = LinkSet(self._enumerate_links())
 
     # ------------------------------------------------------------------
@@ -65,6 +68,21 @@ class Topology(ABC):
         if 0 <= node < self.num_nodes:
             return coords[node]
         return C.index_to_coord(node, self.dims)  # canonical out-of-range error
+
+    def coord_array(self) -> np.ndarray:
+        """Every node's coordinates as one ``(num_nodes, len(dims))`` int64
+        array, row i = :meth:`coord` (i).
+
+        Built once and read-only, so the columnar consumers (DDPM's cohort
+        hop, the batched route planner, the partitioner) share one copy.
+        """
+        array = self._coord_array
+        if array is None:
+            array = np.array([self.coord(i) for i in self.nodes()],
+                             dtype=np.int64)
+            array.setflags(write=False)
+            self._coord_array = array
+        return array
 
     def index(self, coord: Sequence[int]) -> int:
         """Flat index of coordinate ``coord``."""

@@ -95,8 +95,7 @@ def _slab_partition(topology: Topology, k: int) -> np.ndarray:
     dims = list(topology.dims)
     axis = max(range(len(dims)), key=lambda i: (dims[i], -i))
     length = dims[axis]
-    coords = np.array([topology.coord(i) for i in topology.nodes()],
-                      dtype=np.int64)
+    coords = topology.coord_array()
     # floor(c * k / length) spans 0..k-1 and is monotone in c, so bands are
     # contiguous and sized within one coordinate plane of each other.
     return (coords[:, axis] * k) // length
