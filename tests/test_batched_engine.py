@@ -19,17 +19,28 @@ from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
 from repro.core.experiment import run_identification_experiment
 from repro.errors import ConfigurationError
-from repro.marking import DdpmScheme
+from repro.marking import (AuthenticatedDdpmScheme, DdpmScheme, DpmScheme,
+                           HierarchicalDdpmScheme)
 from repro.network.colqueue import BatchedFabric, InjectionLog
 from repro.network.fabric import Fabric, FabricConfig
 from repro.network.packet import Packet, allocate_packet_ids
-from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter
+from repro.routing import (DimensionOrderRouter, MinimalAdaptiveRouter,
+                           TableRouter)
 from repro.routing.selection import FirstCandidatePolicy
-from repro.topology import Mesh, Torus
+from repro.topology import ClusterMesh, Mesh, Torus
 
 
 def _noop():
     return None
+
+
+class _ScalarOnlyDpm(DpmScheme):
+    """A third-party DPM variant that overrides only the scalar hop."""
+
+    name = "dpm-scalar-only"
+
+    def on_hop(self, packet, from_node, to_node):
+        super().on_hop(packet, from_node, to_node)
 
 
 def _batched_cluster(*, config=None, marking="ddpm", seed=0):
@@ -134,18 +145,31 @@ class TestGuards:
         with pytest.raises(ConfigurationError, match="hooks"):
             cluster.run()
 
-    def test_unsupported_marking_scheme_is_rejected(self):
-        from repro.marking import AuthenticatedDdpmScheme
-
-        topo = Mesh((4, 4))
-        keys = {n: n + 1 for n in topo.nodes()}
-        cluster = Cluster(topo, DimensionOrderRouter(),
-                          marking=AuthenticatedDdpmScheme(keys),
-                          seed=0, engine="batched")
+    @pytest.mark.parametrize("engine", ["batched", "sharded"])
+    @pytest.mark.parametrize("scheme", ["ddpm-auth", "hddpm", "scalar-only"])
+    def test_unsupported_marking_scheme_is_rejected(self, scheme, engine):
+        # Each overrides a scalar switch-side method without its columnar
+        # twin, so a cohort engine would run its parent's marking instead.
+        if scheme == "hddpm":
+            topo = ClusterMesh((2, 2), 2)
+            router = TableRouter(topo)
+            marking = HierarchicalDdpmScheme()
+        else:
+            topo = Mesh((4, 4))
+            router = DimensionOrderRouter()
+            marking = (AuthenticatedDdpmScheme({n: n + 1
+                                                for n in topo.nodes()})
+                       if scheme == "ddpm-auth" else _ScalarOnlyDpm())
+        kwargs = {"shards": 2} if engine == "sharded" else {}
+        cluster = Cluster(topo, router, marking=marking, seed=0,
+                          engine=engine, **kwargs)
         cluster.launch_ddos(num_attackers=2, attack_rate_per_node=10.0,
                             duration=0.5)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError,
+                           match="engine='exact'") as refused:
             cluster.run()
+        assert "marking scheme" in str(refused.value)
+        assert cluster.fabric.counters["injected"] == 0  # no round ran
 
     def test_unsupported_router_is_rejected(self):
         from repro.routing import ValiantRouter
