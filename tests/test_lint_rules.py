@@ -247,6 +247,27 @@ class TestH3NoPerPacketPythonInBatchedPath:
         assert rules_hit(report) == {"H3"}
         assert report.violations[0].line == 6
 
+    def test_flags_loop_in_marking_hop_reachable_from_engine(self):
+        # The schemes' columnar hops live in the marking modules: a per-row
+        # loop in one sits on the cohort path once an engine reaches it,
+        # while the scalar per-packet hop stays out of scope.
+        engine = ("class CohortEngine:\n"
+                  "    def advance(self, marking, words):\n"
+                  "        marking.on_hop_array(words)\n")
+        marking = ("class PpmScheme:\n"
+                   "    def on_hop(self, packet):\n"
+                   "        for bit in packet.bits:\n"
+                   "            bit.flip()\n"
+                   "\n"
+                   "    def on_hop_array(self, words):\n"
+                   "        for word in words:\n"
+                   "            word.mark()\n")
+        report = lint_sources([(self.BATCHED, engine),
+                               ("src/repro/marking/ppm.py", marking)],
+                              select=["H3"])
+        assert [(v.path, v.line) for v in report.violations] == [
+            ("src/repro/marking/ppm.py", 7)]
+
     def test_build_time_helper_loop_is_clean(self):
         # Loops in construction-time code (not reachable from any engine
         # run/advance method) are fine: they run once, not per step.
