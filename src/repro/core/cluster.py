@@ -8,7 +8,6 @@ advanced use (``cluster.fabric``, ``cluster.topology``, ...).
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -36,24 +35,6 @@ __all__ = ["Cluster"]
 
 #: fabric engines selectable via ExperimentConfig.engine / --engine
 ENGINES = ("exact", "batched", "sharded")
-
-
-def _warn_legacy_launch_attack() -> None:
-    """Single funnel for the legacy ``launch_attack(**kwargs)`` deprecation.
-
-    Every legacy-form call site routes through here so the message, the
-    category, and the stacklevel are maintained in exactly one place;
-    ``stacklevel=3`` attributes the warning to the *caller* of
-    ``launch_attack`` (helper -> launch_attack -> caller). Called once per
-    legacy invocation — repeat calls warn again (subject only to the
-    process-wide warning filters).
-    """
-    warnings.warn(
-        "launch_attack(num_attackers=..., attack_rate_per_node=...) "
-        "is deprecated; pass an AttackSpec, e.g. "
-        "launch_attack(FloodAttackSpec(...))",
-        DeprecationWarning, stacklevel=3,
-    )
 
 
 def _fabric_class(engine: str):
@@ -183,59 +164,19 @@ class Cluster:
         )
         return spec.arm(self.fabric, self.sim, victim=victim, rng=self.rng)
 
-    def launch_attack(self, spec: Optional[AttackSpec] = None, *,
-                      victim: Optional[int] = None,
-                      **legacy: Any) -> AttackTrafficResult:
+    def launch_attack(self, spec: AttackSpec, *,
+                      victim: Optional[int] = None) -> AttackTrafficResult:
         """Arm one attack scenario on its own dedicated RNG stream.
 
-        The modern form takes an :class:`repro.attack.scenario.AttackSpec`;
-        its draws come from the registry stream ``"attack:<seq>:<kind>"``,
-        so arming an attack never perturbs the cluster stream or any other
-        component (guarded by a determinism regression test).
-
-        The pre-redesign keyword form — ``launch_attack(num_attackers=...,
-        attack_rate_per_node=...)`` — still works: it constructs the
-        equivalent :class:`~repro.attack.scenario.FloodAttackSpec`
-        internally (bit-identical to passing the spec yourself) and emits a
-        :class:`DeprecationWarning`.
+        ``spec`` is an :class:`repro.attack.scenario.AttackSpec`; its draws
+        come from the registry stream ``"attack:<seq>:<kind>"``, so arming
+        an attack never perturbs the cluster stream or any other component
+        (guarded by a determinism regression test).
         """
-        if spec is None:
-            _warn_legacy_launch_attack()
-            spec = self._flood_spec_from_legacy(legacy)
-        elif legacy:
-            raise ConfigurationError(
-                f"launch_attack got both a spec and legacy keyword "
-                f"arguments {sorted(legacy)}"
-            )
         victim = self.default_victim() if victim is None else victim
         rng = self.sim.rng.stream(f"attack:{self._attack_seq}:{spec.kind}")
         self._attack_seq += 1
         return spec.arm(self.fabric, self.sim, victim=victim, rng=rng)
-
-    @staticmethod
-    def _flood_spec_from_legacy(legacy: Dict[str, Any]) -> FloodAttackSpec:
-        """Map the deprecated flat-kwargs surface onto a FloodAttackSpec."""
-        known = {"attackers", "num_attackers", "attack_rate_per_node",
-                 "duration", "background_rate", "spoofing"}
-        unknown = set(legacy) - known
-        if unknown:
-            raise ConfigurationError(
-                f"launch_attack got unknown arguments {sorted(unknown)}")
-        attackers = legacy.get("attackers")
-        kwargs: Dict[str, Any] = {}
-        if attackers is not None:
-            kwargs["attackers"] = tuple(attackers)
-        if "num_attackers" in legacy:
-            kwargs["num_attackers"] = legacy["num_attackers"]
-        if "attack_rate_per_node" in legacy:
-            kwargs["rate_per_attacker"] = legacy["attack_rate_per_node"]
-        if "duration" in legacy:
-            kwargs["duration"] = legacy["duration"]
-        if "background_rate" in legacy:
-            kwargs["background_rate"] = legacy["background_rate"]
-        if legacy.get("spoofing") is not None:
-            kwargs["spoofing_strategy"] = legacy["spoofing"]
-        return FloodAttackSpec(**kwargs)
 
     def launch_attacks(self, campaign: AttackCampaign, *,
                        victim: Optional[int] = None) -> AttackTrafficResult:

@@ -377,6 +377,8 @@ class ShardedEngine:
         self.mode = self._resolve_mode(getattr(fabric, "shard_mode", None))
         self.windows = 0
         self._reports: List[dict] = []
+        #: rows this engine runs; ShardedFabric refuses any captured later
+        self.captured = len(fabric.log)
 
     @staticmethod
     def _resolve_mode(requested: Optional[str]) -> str:

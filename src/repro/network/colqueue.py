@@ -10,20 +10,21 @@ src/dst/MF-word/TTL/hop/time columns) advanced a whole round at a time by
 This module holds the network-side half:
 
 * :class:`InjectionLog` — the columnar capture buffer every traffic
-  generator writes into. ``Fabric.inject`` is the single funnel all in-tree
-  generators use, so overriding it captures floods, background noise, and
+  generator writes into. ``inject`` is the single funnel all in-tree
+  generators use, so capturing there covers floods, background noise, and
   static attack campaigns without touching them.
-* :class:`BatchedFabric` — a :class:`~repro.network.fabric.Fabric` whose
-  ``inject`` records columns instead of scheduling events and whose ``run``
-  hands the captured log to the cohort engine. Per-packet observation APIs
-  raise :class:`~repro.errors.ConfigurationError` (there are no packet
-  objects to observe); the columnar ``attach_delivery_sink`` surface is the
-  sanctioned replacement.
+* :class:`BatchedFabric` — a cohort backend on the shared
+  :class:`~repro.network.fabric.FabricShell` (no switches, no channels):
+  ``inject`` records columns instead of scheduling events and ``run`` hands
+  the captured log to the cohort engine. The shell refuses the per-packet
+  observation APIs; ``attach_delivery_sink`` is the columnar replacement.
+  Link failures are refused once the engine has run.
 * :class:`ShardedFabric` — the same capture surface, but ``run`` hands the
   log to :class:`repro.engine.sharded.ShardedEngine`, which partitions the
   topology into ``shards`` pieces and advances one cohort engine per shard
   under conservative time-window synchronization (multi-process when the
-  ``fork`` start method exists, serially otherwise).
+  ``fork`` start method exists, serially otherwise). It runs the capture
+  once; traffic captured after that is refused.
 
 Equivalence contract: the exact per-packet mode remains the golden-pinned
 reference. DESIGN.md §12 spells out when the batched mode is bit-equal
@@ -34,22 +35,15 @@ congestion timing).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.network.fabric import Fabric
-from repro.network.nic import DeliveredPacket
+from repro.network.fabric import FabricShell
 from repro.network.packet import Packet
 
 __all__ = ["InjectionLog", "BatchedFabric", "ShardedFabric"]
-
-_PER_PACKET_MSG = (
-    "per-packet {api} is not available on the batched engine: cohorts carry "
-    "no packet objects. Attach a columnar delivery sink "
-    "(attach_delivery_sink) or run with engine='exact'"
-)
 
 
 class InjectionLog:
@@ -149,14 +143,13 @@ class InjectionLog:
         return {name: column[order] for name, column in merged.items()}
 
 
-class BatchedFabric(Fabric):
+class BatchedFabric(FabricShell):
     """A fabric whose run loop advances packet cohorts instead of events.
 
-    Construction, topology wiring, statistics surfaces, and the columnar
-    delivery sinks are inherited unchanged from :class:`Fabric`; what
-    changes is the packet lifecycle: ``inject`` captures columns into an
-    :class:`InjectionLog` and ``run`` drives
-    :class:`repro.engine.batched.CohortEngine` over them.
+    The shell supplies the wiring, NICs, statistics and columnar delivery
+    sinks; ``inject`` captures columns into an :class:`InjectionLog` and
+    ``run`` drives :class:`repro.engine.batched.CohortEngine` over them.
+    No packet pool, no channels, no deadlock probe.
     """
 
     #: engine discriminator mirrored into ExperimentConfig.engine
@@ -165,16 +158,9 @@ class BatchedFabric(Fabric):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = InjectionLog()
-        # Lazily built, then persistent: run_until cuts one capture into
-        # segments, with live cohort rows carried across calls.
+        # Built at the first run, then persistent: run_until cuts one
+        # capture into segments, with live cohort rows carried across calls.
         self._engine = None
-
-    def _cohort_engine(self):
-        if self._engine is None:
-            from repro.engine.batched import CohortEngine
-
-            self._engine = CohortEngine(self)
-        return self._engine
 
     # ------------------------------------------------------------------
     # Capture path
@@ -190,18 +176,25 @@ class BatchedFabric(Fabric):
                         packet.size_bytes, packet.packet_id)
 
     # ------------------------------------------------------------------
-    # Per-packet observation APIs are structurally unavailable
+    # Link failures: the route tables are built with the engine, so a link
+    # changed after that would still be crossed
     # ------------------------------------------------------------------
-    def add_delivery_handler(self, node: int,
-                             handler: Callable[[DeliveredPacket], None]) -> None:
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="delivery handlers"))
+    def fail_link(self, u: int, v: int) -> None:
+        """Fail a link (before the first run only)."""
+        self._refuse_after_run("fail_link")
+        self.topology.fail_link(u, v)
 
-    def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="drop handlers"))
+    def restore_link(self, u: int, v: int) -> None:
+        """Restore a failed link (before the first run only)."""
+        self._refuse_after_run("restore_link")
+        self.topology.restore_link(u, v)
 
-    def add_transit_observer(self, node: int,
-                             observer: Callable[[Packet, int, float], None]) -> None:
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="transit observers"))
+    def _refuse_after_run(self, api: str) -> None:
+        if self._engine is not None:
+            raise ConfigurationError(
+                f"{api} after the {self.engine_name} engine has run would be "
+                "ignored: its route tables are fixed at the first run. "
+                "Mid-run link failures require engine='exact'")
 
     # ------------------------------------------------------------------
     # Runtime control
@@ -231,11 +224,7 @@ class BatchedFabric(Fabric):
 
     def run(self) -> float:
         """Advance all captured cohorts to completion; flush sinks at the end."""
-        self._check_supported()
-        self._cohort_engine().advance(None)
-        if self._delivery_sinks:
-            self.flush_delivery_sinks()
-        return self.sim.now
+        return self._advance(None)
 
     def run_until(self, time: float) -> float:
         """Advance cohorts through the rounds at or below ``time`` and stop.
@@ -247,8 +236,15 @@ class BatchedFabric(Fabric):
         ``CohortEngine.advance``). Back-to-back calls observe a continuous
         timeline, matching the exact engine's ``Simulator.run_until``.
         """
+        return self._advance(float(time))
+
+    def _advance(self, until: Optional[float]) -> float:
         self._check_supported()
-        self._cohort_engine().advance(float(time))
+        if self._engine is None:
+            from repro.engine.batched import CohortEngine
+
+            self._engine = CohortEngine(self)
+        self._engine.advance(until)
         if self._delivery_sinks:
             self.flush_delivery_sinks()
         return self.sim.now
@@ -261,7 +257,9 @@ class ShardedFabric(BatchedFabric):
     run loop partitions the topology into ``shards`` pieces and advances one
     cohort engine per shard under conservative time-window sync
     (:class:`repro.engine.sharded.ShardedEngine`), merging results so they
-    are identical to the single-process batched engine.
+    are identical to the single-process batched engine. The capture runs
+    once: a repeat ``run`` with nothing new captured is a no-op, and
+    traffic captured after a completed run is refused.
 
     ``shard_mode`` selects the worker transport: ``"process"`` (fork-spawned
     workers), ``"serial"`` (in-process, for debugging and single-core CI),
@@ -289,9 +287,21 @@ class ShardedFabric(BatchedFabric):
     def run(self) -> float:
         """Partition, advance every shard to completion, merge, flush sinks."""
         self._check_supported()
-        from repro.engine.sharded import ShardedEngine
+        if self._engine is None:
+            from repro.engine.sharded import ShardedEngine
 
-        ShardedEngine(self).run()
+            engine = ShardedEngine(self)
+            engine.run()
+            # Kept only once complete: nothing merges into the fabric
+            # before the end, so a failed run can simply be retried.
+            self._engine = engine
+        elif len(self.log) != self._engine.captured:
+            raise ConfigurationError(
+                "traffic captured after a completed sharded run cannot be "
+                "run: shard workers run the capture once, to completion. "
+                "Follow-up traffic requires engine='batched' (resumable "
+                "runs) or engine='exact'"
+            )
         if self._delivery_sinks:
             self.flush_delivery_sinks()
         return self.sim.now

@@ -1,13 +1,17 @@
-"""The fabric: topology + routing + marking assembled into a running network.
+"""The fabric: one shell every engine shares, plus the exact backend.
 
-:class:`Fabric` instantiates one :class:`Switch` and one :class:`Nic` per
-node and two directed :class:`Channel` objects per live link, wires the
-marking scheme into the switch pipeline, and exposes:
+:class:`FabricShell` holds what all three engines read: wiring (topology,
+validated router, config, simulator, service, selection, addresses,
+marking scheme), one :class:`Nic` per node, the global statistics, the
+columnar delivery sinks, packet construction and the fault/filter hook
+attributes. It builds no switch or channel, and its per-packet surfaces
+(handlers, transit observers, the congestion view) refuse with one
+``ConfigurationError`` naming ``engine='exact'``. The cohort backends in
+:mod:`repro.network.colqueue` subclass it directly.
 
-* :meth:`inject` — push a packet into the network at a node/time;
-* :meth:`run_until` / :meth:`run` — advance the discrete-event clock;
-* delivery handlers per node (the victim's defense stack subscribes here);
-* global statistics (delivered/dropped counts, latency, hop histogram).
+:class:`Fabric`, the exact backend, adds one :class:`Switch` per node and
+two directed :class:`Channel` objects per live link, wires the marking
+scheme into the switch pipeline, and runs packets as discrete events.
 
 Link failures are honored at construction; for mid-run failures call
 :meth:`fail_link`, which marks both directed channels dead and degrades
@@ -41,7 +45,13 @@ from repro.routing.base import Router
 from repro.routing.selection import FirstCandidatePolicy, SelectionPolicy
 from repro.topology.base import Topology
 
-__all__ = ["Fabric", "FabricConfig"]
+__all__ = ["Fabric", "FabricConfig", "FabricShell"]
+
+_PER_PACKET_MSG = (
+    "per-packet {api} is not available on the batched and sharded engines: "
+    "cohorts carry no packet objects. Attach a columnar delivery sink "
+    "(attach_delivery_sink) or run with engine='exact'"
+)
 
 
 @dataclass
@@ -90,8 +100,18 @@ class FabricConfig:
             raise ConfigurationError(f"misroute_budget must be >= 0, got {self.misroute_budget}")
 
 
-class Fabric:
-    """A running cluster interconnect."""
+class FabricShell:
+    """What every engine shares: wiring, NICs, statistics and sinks.
+
+    The backends add the packet lifecycle (``inject``, ``run``,
+    ``run_until``, ``fail_link``, ``restore_link``). The shell itself
+    carries no packet objects, so its per-packet observation surfaces
+    refuse; :class:`Fabric` overrides them.
+    """
+
+    #: packet freelist; only the exact backend takes one (cohorts hold no
+    #: packet shells to recycle).
+    pool: Optional[PacketPool] = None
 
     def __init__(self, topology: Topology, router: Router, *,
                  selection: Optional[SelectionPolicy] = None,
@@ -99,8 +119,7 @@ class Fabric:
                  config: Optional[FabricConfig] = None,
                  service: Optional[ServiceModel] = None,
                  sim: Optional[Simulator] = None,
-                 address_map: Optional[AddressMap] = None,
-                 pool: Optional[PacketPool] = None):
+                 address_map: Optional[AddressMap] = None):
         self.topology = topology
         self.router = router
         router.validate(topology)
@@ -112,25 +131,7 @@ class Fabric:
         self.marking = marking
         if marking is not None:
             marking.attach(topology)
-        #: optional packet freelist; when set, :meth:`make_packet` acquires
-        #: shells from it and the retirement paths (unobserved deliveries,
-        #: ring flushes, drops — including wire drops) release them back.
-        self.pool = pool
-        if pool is not None and self.sim.sanitizer is not None:
-            # Sanitized runs audit freelist transfers for double-release.
-            pool.sanitizer = self.sim.sanitizer
-
-        #: shared memoized distance lookup (== topology.min_hops, but O(1));
-        #: the switches' per-hop profitability test goes through this.
-        self.oracle = topology.distance_oracle()
-        #: True when the service model charges a VirtualCutThrough injection
-        #: overhead — hoisted out of the per-packet inject path.
-        self._vct_injection = isinstance(self.service, VirtualCutThrough)
-
-        self.switches: List[Switch] = []
-        self.nics: List[Nic] = []
-        self.channels: Dict[Tuple[int, int], Channel] = {}
-        self._build()
+        self.nics: List[Nic] = [Nic(node) for node in topology.nodes()]
 
         # Global statistics. The three per-packet counters are integer slots
         # (see the `counters` property for the string-keyed view); only the
@@ -142,21 +143,15 @@ class Fabric:
         self._drop_reasons: Dict[str, int] = {}
         self.latency = WelfordAccumulator()
         self.hop_histogram = Histogram()
-        self.dropped_packets: List[Tuple[Packet, int, str]] = []
-        self._drop_handlers: List[Callable[[Packet, int, str], None]] = []
-        #: optional (packet, node) -> bool hook checked by the source switch;
-        #: False drops the packet with reason "filtered_at_source". This is
-        #: where ingress filtering and identified-source blocking plug in.
-        self.injection_filter: Optional[Callable[[Packet, int], bool]] = None
-        #: per-switch transit observers: node -> [fn(packet, node, time)].
-        #: Fired when a switch FORWARDS a packet (not on delivery) — the
-        #: instrumentation point for §6.1's trusted-monitor-switch idea.
-        self._transit_observers: Dict[int, List[Callable[[Packet, int, float], None]]] = {}
         #: columnar delivery sinks attached via :meth:`attach_delivery_sink`;
         #: flushed at every run boundary so batch consumers observe complete
         #: streams without polling.
         self._delivery_sinks: List[DeliveryRing] = []
 
+        #: optional (packet, node) -> bool hook checked by the source switch;
+        #: False drops the packet with reason "filtered_at_source". This is
+        #: where ingress filtering and identified-source blocking plug in.
+        self.injection_filter: Optional[Callable[[Packet, int], bool]] = None
         # Fault-campaign attachment points (see repro.faults.FaultInjector).
         #: optional (packet, from_node, next_node) -> bool hook fired right
         #: before a switch enqueues a packet; returning False means the hook
@@ -167,14 +162,12 @@ class Fabric:
         #: accounting; False drops with reason "nic_stalled" (so the
         #: injected == delivered + dropped invariant still holds).
         self._inject_gate: Optional[Callable[[Packet, int], bool]] = None
-        #: hop-count ceiling enforced by every switch; mirrored from the
+        #: hop-count ceiling enforced on every hop; mirrored from the
         #: simulator's watchdog so livelocked packets are caught in the
         #: forwarding loop itself.
-        self.hop_ceiling: Optional[int] = None
         watchdog = self.sim.watchdog
-        if watchdog is not None:
-            self.hop_ceiling = watchdog.hop_ceiling
-            watchdog.attach_deadlock_probe(self.pending_work)
+        self.hop_ceiling: Optional[int] = (
+            None if watchdog is None else watchdog.hop_ceiling)
 
     @property
     def counters(self) -> Counter:
@@ -196,18 +189,125 @@ class Fabric:
             view.incr(f"dropped_{reason}", count)
         return view
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _build(self) -> None:
-        cfg = self.config
+    def make_packet(self, src_node: int, dst_node: int, *,
+                    spoofed_src_ip: Optional[int] = None,
+                    kind: PacketKind = PacketKind.DATA,
+                    flow_id: int = 0, seq: int = 0,
+                    payload_bytes: int = 64) -> Packet:
+        """Build a packet as the host at ``src_node`` would.
+
+        ``spoofed_src_ip`` overrides the legitimate source address — the
+        attack primitive the whole paper is about.
+        """
+        if not self.topology.contains(src_node) or not self.topology.contains(dst_node):
+            raise ConfigurationError(
+                f"nodes ({src_node}, {dst_node}) outside topology of "
+                f"{self.topology.num_nodes} nodes"
+            )
+        src_ip = spoofed_src_ip if spoofed_src_ip is not None else self.addresses.ip_of(src_node)
+        header = IPHeader(
+            src_ip, self.addresses.ip_of(dst_node),
+            ttl=self.config.default_ttl,
+            total_length=IPHeader.HEADER_BYTES + payload_bytes,
+        )
         pool = self.pool
-        for node in self.topology.nodes():
-            self.switches.append(Switch(self, node, cfg.routing_delay))
-            nic = Nic(node)
-            nic.pool = pool
-            self.nics.append(nic)
-        for u, v in self.topology.to_edge_list(include_failed=True):
+        if pool is not None:
+            return pool.acquire(header, src_node, dst_node, kind=kind,
+                                flow_id=flow_id, seq=seq,
+                                misroute_budget=self.config.misroute_budget)
+        return Packet(header, src_node, dst_node, kind=kind, flow_id=flow_id,
+                      seq=seq, misroute_budget=self.config.misroute_budget)
+
+    def attach_delivery_sink(self, node: int,
+                             consumer: Optional[BatchConsumer] = None, *,
+                             capacity: int = 1024) -> DeliveryRing:
+        """Attach the columnar delivery sink at ``node`` (one ring per node).
+
+        Deliveries at the node are appended to the returned
+        :class:`~repro.network.markstream.DeliveryRing` instead of firing a
+        Python callback each; the ring flushes to its consumers when full
+        and at every run boundary. This — together with the explicit flush
+        in result accessors — is the sanctioned batch-flush surface the
+        H2 lint rule points per-packet registrations toward.
+        """
+        ring = DeliveryRing(node, capacity, pool=self.pool,
+                            profiler=self.sim.profile)
+        self.nics[node].attach_sink(ring)
+        self._delivery_sinks.append(ring)
+        if consumer is not None:
+            ring.add_consumer(consumer)
+        return ring
+
+    def flush_delivery_sinks(self) -> int:
+        """Flush every attached ring; returns total rows handed out."""
+        total = 0
+        for ring in self._delivery_sinks:
+            total += ring.flush()
+        return total
+
+    def stats_summary(self) -> Dict[str, float]:
+        """Flat dict of headline statistics for result records.
+
+        This is where the integer slot counters are materialized into their
+        string-keyed form — never on the per-packet path.
+        """
+        out: Dict[str, float] = dict(self.counters.as_dict())
+        out["mean_latency"] = self.latency.mean
+        out["max_latency"] = self.latency.max if self.latency.count else float("nan")
+        out["mean_hops"] = self.hop_histogram.mean()
+        return out
+
+    # ------------------------------------------------------------------
+    # Per-packet surfaces: only the exact backend has packets to observe
+    # ------------------------------------------------------------------
+    def add_delivery_handler(self, node: int,
+                             handler: Callable[[DeliveredPacket], None]) -> None:
+        """Subscribe to deliveries at ``node`` (exact engine only)."""
+        raise ConfigurationError(_PER_PACKET_MSG.format(api="delivery handlers"))
+
+    def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
+        """Observe every drop (exact engine only)."""
+        raise ConfigurationError(_PER_PACKET_MSG.format(api="drop handlers"))
+
+    def add_transit_observer(self, node: int,
+                             observer: Callable[[Packet, int, float], None]) -> None:
+        """Observe packets the switch at ``node`` forwards (exact engine only)."""
+        raise ConfigurationError(_PER_PACKET_MSG.format(api="transit observers"))
+
+    def congestion(self, u: int, v: int) -> float:
+        """Occupancy of directed channel u -> v (exact engine only)."""
+        raise ConfigurationError(_PER_PACKET_MSG.format(api="congestion view"))
+
+
+class Fabric(FabricShell):
+    """The exact backend: a running cluster interconnect, packet by packet."""
+
+    def __init__(self, topology: Topology, router: Router, *,
+                 pool: Optional[PacketPool] = None, **shell_kwargs):
+        super().__init__(topology, router, **shell_kwargs)
+        #: optional packet freelist; when set, :meth:`make_packet` acquires
+        #: shells from it and the retirement paths (unobserved deliveries,
+        #: ring flushes, drops — including wire drops) release them back.
+        self.pool = pool
+        if pool is not None:
+            for nic in self.nics:
+                nic.pool = pool
+            if self.sim.sanitizer is not None:
+                # Sanitized runs audit freelist transfers for double-release.
+                pool.sanitizer = self.sim.sanitizer
+
+        #: shared memoized distance lookup (== topology.min_hops, but O(1));
+        #: the switches' per-hop profitability test goes through this.
+        self.oracle = topology.distance_oracle()
+        #: True when the service model charges a VirtualCutThrough injection
+        #: overhead — hoisted out of the per-packet inject path.
+        self._vct_injection = isinstance(self.service, VirtualCutThrough)
+
+        cfg = self.config
+        self.switches: List[Switch] = [Switch(self, node, cfg.routing_delay)
+                                       for node in topology.nodes()]
+        self.channels: Dict[Tuple[int, int], Channel] = {}
+        for u, v in topology.to_edge_list(include_failed=True):
             for a, b in ((u, v), (v, u)):
                 channel = Channel(
                     self.sim, self.service, a, b,
@@ -218,9 +318,18 @@ class Fabric:
                     on_transmit=self._on_channel_transmit,
                     on_wire_drop=self._on_wire_drop,
                 )
-                channel.failed = not self.topology.links.is_up(a, b)
+                channel.failed = not topology.links.is_up(a, b)
                 self.channels[(a, b)] = channel
                 self.switches[a].outputs[b] = channel
+
+        self.dropped_packets: List[Tuple[Packet, int, str]] = []
+        self._drop_handlers: List[Callable[[Packet, int, str], None]] = []
+        #: per-switch transit observers: node -> [fn(packet, node, time)].
+        #: Fired when a switch FORWARDS a packet (not on delivery) — the
+        #: instrumentation point for §6.1's trusted-monitor-switch idea.
+        self._transit_observers: Dict[int, List[Callable[[Packet, int, float], None]]] = {}
+        if self.sim.watchdog is not None:
+            self.sim.watchdog.attach_deadlock_probe(self.pending_work)
 
     def _on_channel_arrival(self, packet: Packet, channel: Channel) -> None:
         self.switches[channel.dst].accept_from_channel(packet, channel)
@@ -263,35 +372,6 @@ class Fabric:
     # ------------------------------------------------------------------
     # Packet lifecycle
     # ------------------------------------------------------------------
-    def make_packet(self, src_node: int, dst_node: int, *,
-                    spoofed_src_ip: Optional[int] = None,
-                    kind: PacketKind = PacketKind.DATA,
-                    flow_id: int = 0, seq: int = 0,
-                    payload_bytes: int = 64) -> Packet:
-        """Build a packet as the host at ``src_node`` would.
-
-        ``spoofed_src_ip`` overrides the legitimate source address — the
-        attack primitive the whole paper is about.
-        """
-        if not self.topology.contains(src_node) or not self.topology.contains(dst_node):
-            raise ConfigurationError(
-                f"nodes ({src_node}, {dst_node}) outside topology of "
-                f"{self.topology.num_nodes} nodes"
-            )
-        src_ip = spoofed_src_ip if spoofed_src_ip is not None else self.addresses.ip_of(src_node)
-        header = IPHeader(
-            src_ip, self.addresses.ip_of(dst_node),
-            ttl=self.config.default_ttl,
-            total_length=IPHeader.HEADER_BYTES + payload_bytes,
-        )
-        pool = self.pool
-        if pool is not None:
-            return pool.acquire(header, src_node, dst_node, kind=kind,
-                                flow_id=flow_id, seq=seq,
-                                misroute_budget=self.config.misroute_budget)
-        return Packet(header, src_node, dst_node, kind=kind, flow_id=flow_id,
-                      seq=seq, misroute_budget=self.config.misroute_budget)
-
     def inject(self, packet: Packet, at_node: Optional[int] = None,
                delay: float = 0.0) -> None:
         """Schedule ``packet`` to enter the fabric at its true source node."""
@@ -350,45 +430,15 @@ class Fabric:
             pool.release(packet)
 
     def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
-        """Observe drops (used by tests and failure-injection experiments)."""
         self._drop_handlers.append(handler)
 
     def add_delivery_handler(self, node: int, handler: Callable[[DeliveredPacket], None]) -> None:
-        """Subscribe to deliveries at ``node`` (e.g. the victim's detector)."""
         # The definition point of the per-packet API itself — callers in
         # network/ hot paths are what H2 polices, not this delegation.
         self.nics[node].add_delivery_handler(handler)
 
-    def attach_delivery_sink(self, node: int,
-                             consumer: Optional[BatchConsumer] = None, *,
-                             capacity: int = 1024) -> DeliveryRing:
-        """Attach the columnar delivery sink at ``node`` (one ring per node).
-
-        Deliveries at the node are appended to the returned
-        :class:`~repro.network.markstream.DeliveryRing` instead of firing a
-        Python callback each; the ring flushes to its consumers when full
-        and at every run boundary. This — together with the explicit flush
-        in result accessors — is the sanctioned batch-flush surface the
-        H2 lint rule points per-packet registrations toward.
-        """
-        ring = DeliveryRing(node, capacity, pool=self.pool,
-                            profiler=self.sim.profile)
-        self.nics[node].attach_sink(ring)
-        self._delivery_sinks.append(ring)
-        if consumer is not None:
-            ring.add_consumer(consumer)
-        return ring
-
-    def flush_delivery_sinks(self) -> int:
-        """Flush every attached ring; returns total rows handed out."""
-        total = 0
-        for ring in self._delivery_sinks:
-            total += ring.flush()
-        return total
-
     def add_transit_observer(self, node: int,
                              observer: Callable[[Packet, int, float], None]) -> None:
-        """Observe packets the switch at ``node`` forwards (monitor switches)."""
         self._transit_observers.setdefault(node, []).append(observer)
 
     def notify_transit(self, packet: Packet, node: int) -> None:
@@ -481,14 +531,3 @@ class Fabric:
         if watchdog is not None:
             watchdog.note_livelock(self.sim, packet.hops)
 
-    def stats_summary(self) -> Dict[str, float]:
-        """Flat dict of headline statistics for result records.
-
-        This is where the integer slot counters are materialized into their
-        string-keyed form — never on the per-packet path.
-        """
-        out: Dict[str, float] = dict(self.counters.as_dict())
-        out["mean_latency"] = self.latency.mean
-        out["max_latency"] = self.latency.max if self.latency.count else float("nan")
-        out["mean_hops"] = self.hop_histogram.mean()
-        return out

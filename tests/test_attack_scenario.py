@@ -3,13 +3,11 @@
 Covers the scenario-layer contracts: every registered spec kind
 round-trips ``to_dict -> ATTACKS.create -> to_dict`` exactly, unknown
 kinds raise the structured UnknownNameError with sorted choices, the
-legacy ``launch_attack(num_attackers=...)`` shim is bit-identical to the
-spec form (and warns), arming through the new API never perturbs the
-shared cluster RNG stream, and VolumetricMixSpec merges are exact
+removed ``launch_attack(num_attackers=...)`` keyword form is refused,
+arming through the new API never perturbs the shared cluster RNG
+stream, and VolumetricMixSpec merges are exact
 component-sum unions (pinned again property-style by hypothesis).
 """
-
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -144,48 +142,10 @@ class TestValidation:
 
 
 class TestLegacyShim:
-    def test_legacy_kwargs_warn(self):
-        cluster = small_cluster()
-        victim = cluster.default_victim()
-        with pytest.warns(DeprecationWarning, match="launch_attack"):
-            cluster.launch_attack(victim=victim, num_attackers=2,
-                                  attack_rate_per_node=30.0, duration=1.0)
-
-    def test_legacy_and_spec_forms_bit_identical(self):
-        old = small_cluster(seed=42)
-        new = small_cluster(seed=42)
-        victim_old = old.default_victim()
-        victim_new = new.default_victim()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            truth_old = old.launch_attack(victim=victim_old, num_attackers=2,
-                                          attack_rate_per_node=30.0,
-                                          duration=1.0)
-        truth_new = new.launch_attack(
-            FloodAttackSpec(num_attackers=2, rate_per_attacker=30.0,
-                            duration=1.0),
-            victim=victim_new)
-        def signature(truth):
-            # packet ids are process-global, so compare content instead
-            return [(p.true_source, p.destination_node, p.flow_id, p.seq,
-                     p.header.src) for p in truth.attack_packets]
-
-        assert truth_old.attackers == truth_new.attackers
-        assert signature(truth_old) == signature(truth_new)
-        old.run()
-        new.run()
-        assert (old.fabric.counters.as_dict()
-                == new.fabric.counters.as_dict())
-
-    def test_unknown_legacy_kwarg_rejected(self):
-        cluster = small_cluster()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigurationError, match="unknown"):
-                cluster.launch_attack(warp_factor=9)
-
     def test_spec_plus_legacy_kwargs_rejected(self):
+        # The flat keyword form is gone; only launch_ddos keeps it.
         cluster = small_cluster()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             cluster.launch_attack(FloodAttackSpec(), num_attackers=2)
 
 

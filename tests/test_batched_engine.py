@@ -4,12 +4,10 @@ The statistical-equivalence matrix lives in
 ``test_properties_batched_equivalence.py``; this file covers the engine's
 mechanics: conservation accounting, the supported-feature guards, config
 round-tripping (and cache-key stability for exact-mode configs), the CLI
-surface, profiler integration, bulk injection, and the legacy
-``launch_attack`` deprecation funnel.
+surface, profiler integration, bulk injection, and the fabric seam.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -119,13 +117,42 @@ class TestGuards:
             cluster.run()
 
     def test_per_packet_observation_apis_raise(self):
-        fabric = _batched_cluster().fabric
-        with pytest.raises(ConfigurationError, match="delivery handlers"):
-            fabric.add_delivery_handler(0, lambda event: None)
-        with pytest.raises(ConfigurationError, match="drop handlers"):
-            fabric.add_drop_handler(lambda *a: None)
-        with pytest.raises(ConfigurationError, match="transit observers"):
-            fabric.add_transit_observer(0, lambda *a: None)
+        for engine in ("batched", "sharded"):
+            fabric = Cluster(Mesh((4, 4)), DimensionOrderRouter(),
+                             marking=DdpmScheme(), engine=engine).fabric
+            calls = {
+                "delivery handlers": (fabric.add_delivery_handler, 0, _noop),
+                "drop handlers": (fabric.add_drop_handler, _noop),
+                "transit observers": (fabric.add_transit_observer, 0, _noop),
+                "congestion view": (fabric.congestion, 0, 1),
+            }
+            for api, (method, *args) in calls.items():
+                with pytest.raises(ConfigurationError,
+                                   match="engine='exact'") as refused:
+                    method(*args)
+                assert api in str(refused.value)
+
+    def test_mid_run_link_failure_is_refused(self):
+        # The route tables are built with the engine, so a link failed
+        # after the first run would be crossed anyway: 121 delivered where
+        # the exact engine delivers 40 and drops 81.
+        cluster = Cluster(Mesh((4, 4)), MinimalAdaptiveRouter(),
+                          marking=DdpmScheme(), seed=4, engine="batched")
+        cluster.fabric.selection = FirstCandidatePolicy()
+        cluster.launch_ddos(victim=15, num_attackers=3,
+                            attack_rate_per_node=25, duration=1,
+                            background_rate=2)
+        # Before the first run the topology is all there is to change.
+        cluster.fabric.fail_link(0, 1)
+        assert not cluster.topology.links.is_up(0, 1)
+        cluster.fabric.restore_link(0, 1)
+        cluster.run(until=0.3)
+        for api in (cluster.fabric.fail_link, cluster.fabric.restore_link):
+            with pytest.raises(ConfigurationError, match="engine='exact'"):
+                api(11, 15)
+        assert cluster.topology.links.is_up(11, 15)
+        cluster.run()
+        assert cluster.fabric.n_delivered == cluster.fabric.n_injected == 121
 
     def test_run_until_rejects_store_and_forward(self):
         from repro.network.flowcontrol import StoreAndForward
@@ -356,46 +383,6 @@ class TestBulkInjection:
 
 
 # ----------------------------------------------------------------------
-# Legacy launch_attack deprecation funnel
-# ----------------------------------------------------------------------
-class TestLegacyLaunchAttackWarning:
-    def _cluster(self):
-        return Cluster(Mesh((4, 4)), DimensionOrderRouter(),
-                       marking=DdpmScheme(), seed=0)
-
-    def test_warns_exactly_once_per_call(self):
-        cluster = self._cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "AttackSpec" in str(relevant[0].message)
-
-    def test_repeat_calls_warn_again(self):
-        cluster = self._cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 2
-
-    def test_spec_form_does_not_warn(self):
-        from repro.attack.scenario import FloodAttackSpec
-
-        cluster = self._cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(FloodAttackSpec(num_attackers=2,
-                                                  duration=0.5))
-        assert not [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-
-
-# ----------------------------------------------------------------------
 # Partial-horizon advance: run_until on the batched engine
 # ----------------------------------------------------------------------
 class TestRunUntil:
@@ -499,3 +486,43 @@ class TestRunUntil:
         cluster, batches = self._arm()
         cluster.run(until=0.5)
         assert batches, "no deliveries flushed at the first horizon"
+
+
+# ----------------------------------------------------------------------
+# The fabric seam: cohort backends share the shell, not the exact graph
+# ----------------------------------------------------------------------
+class TestFabricSeam:
+    @pytest.mark.parametrize("engine,shards", [("batched", None),
+                                               ("sharded", 2)])
+    def test_cohort_fabric_builds_no_switch_or_channel(self, monkeypatch,
+                                                       engine, shards):
+        from repro.network.channel import Channel
+        from repro.network.switch import Switch
+
+        built = []
+        for cls in (Switch, Channel):
+            def counting(self, *args, _original=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counting)
+        # The flood-torus64-batched pipeline workload's fabric.
+        config = ExperimentConfig(
+            topology=TopologySpec("torus", (64, 64)),
+            routing=RoutingSpec("minimal-adaptive"),
+            marking=MarkingSpec("ddpm"),
+            selection=SelectionSpec("least-congested"),
+            engine=engine, shards=shards)
+        fabric = Cluster.from_config(config).fabric
+        assert not isinstance(fabric, Fabric)
+        assert len(fabric.nics) == 64 * 64
+        assert built == []
+        # The counter does count: the exact backend builds both.
+        Fabric(Mesh((2, 2)), DimensionOrderRouter())
+        assert built.count("Switch") == 4 and built.count("Channel") == 8
+
+    def test_cohort_fabric_takes_no_pool(self):
+        from repro.network.packet import PacketPool
+
+        with pytest.raises(TypeError, match="pool"):
+            BatchedFabric(Mesh((2, 2)), DimensionOrderRouter(),
+                          pool=PacketPool())

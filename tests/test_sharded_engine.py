@@ -4,12 +4,10 @@ Bit-level identity with the batched engine is property-tested in
 ``test_properties_batched_equivalence.py``; this file covers the sharded
 engine's own machinery — shard-count validation, worker transports,
 conservation, the unsupported-feature guards (each naming its fallback),
-config/CLI plumbing, profiler window counters, and the legacy
-``launch_attack`` deprecation funnel.
+config/CLI plumbing, profiler window counters, and repeat runs.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +131,33 @@ class TestConservation:
                 cluster.fabric.latency.count,
             )
         assert results["process"] == results["serial"]
+
+    def test_repeat_run_without_new_capture_is_a_noop(self):
+        cluster = _sharded_cluster(seed=4)
+        batches = []
+        cluster.fabric.attach_delivery_sink(cluster.default_victim(),
+                                            batches.append)
+        _flood(cluster)
+        cluster.run()
+        first = (cluster.fabric.n_injected, cluster.fabric.n_delivered,
+                 tuple(n.n_delivered for n in cluster.fabric.nics),
+                 sum(len(batch) for batch in batches), cluster.sim.now)
+        assert first[0] > 0
+        cluster.run()
+        assert (cluster.fabric.n_injected, cluster.fabric.n_delivered,
+                tuple(n.n_delivered for n in cluster.fabric.nics),
+                sum(len(batch) for batch in batches),
+                cluster.sim.now) == first
+
+    def test_capture_after_a_completed_run_is_refused(self):
+        cluster = _sharded_cluster(seed=4)
+        _flood(cluster)
+        cluster.run()
+        delivered = cluster.fabric.n_delivered
+        _flood(cluster)
+        with pytest.raises(ConfigurationError, match="engine='batched'"):
+            cluster.run()
+        assert cluster.fabric.n_delivered == delivered
 
     def test_empty_capture_is_a_noop(self):
         cluster = _sharded_cluster()
@@ -269,39 +294,6 @@ class TestProfiler:
         assert profiler.shard_window_stats() == {
             "windows": 0, "boundary_rows": 0,
             "max_boundary_occupancy": 0, "sync_stalls": 0}
-
-
-# ----------------------------------------------------------------------
-# Legacy launch_attack funnel on the sharded path (satellite 6)
-# ----------------------------------------------------------------------
-class TestLegacyLaunchAttackWarning:
-    def test_sharded_warns_exactly_once_per_call(self):
-        cluster = _sharded_cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 1
-        assert "AttackSpec" in str(relevant[0].message)
-
-    def test_sharded_repeat_calls_warn_again(self):
-        cluster = _sharded_cluster()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        relevant = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert len(relevant) == 2
-
-    def test_sharded_run_completes_after_legacy_launch(self):
-        cluster = _sharded_cluster()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cluster.launch_attack(num_attackers=2, duration=0.5)
-        cluster.run()
-        assert cluster.fabric.counters["delivered"] > 0
 
 
 # ----------------------------------------------------------------------
