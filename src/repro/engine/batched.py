@@ -15,10 +15,10 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    rows over the watchdog hop ceiling or out of TTL drop with counted
    reasons. Parked rows cannot retire: nothing they are checked on has
    changed since the round that routed them;
-3. **route** — next-hop candidates come from the routers' own memoized
-   tables (``routed_candidates`` for stateless routers,
-   oracle-profitable ``minimal_candidates`` for fault-free fully-adaptive),
-   probed once per distinct (node, destination) pair and replayed as padded
+3. **route** — next-hop candidates come from the router's
+   :class:`~repro.routing.plan.RouteTable`, the one table the exact engine
+   reads too: filled once per distinct (node, destination) pair (in bulk by
+   coordinate arithmetic for minimal routers) and replayed as padded
    candidate arrays;
 4. **select** — vectorized selection-policy twins; congestion and random
    tie-breaks draw from one dedicated per-cohort RNG stream
@@ -58,11 +58,9 @@ import numpy as np
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.flowcontrol import VirtualCutThrough
 from repro.network.ip import IPHeader
-from repro.routing.adaptive import FullyAdaptiveRouter, MinimalAdaptiveRouter
-from repro.routing.base import RouteState, Router
+from repro.routing.plan import route_table
 from repro.routing.selection import (FirstCandidatePolicy,
                                      LeastCongestedPolicy, RandomPolicy)
-from repro.topology.base import Topology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.colqueue import BatchedFabric
@@ -96,183 +94,6 @@ def _check_columnar_marking(scheme) -> None:
 
 
 # ----------------------------------------------------------------------
-# Route planning
-# ----------------------------------------------------------------------
-class _RoutePlanner:
-    """Padded candidate tables probed from the routers' own memoized paths.
-
-    Stateless routers answer ``routed_candidates`` from a pure
-    (node, destination) key — their memo *is* the table. Fault-free
-    fully-adaptive (prefer-minimal) reduces to ``minimal_candidates``
-    because every live minimal step exists, so the misroute fallback never
-    fires. Everything else (Valiant detours, odd-even's turn history,
-    misrouting around faults) depends on per-packet route state the cohorts
-    do not carry — refused with a pointer back to the exact engine.
-    """
-
-    def __init__(self, router: Router, topology: Topology):
-        self.topology = topology
-        self.n = topology.num_nodes
-        live = len(topology.to_edge_list())
-        failed = len(topology.to_edge_list(include_failed=True)) - live
-        # Pure-minimal routers on coordinate topologies skip the per-pair
-        # Python probe entirely: their candidate sets are closed-form in the
-        # distance vector, so unseen pairs fill in bulk with array math.
-        self._minimal_bulk = (
-            topology.kind in ("mesh", "torus", "hypercube")
-            and (isinstance(router, MinimalAdaptiveRouter)
-                 or (isinstance(router, FullyAdaptiveRouter)
-                     and router.prefer_minimal and failed == 0))
-        )
-        if router.is_stateless:
-            self._probe = router.routed_candidates
-        elif isinstance(router, FullyAdaptiveRouter) \
-                and router.prefer_minimal and failed == 0:
-            self._probe = router.minimal_candidates
-        else:
-            raise ConfigurationError(
-                f"router {router.name!r} is not supported by the batched "
-                "engine"
-                + (" on a fabric with failed links (misrouting needs "
-                   "per-packet state); minimal-adaptive handles static "
-                   "faults" if failed else
-                   " (per-packet route state has no columnar twin)")
-                + "; use engine='exact'"
-            )
-        width = max(topology.degree(), 1)
-        self.width = width
-        self._state = RouteState(0)
-        self._count = 0
-        # Dense (node, destination) -> table-row map: one int32 per pair.
-        # Direct fancy indexing beats the unique+dict probe by an order of
-        # magnitude per round, and even the 64x64 torus (4096^2 pairs) costs
-        # only 64 MB — transient, sized to the run.
-        self._row_of = np.full(self.n * self.n, -1, dtype=np.int32)
-        self._cand = np.full((256, width), -1, dtype=np.int64)
-        self._deg = np.zeros(256, dtype=np.int64)
-        if self._minimal_bulk:
-            self._build_step_tables(failed)
-
-    def _build_step_tables(self, failed: int) -> None:
-        """Precompute coordinate strides and per-axis step targets.
-
-        ``_step[node, axis, d]`` is the neighbor one hop along ``axis`` in
-        direction d (0 = minus, 1 = plus), -1 when the topology has no such
-        link. Everything the bulk fill needs afterwards is fancy indexing.
-        """
-        topology = self.topology
-        dims = np.asarray(topology.dims, dtype=np.int64)
-        ndims = dims.size
-        self._dims = dims
-        self._coords = topology.coord_array()
-        strides = np.ones(ndims, dtype=np.int64)
-        for axis in range(ndims - 2, -1, -1):  # per-axis, once at build
-            strides[axis] = strides[axis + 1] * dims[axis + 1]
-        nodes = np.arange(self.n, dtype=np.int64)
-        step = np.full((self.n, ndims, 2), -1, dtype=np.int64)
-        wrap = topology.kind != "mesh"  # torus and hypercube wrap
-        for axis in range(ndims):  # per-axis, once at build
-            k = int(dims[axis])
-            if k == 1 or (not wrap and k < 2):
-                continue
-            c = self._coords[:, axis]
-            for d, delta in ((0, -1), (1, 1)):  # two directions
-                if wrap:
-                    c2 = (c + delta) % k
-                    step[:, axis, d] = nodes + (c2 - c) * strides[axis]
-                else:
-                    c2 = c + delta
-                    ok = (c2 >= 0) & (c2 < k)
-                    step[ok, axis, d] = nodes[ok] + delta * strides[axis]
-        self._step = step
-        self._edge_up = None
-        if failed:
-            up = np.ones(self.n * self.n, dtype=bool)
-            live_set = set()
-            for a, b in topology.to_edge_list():  # per-edge, once at build
-                live_set.add((a, b))
-                live_set.add((b, a))
-            for a, b in topology.to_edge_list(include_failed=True):  # per-edge, once at build
-                if (a, b) not in live_set:
-                    up[a * self.n + b] = False
-                    up[b * self.n + a] = False
-            self._edge_up = up
-
-    def _insert_bulk(self, keys: np.ndarray) -> None:
-        """Vectorized minimal-candidates fill for unseen (node, dest) pairs.
-
-        Mirrors :meth:`Router.minimal_candidates` exactly: per axis in
-        ascending order, the single profitable live step (torus offsets fold
-        to the minimal signed residue, ties positive — matching
-        ``torus_distance_vector``); hypercube axes with a differing bit
-        toggle that bit.
-        """
-        m = keys.size
-        cur = keys // self.n
-        dst = keys % self.n
-        if self.topology.kind == "torus":
-            vec = (self._coords[dst] - self._coords[cur]) % self._dims
-            vec -= (vec > self._dims // 2) * self._dims
-        else:
-            # Mesh difference; hypercube coords are bits, difference in
-            # {-1, 0, 1} with both directions equivalent.
-            vec = self._coords[dst] - self._coords[cur]
-        rows = np.arange(self._count, self._count + m, dtype=np.int64)
-        while self._count + m > self._deg.size:  # geometric growth  # repro-lint: disable=H3
-            self._cand = np.concatenate(
-                [self._cand, np.full_like(self._cand, -1)])
-            self._deg = np.concatenate([self._deg, np.zeros_like(self._deg)])
-        slot = np.zeros(m, dtype=np.int64)
-        for axis in range(vec.shape[1]):  # per-axis, a handful  # repro-lint: disable=H3
-            comp = vec[:, axis]
-            nxt = self._step[cur, axis, (comp > 0).astype(np.int64)]
-            valid = (comp != 0) & (nxt >= 0)
-            if self._edge_up is not None:
-                valid &= self._edge_up[cur * self.n + np.maximum(nxt, 0)]
-            idx = np.flatnonzero(valid)
-            self._cand[rows[idx], slot[idx]] = nxt[idx]
-            slot[idx] += 1
-        self._deg[rows] = slot
-        self._row_of[keys] = rows
-        self._count += m
-
-    def _insert(self, key: int) -> int:
-        current, destination = divmod(key, self.n)
-        state = self._state
-        state.destination = destination
-        state.last_node = None
-        state.misroutes = 0
-        state.distance_to_go = None
-        candidates = self._probe(self.topology, current, state)
-        row = self._count
-        if row == self._deg.size:
-            self._cand = np.concatenate(
-                [self._cand, np.full_like(self._cand, -1)])
-            self._deg = np.concatenate([self._deg, np.zeros_like(self._deg)])
-        self._deg[row] = len(candidates)
-        self._cand[row, :len(candidates)] = candidates
-        self._row_of[key] = row
-        self._count = row + 1
-        return row
-
-    def lookup(self, pos: np.ndarray,
-               dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (candidate matrix, degree) for the cohort's positions."""
-        keys = pos * self.n + dst
-        picked = self._row_of[keys]
-        missing = picked < 0
-        if missing.any():
-            unseen = np.unique(keys[missing])
-            if self._minimal_bulk:
-                self._insert_bulk(unseen)
-            else:
-                for key in unseen.tolist():  # per-unseen-pair probe  # repro-lint: disable=H3
-                    self._insert(int(key))
-            picked = self._row_of[keys]
-        return self._cand[picked], self._deg[picked]
-
-
-# ----------------------------------------------------------------------
 # The engine
 # ----------------------------------------------------------------------
 #: per-row state the engine writes, stored by slot (= activation rank)
@@ -295,7 +116,21 @@ class CohortEngine:
         topology = fabric.topology
         self.n = topology.num_nodes
         cfg = fabric.config
-        self.planner = _RoutePlanner(fabric.router, topology)
+        router = fabric.router
+        routes = route_table(router, topology)
+        if routes is None:
+            # Valiant detours, odd-even's turn history and misrouting around
+            # faults depend on per-packet route state the cohorts do not carry.
+            raise ConfigurationError(
+                f"router {router.name!r} is not supported by the batched "
+                "engine"
+                + (" on a fabric with failed links (misrouting needs "
+                   "per-packet state); minimal-adaptive handles static "
+                   "faults" if topology.links.failed_links else
+                   " (per-packet route state has no columnar twin)")
+                + "; use engine='exact'"
+            )
+        self.routes = routes
         self.marking = fabric.marking
         self.rng = self.sim.rng.stream("batched-cohort")
         # Marking draws (PPM coins and fragment offsets) get their own
@@ -353,7 +188,7 @@ class CohortEngine:
         # the neighbor's index in topology.neighbors(node). Candidate-table
         # columns are destination-relative and would conflate channels.
         # ``_next_hop`` inverts the map: channel -> the node it leads to.
-        self.width = self.planner.width
+        self.width = routes.width
         self._port = np.full(self.n * self.n, -1, dtype=np.int8)
         self._next_hop = np.full(self.n * self.width, -1, dtype=np.int64)
         for node in topology.nodes():  # per-(node, port), once at build
@@ -638,7 +473,7 @@ class CohortEngine:
         moving = self._moving
         if moving.size:
             pos = self.pos[moving]
-            candidates, degrees = self.planner.lookup(pos, self.dst[moving])
+            candidates, degrees = self.routes.lookup(pos, self.dst[moving])
             blocked = degrees == 0
             if blocked.any():
                 self._drop(int(np.count_nonzero(blocked)), "unroutable")

@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterable, Optional
 __all__ = ["LintCache", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"]
 
 #: bump on any change to rule semantics, fact schemas, or entry layout.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 

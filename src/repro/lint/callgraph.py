@@ -12,7 +12,7 @@ The graph is deliberately name-based and over-approximate:
   ``"<path>::<function>"``, with ``<outer>.<inner>`` for nested defs and
   ``<module>`` for module-level code);
 * every call site becomes an edge from the enclosing scope to the
-  *simple name* of the callee — ``self.planner.lookup(...)`` is an edge
+  *simple name* of the callee — ``self.routes.lookup(...)`` is an edge
   to ``lookup`` — resolved at query time against every definition whose
   final name segment matches;
 * a call of a known class name (``CohortEngine(fabric)``) is a

@@ -541,9 +541,11 @@ class NoPerPacketCallbacks(Rule):
 # ----------------------------------------------------------------------
 #: the batched cohort-advance path: every per-row operation in these
 #: modules must be a whole-array numpy step, never a Python loop. The
-#: marking modules hold the schemes' columnar hops (``on_hop_array``).
+#: marking modules hold the schemes' columnar hops (``on_hop_array``);
+#: the route table holds the cohorts' candidate fill (``lookup``).
 _BATCHED_PATH_MODULES = frozenset({
     "engine/batched.py", "engine/sharded.py", "network/colqueue.py",
+    "routing/plan.py",
     "marking/base.py", "marking/ddpm.py", "marking/dpm.py",
     "marking/ppm.py", "marking/ppm_fragment.py", "marking/advanced_ppm.py",
 })
@@ -576,8 +578,9 @@ class NoPerPacketPythonInBatchedPath(ProgramRule):
         "explicit for/while loops and per-packet callback registrations "
         "reachable from the cohort-advance roots "
         "(Engine.run/advance/advance_window) in the batched modules "
-        "(engine/batched.py, engine/sharded.py, network/colqueue.py and "
-        "the marking schemes' columnar hops) reintroduce per-row Python "
+        "(engine/batched.py, engine/sharded.py, network/colqueue.py, "
+        "routing/plan.py and the marking schemes' columnar hops) "
+        "reintroduce per-row Python "
         "cost; build-time construction is exempt"
     )
     hint = (

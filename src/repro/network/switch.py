@@ -37,6 +37,7 @@ from typing import Dict, TYPE_CHECKING
 from repro.engine.stats import Counter
 from repro.network.channel import Channel
 from repro.network.packet import Packet
+from repro.routing.plan import next_hops
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import Fabric
@@ -157,7 +158,7 @@ class Switch:
             return
 
         state = packet.route_state
-        candidates = fabric.router.routed_candidates(fabric.topology, node, state)
+        candidates = next_hops(fabric.router, fabric.topology, node, state)
         if not candidates:
             fabric.drop(packet, node, "unroutable")
             return

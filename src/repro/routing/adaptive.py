@@ -25,7 +25,7 @@ class MinimalAdaptiveRouter(Router):
     """All live profitable next hops are candidates; never misroutes."""
 
     allows_misrouting = False
-    # Profitable hops depend only on (node, destination): memoizable.
+    # Profitable hops depend only on (node, destination): table-driven.
     is_stateless = True
 
     def __init__(self):

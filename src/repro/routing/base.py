@@ -81,9 +81,9 @@ class Router(ABC):
     allows_misrouting: bool = False
     #: True when candidates() depends only on (topology, current node,
     #: destination) — never on last_node, misroutes, or scratch. Stateless
-    #: routers get their candidate tuples memoized per (node, destination)
-    #: pair by :meth:`routed_candidates`; the cache is invalidated whenever
-    #: the topology's link version changes (fail_link/restore_link).
+    #: routers are table-driven: every engine reads their candidates from
+    #: one :class:`repro.routing.plan.RouteTable` per (router, topology,
+    #: link version), rebuilt when fail_link/restore_link bump the version.
     is_stateless: bool = False
 
     @abstractmethod
@@ -94,39 +94,6 @@ class Router(ABC):
         Empty means the packet is blocked (for deterministic algorithms on a
         failed link this is terminal — paper Figure 2(b) for XY routing).
         """
-
-    # ------------------------------------------------------------------
-    # Hot-path front-end: memoized candidate tables
-    # ------------------------------------------------------------------
-    def routed_candidates(self, topology: Topology, current: int,
-                          state: RouteState) -> Tuple[int, ...]:
-        """Memoized :meth:`candidates` — the entry point forwarding uses.
-
-        For stateless routers the (current, destination) -> candidates tuple
-        is computed once and replayed for every later packet, eliminating the
-        per-hop coordinate math and list allocation. Stateful routers
-        (adaptive fallback phases, Valiant, odd-even) fall through to the
-        live computation, which itself benefits from the memoized
-        :meth:`minimal_candidates` below.
-        """
-        if not self.is_stateless:
-            return self.candidates(topology, current, state)
-        cache = self._table_for(topology, "_candidate_table")
-        key = current * topology.num_nodes + state.destination
-        hit = cache.get(key)
-        if hit is None:
-            hit = self.candidates(topology, current, state)
-            cache[key] = hit
-        return hit
-
-    def _table_for(self, topology: Topology, attr: str) -> Dict[int, Tuple[int, ...]]:
-        """Per-(router, topology) cache dict, cleared when links change."""
-        state = getattr(self, attr, None)
-        version = topology.links.version
-        if state is None or state[0] is not topology or state[1] != version:
-            state = (topology, version, {})
-            setattr(self, attr, state)
-        return state[2]
 
     def validate(self, topology: Topology) -> None:
         """Raise :class:`RoutingError` if this router cannot run on ``topology``.
@@ -143,25 +110,19 @@ class Router(ABC):
         profitable only at exact torus antipodes, where the tie resolves to
         the positive direction — consistent with ``distance_vector``).
 
-        Depends only on (current, destination) and link state, so results
-        are memoized per pair and invalidated with the link version.
+        The reference that the route table's closed-form bulk fill
+        (:mod:`repro.routing.plan`) is tested against.
         """
-        cache = self._table_for(topology, "_minimal_table")
-        key = current * topology.num_nodes + state.destination
-        hit = cache.get(key)
-        if hit is None:
-            vector = topology.distance_vector(current, state.destination)
-            out: List[int] = []
-            for axis, component in enumerate(vector):
-                if component == 0:
-                    continue
-                direction = 1 if component > 0 else -1
-                nxt = topology.step(current, axis, direction)
-                if nxt is not None and topology.links.is_up(current, nxt):
-                    out.append(nxt)
-            hit = tuple(out)
-            cache[key] = hit
-        return hit
+        vector = topology.distance_vector(current, state.destination)
+        out: List[int] = []
+        for axis, component in enumerate(vector):
+            if component == 0:
+                continue
+            direction = 1 if component > 0 else -1
+            nxt = topology.step(current, axis, direction)
+            if nxt is not None and topology.links.is_up(current, nxt):
+                out.append(nxt)
+        return tuple(out)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"
@@ -199,6 +160,10 @@ def walk_route(topology: Topology, router: Router, src: int, dst: int,
         return [src]
     if max_hops is None:
         max_hops = 4 * topology.diameter() + 16
+    # Imported here: the route table imports the routers, which import
+    # this module.
+    from repro.routing.plan import next_hops
+
     router.validate(topology)
     oracle = topology.distance_oracle()
     state = RouteState(dst, misroute_budget=misroute_budget)
@@ -206,7 +171,7 @@ def walk_route(topology: Topology, router: Router, src: int, dst: int,
     current = src
     current_dist = oracle.distance(src, dst)
     for _ in range(max_hops):
-        options = router.routed_candidates(topology, current, state)
+        options = next_hops(router, topology, current, state)
         if not options:
             raise UnroutablePacketError(
                 f"{router.name} has no legal hop from {current} "

@@ -36,7 +36,7 @@ class DimensionOrderRouter(Router):
     is_deterministic = True
     allows_misrouting = False
     # candidates() reads only the destination from RouteState, so the unique
-    # next hop per (node, destination) is memoized by routed_candidates().
+    # next hop per (node, destination) is served from the route table.
     is_stateless = True
 
     def __init__(self, axis_order: Optional[Sequence[int]] = None):

@@ -57,7 +57,7 @@ class WestFirstRouter(Router):
         self.minimal = minimal
         self.allows_misrouting = not minimal
         # The non-minimal variant's misroute branch reads last_node/misroutes
-        # from RouteState, so only the minimal form is memoizable.
+        # from RouteState, so only the minimal form is table-driven.
         self.is_stateless = minimal
         self.name = "west-first" if minimal else "west-first-nonminimal"
 
