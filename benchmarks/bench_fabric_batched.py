@@ -2,14 +2,15 @@
 
 Companion to ``bench_fabric_throughput.py`` (the exact per-packet engine's
 regression guard): measures the ``engine='batched'`` cohort-advance path on
-two workloads and writes ``benchmarks/results/BENCH_throughput_batched.json``
-for ``check_throughput.py``:
+two workloads and records their packets/s in ``benchmarks/results/BENCH.json``
+for ``benchmarks/gate.py``:
 
 * ``matched`` — the *same* workload shape as the exact benchmark (8x8 torus,
   uniform Poisson background at rate 25 for 2 time units, adaptive routing,
-  DDPM marking), so the two JSON artifacts are directly comparable. The
-  check script enforces the batched mode's reason to exist here: >= 10x the
-  exact engine's packets/s (tolerance-scaled; see ``check_throughput.py``).
+  DDPM marking), so the two numbers are directly comparable. The gate
+  enforces the batched mode's reason to exist here: >= 10x the exact
+  engine's packets/s measured in the same run (stored as 8.5x, scaled by
+  0.85 for noisy CI hosts; see ``gate.py``).
 * ``torus64`` — a 64x64-torus DDoS flood plus background under a
   :class:`~repro.engine.watchdog.Watchdog`, the scale target the cohort
   engine was built for. Gated on completing at all (a per-packet engine
@@ -21,9 +22,6 @@ Workload generation uses the columnar bulk path
 batched mode is that *no* stage is per-packet Python, injection included.
 """
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from repro.attack.traffic import (UniformRandomPattern, schedule_background,
@@ -34,17 +32,6 @@ from repro.marking import DdpmScheme
 from repro.network.colqueue import BatchedFabric
 from repro.routing import (LeastCongestedPolicy, MinimalAdaptiveRouter)
 from repro.topology import Torus
-
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_throughput_batched.json"
-
-
-def _merge_results(key, entry):
-    """Read-modify-write one section of the shared results artifact."""
-    RESULTS_JSON.parent.mkdir(exist_ok=True)
-    data = (json.loads(RESULTS_JSON.read_text())
-            if RESULTS_JSON.exists() else {})
-    data[key] = entry
-    RESULTS_JSON.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _build_matched_fabric(seed=0):
@@ -60,7 +47,7 @@ def _build_matched_fabric(seed=0):
     return fabric
 
 
-def test_batched_fabric_throughput(benchmark, report):
+def test_batched_fabric_throughput(benchmark, report, record_bench):
     def run():
         fabric = _build_matched_fabric()
         fabric.run()
@@ -71,18 +58,14 @@ def test_batched_fabric_throughput(benchmark, report):
     report("Engineering - batched cohort engine throughput (64-node torus, "
            "adaptive routing, DDPM marking)",
            f"{delivered} packets delivered across {rounds} cohort rounds per "
-           f"run; {delivered / mean_s:,.0f} packets/s (wall clock) vs the "
-           "exact engine's committed baseline in BENCH_throughput.json")
-    _merge_results("matched", {
-        "delivered": int(delivered),
-        "rounds": int(rounds),
-        "mean_seconds": mean_s,
-        "packets_per_sec": delivered / mean_s,
-    })
+           f"run in {mean_s:.4f}s mean; {delivered / mean_s:,.0f} packets/s "
+           "(wall clock), gated against the exact engine's packets/s "
+           "measured in the same run")
+    record_bench({"batched/matched/packets_per_sec": delivered / mean_s})
     assert delivered > 0 and rounds > 0
 
 
-def test_batched_fabric_torus64_flood(benchmark, report):
+def test_batched_fabric_torus64_flood(benchmark, report, record_bench):
     """64x64 adaptive-torus flood: the scale the cohort engine targets."""
 
     def run():
@@ -109,13 +92,7 @@ def test_batched_fabric_torus64_flood(benchmark, report):
            f"{delivered} delivered / {dropped} dropped across {rounds} "
            f"cohort rounds in {mean_s:.2f}s; "
            f"{delivered / mean_s:,.0f} packets/s (wall clock)")
-    _merge_results("torus64", {
-        "delivered": int(delivered),
-        "dropped": int(dropped),
-        "rounds": int(rounds),
-        "mean_seconds": mean_s,
-        "packets_per_sec": delivered / mean_s,
-    })
+    record_bench({"batched/torus64/packets_per_sec": delivered / mean_s})
     assert delivered > 0
 
 

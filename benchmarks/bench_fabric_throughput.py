@@ -5,15 +5,11 @@ itself (guides: measure before optimizing). Reports delivered packets and
 executed events per wall-second on a standard uniform-random workload, so a
 future change that quietly makes the event loop quadratic fails here first.
 
-Besides the human-readable artifact, the run writes
-``benchmarks/results/BENCH_throughput.json`` with the machine-readable
-numbers; ``benchmarks/check_throughput.py`` compares that file against the
-committed baseline ``benchmarks/BENCH_throughput.json`` and fails CI on a
-large regression.
+Besides the human-readable artifact, the run records ``exact/events_per_sec``
+and ``exact/packets_per_sec`` in ``benchmarks/results/BENCH.json``;
+``benchmarks/gate.py`` compares them against the committed baseline
+``benchmarks/BENCH.json`` and fails CI on a large regression.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +18,6 @@ from repro.marking import DdpmScheme
 from repro.network import Fabric
 from repro.routing import LeastCongestedPolicy, MinimalAdaptiveRouter
 from repro.topology import Torus
-
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_throughput.json"
 
 
 def _build_loaded_fabric(seed=0):
@@ -38,7 +32,7 @@ def _build_loaded_fabric(seed=0):
     return fabric
 
 
-def test_fabric_event_throughput(benchmark, report):
+def test_fabric_event_throughput(benchmark, report, record_bench):
     def run():
         fabric = _build_loaded_fabric()
         fabric.run()
@@ -48,19 +42,13 @@ def test_fabric_event_throughput(benchmark, report):
     mean_s = benchmark.stats.stats.mean
     report("Engineering - fabric throughput (64-node torus, adaptive routing, "
            "DDPM marking)",
-           f"{delivered} packets delivered, {events} events per run; "
-           f"{events / mean_s:,.0f} events/s, {delivered / mean_s:,.0f} "
-           "packets/s (wall clock)")
-    RESULTS_JSON.parent.mkdir(exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps({
-        "delivered": int(delivered),
-        "events": int(events),
-        "mean_seconds": mean_s,
-        "events_per_sec": events / mean_s,
-        "packets_per_sec": delivered / mean_s,
-    }, indent=2) + "\n")
+           f"{delivered} packets delivered, {events} events per run in "
+           f"{mean_s:.3f}s mean; {events / mean_s:,.0f} events/s, "
+           f"{delivered / mean_s:,.0f} packets/s (wall clock)")
+    record_bench({"exact/events_per_sec": events / mean_s,
+                  "exact/packets_per_sec": delivered / mean_s})
     # Structural sanity only: the workload itself must have run. Throughput
-    # regression detection lives in check_throughput.py, which compares
-    # against the committed baseline with a configurable relative tolerance
-    # (REPRO_BENCH_TOLERANCE) instead of a machine-dependent absolute floor.
+    # regression detection lives in gate.py, which compares against the
+    # committed baseline with a relative bound instead of a
+    # machine-dependent absolute floor.
     assert delivered > 0 and events > delivered

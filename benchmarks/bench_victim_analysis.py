@@ -12,15 +12,15 @@ to the fabric-throughput benchmark), so what the victim pays per flush is
 exactly one ``observe_batch`` call. Both paths must land on identical
 suspect sets — the benchmark asserts that before it trusts either timing.
 
-Writes ``benchmarks/results/BENCH_victim.json``; ``benchmarks/
-check_victim.py`` compares it against the committed baseline
-``benchmarks/BENCH_victim.json`` and enforces the batched-speedup floor.
+Records ``victim/<scheme>/batched_marks_per_sec`` and
+``victim/<scheme>/per_packet_marks_per_sec`` in
+``benchmarks/results/BENCH.json``; ``benchmarks/gate.py`` compares the
+batched rate against the committed baseline ``benchmarks/BENCH.json`` and
+enforces the >= 2x batched-over-per-packet floor.
 """
 
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from repro.network.markstream import MarkBatch
 from repro.registry import MARKING
 from repro.routing import MinimalAdaptiveRouter, RandomPolicy
 from repro.topology import Mesh
-
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_victim.json"
 
 #: the paper's three scheme families (DDPM / PPM / DPM decode pipelines)
 SCHEMES = ("ddpm", "ppm-full", "dpm")
@@ -77,7 +75,7 @@ def _best_seconds(fn, loops=1):
     return best
 
 
-def test_victim_analysis_decode_throughput(report):
+def test_victim_analysis_decode_throughput(report, record_bench):
     results = {}
     lines = []
     for name in SCHEMES:
@@ -115,19 +113,14 @@ def test_victim_analysis_decode_throughput(report):
         s_b = _best_seconds(batched, loops=20)
         per_packet_rate = n_marks / s_pp
         batched_rate = n_marks / s_b
-        results[name] = {
-            "marks": n_marks,
-            "per_packet_marks_per_sec": per_packet_rate,
-            "batched_marks_per_sec": batched_rate,
-            "speedup": batched_rate / per_packet_rate,
-        }
+        results[f"victim/{name}/per_packet_marks_per_sec"] = per_packet_rate
+        results[f"victim/{name}/batched_marks_per_sec"] = batched_rate
         lines.append(f"{name:>10}: per-packet {per_packet_rate:>12,.0f} "
                      f"marks/s, batched {batched_rate:>12,.0f} marks/s "
                      f"({batched_rate / per_packet_rate:.1f}x)")
         assert batched_rate > 0 and per_packet_rate > 0
 
-    RESULTS_JSON.parent.mkdir(exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(results, indent=2) + "\n")
+    record_bench(results)
     report("Engineering - victim analysis decode throughput "
            "(columnar observe_batch vs per-packet observe, 200k-mark streams)",
            "\n".join(lines))

@@ -3,7 +3,10 @@
 Every benchmark regenerates one of the paper's tables/figures/claims and
 reports it two ways: printed to the terminal (so ``pytest benchmarks/
 --benchmark-only`` output doubles as the reproduction log) and written to
-``benchmarks/results/<name>.txt`` for EXPERIMENTS.md.
+``benchmarks/results/<name>.txt`` for EXPERIMENTS.md. The gated numbers of
+the throughput and victim-decode suites also go to one machine-readable
+file, ``benchmarks/results/BENCH.json``, through ``record_bench``;
+``benchmarks/gate.py`` checks it against the committed ``BENCH.json``.
 
 Config-driven benchmarks go through the session ``runner`` fixture — a
 :class:`repro.runner.ParallelRunner` configured by environment:
@@ -18,6 +21,7 @@ Config-driven benchmarks go through the session ``runner`` fixture — a
     ``simulated 0``.
 """
 
+import json
 import os
 import re
 from pathlib import Path
@@ -27,6 +31,7 @@ import pytest
 from repro.runner import ParallelRunner, ResultCache
 
 RESULTS_DIR = Path(__file__).parent / "results"
+BENCH_JSON = RESULTS_DIR / "BENCH.json"
 
 
 @pytest.fixture
@@ -43,6 +48,26 @@ def report():
         return path
 
     return _report
+
+
+@pytest.fixture
+def record_bench():
+    """record_bench(metrics): merge gated metrics into results/BENCH.json.
+
+    The file is a flat map from metric name (``exact/events_per_sec``,
+    ``victim/ddpm/batched_marks_per_sec``, ...) to value, plus the host's
+    ``cpu_count``, which the gate needs for core-count-aware floors.
+    """
+
+    def _record(metrics: dict) -> None:
+        data = (json.loads(BENCH_JSON.read_text())
+                if BENCH_JSON.exists() else {})
+        data.update(metrics, cpu_count=os.cpu_count() or 1)
+        RESULTS_DIR.mkdir(exist_ok=True)
+        BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True)
+                              + "\n")
+
+    return _record
 
 
 @pytest.fixture(scope="session")
