@@ -12,12 +12,13 @@ the experiment surface established (:mod:`repro.core.config`,
   :data:`repro.registry.ATTACKS`, so custom attack types plug in without
   touching this module, and unknown names surface as the structured
   :class:`repro.errors.UnknownNameError` with the sorted choices list.
-* **Canonical serialization** — ``to_dict()``/``from_dict()`` round-trip
-  exactly, with validation errors raised as
-  :class:`repro.errors.AttackError`, so an :class:`AttackCampaign` rides
-  inside :class:`repro.core.config.ExperimentConfig` (key omitted when
-  unset, keeping pre-existing cache keys stable) and participates in
-  result caching.
+* **Canonical serialization** — ``to_dict()``/``from_dict()``, inherited
+  from :class:`repro.util.kindspec.KindSpec`, round-trip exactly, with
+  validation errors raised as :class:`repro.errors.AttackError`, so an
+  :class:`AttackCampaign` rides inside
+  :class:`repro.core.config.ExperimentConfig` (key omitted when unset,
+  keeping pre-existing cache keys stable) and participates in result
+  caching.
 * **Seeded per-spec RNG** — ``arm`` receives a dedicated
   ``numpy.random.Generator`` (by convention the simulator registry's
   ``"attack:<index>:<kind>"`` stream), so adding an attack to an
@@ -58,7 +59,7 @@ import dataclasses
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping,
-                    Optional, Tuple)
+                    Optional, Tuple, Type)
 
 import numpy as np
 
@@ -75,6 +76,7 @@ from repro.attack.traffic import (BitReversalPattern, HotspotPattern,
 from repro.engine.rng import derive_child
 from repro.errors import AttackError
 from repro.network.packet import PacketKind
+from repro.util.kindspec import KindSpec, parse_campaign, spec_from_entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
@@ -151,24 +153,16 @@ def _check_choice(kind: str, name: str, value: Any,
     return str(value)
 
 
-def _pop_kind(cls: type, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Strip and verify the ``"kind"`` discriminator of a spec dict."""
-    if not isinstance(data, Mapping):
-        raise AttackError(
-            f"{cls.__name__} must be a mapping, got {type(data).__name__}")
-    rest = dict(data)
-    kind = rest.pop("kind", cls.kind)
-    if kind != cls.kind:
-        raise AttackError(f"{cls.__name__} cannot parse kind {kind!r}")
-    return rest
+def _check_spoofing(kind: str, name: Any, address: Any,
+                    live: Optional[SpoofingStrategy] = None) -> None:
+    """Validate a spoofing strategy name; ``fixed`` needs its address.
 
-
-def _no_unknown(kind: str, data: Mapping[str, Any],
-                known: Tuple[str, ...]) -> None:
-    """Reject unknown keys in a spec dict."""
-    unknown = set(data) - set(known)
-    if unknown:
-        raise AttackError(f"{kind} has unknown keys {sorted(unknown)}")
+    A ``live`` strategy object replaces the named one, so it lifts the
+    address requirement.
+    """
+    _check_choice(kind, "spoofing", name, SPOOFING_NAMES)
+    if name == "fixed" and address is None and live is None:
+        raise AttackError(f"{kind}.spoofing 'fixed' needs spoofing_address")
 
 
 def _build_spoofing(name: str, *, victim: int,
@@ -183,8 +177,6 @@ def _build_spoofing(name: str, *, victim: int,
     if name == "victim":
         return VictimSpoofing(victim)
     if name == "fixed":
-        if address is None:
-            raise AttackError("spoofing 'fixed' needs spoofing_address")
         return FixedSpoofing(address)
     raise AttackError(f"unknown spoofing strategy {name!r}")  # pragma: no cover
 
@@ -200,19 +192,19 @@ def _pick_nodes(pool: List[int], count: int, rng: np.random.Generator,
 
 
 # ----------------------------------------------------------------------
-class AttackSpec(ABC):
+class AttackSpec(KindSpec, ABC):
     """One declarative traffic scenario; concrete kinds are frozen dataclasses.
 
     Subclasses set the class attribute :attr:`kind` (their registry name in
     :data:`repro.registry.ATTACKS`), implement :meth:`arm` to schedule their
-    traffic on a fabric, :meth:`scaled` so they can ride inside a
-    :class:`VolumetricMixSpec`, and provide ``to_dict``/``from_dict`` whose
-    dict form carries a ``"kind"`` key so :class:`AttackCampaign` can
-    dispatch deserialization through the registry.
+    traffic on a fabric and :meth:`scaled` so they can ride inside a
+    :class:`VolumetricMixSpec`, and validate their fields in
+    ``__post_init__``. The ``to_dict``/``from_dict`` pair, whose dict form
+    carries the ``"kind"`` key :class:`AttackCampaign` dispatches on, is
+    inherited from :class:`~repro.util.kindspec.KindSpec`.
     """
 
-    #: registry name of this spec kind (e.g. ``"flood"``).
-    kind: ClassVar[str] = ""
+    error: ClassVar[Type[Exception]] = AttackError
 
     @abstractmethod
     def arm(self, fabric: "Fabric", sim: "Simulator", *, victim: int,
@@ -230,21 +222,9 @@ class AttackSpec(ABC):
     def scaled(self, factor: float) -> "AttackSpec":
         """Copy of this spec with its traffic intensity scaled by ``factor``."""
 
-    @abstractmethod
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form including the ``"kind"`` discriminator."""
-
-    def _base_dict(self) -> Dict[str, Any]:
-        """Shared ``to_dict`` prefix: the kind discriminator."""
-        return {"kind": self.kind}
-
 
 # ----------------------------------------------------------------------
 # Flood family: flood / syn-flood / ack-flood share placement + scheduling.
-_FLOOD_KEYS = ("num_attackers", "attackers", "rate_per_attacker", "duration",
-               "start", "start_jitter", "background_rate", "spoofing",
-               "spoofing_address")
-
 
 @dataclass(frozen=True)
 class _FloodFamilySpec(AttackSpec):
@@ -255,7 +235,8 @@ class _FloodFamilySpec(AttackSpec):
     strategy *name* (see :data:`SPOOFING_NAMES`) so the spec stays
     serializable; in-process callers holding a live
     :class:`~repro.attack.spoofing.SpoofingStrategy` can pass it via
-    ``spoofing_strategy`` (never serialized, ignored by equality).
+    ``spoofing_strategy`` (never serialized, ignored by equality), which
+    then stands in for ``spoofing`` and ``spoofing_address``.
     """
 
     num_attackers: int = 3
@@ -284,7 +265,8 @@ class _FloodFamilySpec(AttackSpec):
         _check_number(self.kind, "start_jitter", self.start_jitter, minimum=0.0)
         _check_number(self.kind, "background_rate", self.background_rate,
                       minimum=0.0)
-        _check_choice(self.kind, "spoofing", self.spoofing, SPOOFING_NAMES)
+        _check_spoofing(self.kind, self.spoofing, self.spoofing_address,
+                        self.spoofing_strategy)
 
     def arm(self, fabric: "Fabric", sim: "Simulator", *, victim: int,
             rng: np.random.Generator) -> AttackTrafficResult:
@@ -319,43 +301,6 @@ class _FloodFamilySpec(AttackSpec):
         """Copy with the per-attacker rate scaled by ``factor``."""
         return dataclasses.replace(
             self, rate_per_attacker=self.rate_per_attacker * factor)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(
-            num_attackers=int(self.num_attackers),
-            rate_per_attacker=float(self.rate_per_attacker),
-            duration=float(self.duration),
-            start=float(self.start),
-            start_jitter=float(self.start_jitter),
-            background_rate=float(self.background_rate),
-            spoofing=self.spoofing,
-        )
-        if self.attackers is not None:
-            out["attackers"] = [int(a) for a in self.attackers]
-        if self.spoofing_address is not None:
-            out["spoofing_address"] = int(self.spoofing_address)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "_FloodFamilySpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest, _FLOOD_KEYS)
-        attackers = rest.get("attackers")
-        return cls(
-            num_attackers=rest.get("num_attackers", 3),
-            attackers=None if attackers is None else tuple(attackers),
-            rate_per_attacker=rest.get("rate_per_attacker", 40.0),
-            duration=rest.get("duration", 5.0),
-            start=rest.get("start", 0.0),
-            start_jitter=rest.get("start_jitter", 0.0),
-            background_rate=rest.get("background_rate", 0.0),
-            spoofing=rest.get("spoofing", "in-cluster"),
-            spoofing_address=rest.get("spoofing_address"),
-        )
-
 
 @dataclass(frozen=True)
 class FloodAttackSpec(_FloodFamilySpec):
@@ -420,7 +365,7 @@ class PulsingAttackSpec(AttackSpec):
                 f"{self.kind}.duty_cycle must be in (0, 1], got {duty}")
         _check_number(self.kind, "duration", self.duration, minimum=0.0)
         _check_number(self.kind, "start", self.start, minimum=0.0)
-        _check_choice(self.kind, "spoofing", self.spoofing, SPOOFING_NAMES)
+        _check_spoofing(self.kind, self.spoofing, self.spoofing_address)
 
     @property
     def mean_rate_per_attacker(self) -> float:
@@ -462,46 +407,6 @@ class PulsingAttackSpec(AttackSpec):
         """Copy with the burst rate scaled by ``factor`` (duty unchanged)."""
         return dataclasses.replace(
             self, rate_per_attacker=self.rate_per_attacker * factor)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(
-            num_attackers=int(self.num_attackers),
-            rate_per_attacker=float(self.rate_per_attacker),
-            period=float(self.period),
-            duty_cycle=float(self.duty_cycle),
-            duration=float(self.duration),
-            start=float(self.start),
-            spoofing=self.spoofing,
-        )
-        if self.attackers is not None:
-            out["attackers"] = [int(a) for a in self.attackers]
-        if self.spoofing_address is not None:
-            out["spoofing_address"] = int(self.spoofing_address)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PulsingAttackSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("num_attackers", "attackers", "rate_per_attacker",
-                     "period", "duty_cycle", "duration", "start", "spoofing",
-                     "spoofing_address"))
-        attackers = rest.get("attackers")
-        return cls(
-            num_attackers=rest.get("num_attackers", 3),
-            attackers=None if attackers is None else tuple(attackers),
-            rate_per_attacker=rest.get("rate_per_attacker", 120.0),
-            period=rest.get("period", 1.0),
-            duty_cycle=rest.get("duty_cycle", 0.2),
-            duration=rest.get("duration", 5.0),
-            start=rest.get("start", 0.0),
-            spoofing=rest.get("spoofing", "in-cluster"),
-            spoofing_address=rest.get("spoofing_address"),
-        )
-
 
 # ----------------------------------------------------------------------
 class _Reflector:
@@ -653,49 +558,6 @@ class ReflectionAmplificationSpec(AttackSpec):
         return dataclasses.replace(self,
                                    request_rate=self.request_rate * factor)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(
-            num_attackers=int(self.num_attackers),
-            num_reflectors=int(self.num_reflectors),
-            request_rate=float(self.request_rate),
-            amplification=int(self.amplification),
-            duration=float(self.duration),
-            start=float(self.start),
-            request_payload_bytes=int(self.request_payload_bytes),
-            reply_payload_bytes=int(self.reply_payload_bytes),
-        )
-        if self.attackers is not None:
-            out["attackers"] = [int(a) for a in self.attackers]
-        if self.reflectors is not None:
-            out["reflectors"] = [int(r) for r in self.reflectors]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReflectionAmplificationSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("num_attackers", "attackers", "num_reflectors",
-                     "reflectors", "request_rate", "amplification", "duration",
-                     "start", "request_payload_bytes", "reply_payload_bytes"))
-        attackers = rest.get("attackers")
-        reflectors = rest.get("reflectors")
-        return cls(
-            num_attackers=rest.get("num_attackers", 2),
-            attackers=None if attackers is None else tuple(attackers),
-            num_reflectors=rest.get("num_reflectors", 4),
-            reflectors=None if reflectors is None else tuple(reflectors),
-            request_rate=rest.get("request_rate", 20.0),
-            amplification=rest.get("amplification", 4),
-            duration=rest.get("duration", 5.0),
-            start=rest.get("start", 0.0),
-            request_payload_bytes=rest.get("request_payload_bytes", 64),
-            reply_payload_bytes=rest.get("reply_payload_bytes", 512),
-        )
-
-
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class WormAttackSpec(AttackSpec):
@@ -755,43 +617,6 @@ class WormAttackSpec(AttackSpec):
     def scaled(self, factor: float) -> "WormAttackSpec":
         """Copy with the scan rate scaled by ``factor``."""
         return dataclasses.replace(self, scan_rate=self.scan_rate * factor)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(
-            seeds=[int(s) for s in self.seeds],
-            scan_rate=float(self.scan_rate),
-            infection_probability=float(self.infection_probability),
-            incubation=float(self.incubation),
-            recovery_rate=float(self.recovery_rate),
-            horizon=float(self.horizon),
-            payload_bytes=int(self.payload_bytes),
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WormAttackSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("seeds", "scan_rate", "infection_probability",
-                     "incubation", "recovery_rate", "horizon",
-                     "payload_bytes"))
-        try:
-            seeds = tuple(rest["seeds"])
-        except KeyError as missing:
-            raise AttackError(f"{cls.kind} is missing key {missing}") from None
-        return cls(
-            seeds=seeds,
-            scan_rate=rest.get("scan_rate", 2.0),
-            infection_probability=rest.get("infection_probability", 1.0),
-            incubation=rest.get("incubation", 0.0),
-            recovery_rate=rest.get("recovery_rate", 0.0),
-            horizon=rest.get("horizon", 25.0),
-            payload_bytes=rest.get("payload_bytes", 256),
-        )
-
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -854,36 +679,6 @@ class PoissonBackgroundSpec(AttackSpec):
     def scaled(self, factor: float) -> "PoissonBackgroundSpec":
         """Copy with the per-node rate scaled by ``factor``."""
         return dataclasses.replace(self, rate=self.rate * factor)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(
-            pattern=self.pattern,
-            rate=float(self.rate),
-            duration=float(self.duration),
-            start=float(self.start),
-            payload_bytes=int(self.payload_bytes),
-            hotspot_fraction=float(self.hotspot_fraction),
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PoissonBackgroundSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("pattern", "rate", "duration", "start", "payload_bytes",
-                     "hotspot_fraction"))
-        return cls(
-            pattern=rest.get("pattern", "uniform"),
-            rate=rest.get("rate", 2.0),
-            duration=rest.get("duration", 5.0),
-            start=rest.get("start", 0.0),
-            payload_bytes=rest.get("payload_bytes", 64),
-            hotspot_fraction=rest.get("hotspot_fraction", 0.2),
-        )
-
 
 # ----------------------------------------------------------------------
 class _SessionServer:
@@ -998,39 +793,6 @@ class RequestReplySessionSpec(AttackSpec):
         return dataclasses.replace(self,
                                    session_rate=self.session_rate * factor)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(
-            session_rate=float(self.session_rate),
-            requests_per_session=int(self.requests_per_session),
-            think_time=float(self.think_time),
-            duration=float(self.duration),
-            start=float(self.start),
-            request_payload_bytes=int(self.request_payload_bytes),
-            reply_payload_bytes=int(self.reply_payload_bytes),
-        )
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RequestReplySessionSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("session_rate", "requests_per_session", "think_time",
-                     "duration", "start", "request_payload_bytes",
-                     "reply_payload_bytes"))
-        return cls(
-            session_rate=rest.get("session_rate", 0.5),
-            requests_per_session=rest.get("requests_per_session", 4),
-            think_time=rest.get("think_time", 0.05),
-            duration=rest.get("duration", 5.0),
-            start=rest.get("start", 0.0),
-            request_payload_bytes=rest.get("request_payload_bytes", 64),
-            reply_payload_bytes=rest.get("reply_payload_bytes", 256),
-        )
-
-
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class VolumetricMixSpec(AttackSpec):
@@ -1062,8 +824,10 @@ class VolumetricMixSpec(AttackSpec):
             if isinstance(spec, VolumetricMixSpec):
                 raise AttackError(f"{self.kind} components cannot nest mixes")
         if self.weights is not None:
-            if not isinstance(self.weights, tuple):
-                object.__setattr__(self, "weights", tuple(self.weights))
+            if not isinstance(self.weights, (list, tuple)):
+                raise AttackError(
+                    f"{self.kind}.weights must be a list of numbers, "
+                    f"got {self.weights!r}")
             if len(self.weights) != len(self.components):
                 raise AttackError(
                     f"{self.kind} has {len(self.components)} components but "
@@ -1103,47 +867,22 @@ class VolumetricMixSpec(AttackSpec):
         weights = tuple(w * factor for w in self.effective_weights())
         return dataclasses.replace(self, weights=weights)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out["components"] = [spec.to_dict() for spec in self.components]
-        if self.weights is not None:
-            out["weights"] = [float(w) for w in self.weights]
-        return out
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "VolumetricMixSpec":
         """Validate and rebuild a mix; components dispatch through ATTACKS."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest, ("components", "weights"))
-        entries = rest.get("components")
-        if not isinstance(entries, (list, tuple)) or not entries:
-            raise AttackError(
-                f"{cls.kind}.components must be a non-empty list, got {entries!r}")
-        components = tuple(_spec_from_dict(entry) for entry in entries)
-        weights = rest.get("weights")
-        return cls(components=components,
-                   weights=None if weights is None else tuple(weights))
+        if isinstance(data, Mapping) and "components" in data:
+            entries = data["components"]
+            if not isinstance(entries, (list, tuple)) or not entries:
+                raise AttackError(
+                    f"{cls.kind}.components must be a non-empty list, "
+                    f"got {entries!r}")
+            data = {**data, "components": tuple(
+                spec_from_entry(entry, registry.ATTACKS, AttackError)
+                for entry in entries)}
+        return super().from_dict(data)
 
 
 # ----------------------------------------------------------------------
-def _spec_from_dict(entry: Any) -> AttackSpec:
-    """Deserialize one spec dict, dispatching its kind through ATTACKS."""
-    if not isinstance(entry, Mapping) or "kind" not in entry:
-        raise AttackError(f"each attack entry needs a 'kind' key, got {entry!r}")
-    kind = entry["kind"]
-    if kind not in registry.ATTACKS:
-        from repro.errors import UnknownNameError
-
-        raise UnknownNameError("attack", kind, sorted(registry.ATTACKS.names()))
-    spec = registry.ATTACKS.create(kind, entry)
-    if not isinstance(spec, AttackSpec):
-        raise AttackError(
-            f"attack factory for {kind!r} returned {type(spec).__name__}, "
-            "not an AttackSpec")
-    return spec
-
-
 @dataclass(frozen=True)
 class AttackCampaign:
     """An ordered, immutable collection of attack specs — one experiment's traffic.
@@ -1185,14 +924,5 @@ class AttackCampaign:
         unknown kind raises :class:`repro.errors.UnknownNameError` carrying
         the sorted list of registered attack names.
         """
-        if not isinstance(data, Mapping):
-            raise AttackError(
-                f"AttackCampaign must be a mapping, got {type(data).__name__}")
-        unknown = set(data) - {"specs"}
-        if unknown:
-            raise AttackError(f"AttackCampaign has unknown keys {sorted(unknown)}")
-        entries = data.get("specs")
-        if not isinstance(entries, (list, tuple)):
-            raise AttackError(
-                f"AttackCampaign.specs must be a list, got {entries!r}")
-        return cls(specs=tuple(_spec_from_dict(entry) for entry in entries))
+        return cls(specs=parse_campaign("AttackCampaign", data,
+                                        registry.ATTACKS, AttackError))

@@ -5,8 +5,9 @@ small frozen dataclass that says *what* goes wrong and *when*. Campaigns
 follow the same contracts as :mod:`repro.core.config` — registry dispatch
 (every spec kind is registered in :data:`repro.registry.FAULTS`, so custom
 fault types plug in without touching this module) and canonical
-``to_dict()``/``from_dict()`` round-tripping with validation errors raised
-as :class:`repro.errors.FaultError` — which makes a campaign cacheable,
+``to_dict()``/``from_dict()`` round-tripping, inherited from
+:class:`repro.util.kindspec.KindSpec`, with validation errors raised as
+:class:`repro.errors.FaultError` — which makes a campaign cacheable,
 sweepable, and serializable into results exactly like the rest of an
 :class:`repro.core.config.ExperimentConfig`.
 
@@ -38,10 +39,12 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, TYPE_CHECKING
+from typing import (TYPE_CHECKING, Any, ClassVar, Dict, Mapping, Optional,
+                    Tuple, Type)
 
 from repro import registry
 from repro.errors import FaultError
+from repro.util.kindspec import KindSpec, parse_campaign
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -90,48 +93,23 @@ def _check_probability(kind: str, name: str, value: Any) -> float:
     return float(value)
 
 
-class FaultSpec(ABC):
+class FaultSpec(KindSpec, ABC):
     """One declarative fault; concrete kinds are frozen dataclasses.
 
     Subclasses set the class attribute :attr:`kind` (their registry name),
     implement :meth:`arm` to translate themselves into injector events and
-    hooks, and provide ``to_dict``/``from_dict`` whose dict form carries a
-    ``"kind"`` key so :class:`FaultCampaign` can dispatch deserialization
-    through :data:`repro.registry.FAULTS`.
+    hooks, and validate their fields in ``__post_init__``. The
+    ``to_dict``/``from_dict`` pair, whose dict form carries the ``"kind"``
+    key :class:`FaultCampaign` dispatches on through
+    :data:`repro.registry.FAULTS`, is inherited from
+    :class:`~repro.util.kindspec.KindSpec`.
     """
 
-    #: registry name of this spec kind (e.g. ``"link-flap"``).
-    kind: ClassVar[str] = ""
+    error: ClassVar[Type[Exception]] = FaultError
 
     @abstractmethod
     def arm(self, injector: "FaultInjector") -> None:
         """Schedule this fault's events / install its hooks on ``injector``."""
-
-    @abstractmethod
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form including the ``"kind"`` discriminator."""
-
-    def _base_dict(self) -> Dict[str, Any]:
-        """Shared ``to_dict`` prefix: the kind discriminator."""
-        return {"kind": self.kind}
-
-
-def _pop_kind(cls: type, data: Mapping[str, Any]) -> Dict[str, Any]:
-    """Strip and verify the ``"kind"`` discriminator of a spec dict."""
-    if not isinstance(data, Mapping):
-        raise FaultError(f"{cls.__name__} must be a mapping, got {type(data).__name__}")
-    rest = dict(data)
-    kind = rest.pop("kind", cls.kind)
-    if kind != cls.kind:
-        raise FaultError(f"{cls.__name__} cannot parse kind {kind!r}")
-    return rest
-
-
-def _no_unknown(kind: str, data: Mapping[str, Any], known: Tuple[str, ...]) -> None:
-    """Reject unknown keys in a spec dict."""
-    unknown = set(data) - set(known)
-    if unknown:
-        raise FaultError(f"{kind} has unknown keys {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -165,26 +143,6 @@ class LinkFlapSpec(FaultSpec):
             injector.schedule(self.restore_at, injector.restore_link,
                               self.u, self.v)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(u=int(self.u), v=int(self.v), fail_at=float(self.fail_at))
-        if self.restore_at is not None:
-            out["restore_at"] = float(self.restore_at)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LinkFlapSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest, ("u", "v", "fail_at", "restore_at"))
-        try:
-            return cls(u=rest["u"], v=rest["v"], fail_at=rest["fail_at"],
-                       restore_at=rest.get("restore_at"))
-        except KeyError as missing:
-            raise FaultError(f"{cls.kind} is missing key {missing}") from None
-
-
 @dataclass(frozen=True)
 class SwitchCrashSpec(FaultSpec):
     """Crash switch ``node`` at ``crash_at``; optionally restart later.
@@ -216,26 +174,6 @@ class SwitchCrashSpec(FaultSpec):
         if self.restart_at is not None:
             injector.schedule(self.restart_at, injector.restart_switch, self.node)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(node=int(self.node), crash_at=float(self.crash_at))
-        if self.restart_at is not None:
-            out["restart_at"] = float(self.restart_at)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SwitchCrashSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest, ("node", "crash_at", "restart_at"))
-        try:
-            return cls(node=rest["node"], crash_at=rest["crash_at"],
-                       restart_at=rest.get("restart_at"))
-        except KeyError as missing:
-            raise FaultError(f"{cls.kind} is missing key {missing}") from None
-
-
 @dataclass(frozen=True)
 class NicStallSpec(FaultSpec):
     """Node ``node``'s NIC drops every injection in ``[start_at, end_at)``."""
@@ -258,25 +196,6 @@ class NicStallSpec(FaultSpec):
         """Register the stall window with the injector's injection gate."""
         injector.require_node(self.node)
         injector.add_nic_stall(self.node, self.start_at, self.end_at)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(node=int(self.node), start_at=float(self.start_at),
-                   end_at=float(self.end_at))
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NicStallSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest, ("node", "start_at", "end_at"))
-        try:
-            return cls(node=rest["node"], start_at=rest["start_at"],
-                       end_at=rest["end_at"])
-        except KeyError as missing:
-            raise FaultError(f"{cls.kind} is missing key {missing}") from None
-
 
 @dataclass(frozen=True)
 class PacketFaultSpec(FaultSpec):
@@ -324,31 +243,6 @@ class PacketFaultSpec(FaultSpec):
         if self.node is not None:
             injector.require_node(self.node)
         injector.add_packet_fault(self)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(mode=self.mode, probability=float(self.probability),
-                   start_at=float(self.start_at))
-        if self.end_at is not None:
-            out["end_at"] = float(self.end_at)
-        if self.node is not None:
-            out["node"] = int(self.node)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PacketFaultSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("mode", "probability", "start_at", "end_at", "node"))
-        try:
-            return cls(mode=rest["mode"], probability=rest["probability"],
-                       start_at=rest.get("start_at", 0.0),
-                       end_at=rest.get("end_at"), node=rest.get("node"))
-        except KeyError as missing:
-            raise FaultError(f"{cls.kind} is missing key {missing}") from None
-
 
 @dataclass(frozen=True)
 class RandomLinkFlapSpec(FaultSpec):
@@ -403,32 +297,6 @@ class RandomLinkFlapSpec(FaultSpec):
                 downtime = float(rng.exponential(self.mean_downtime))
                 injector.schedule(fail_at + downtime, injector.restore_link, u, v)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form; inverse of :meth:`from_dict`."""
-        out = self._base_dict()
-        out.update(probability=float(self.probability),
-                   start_at=float(self.start_at))
-        if self.mean_downtime is not None:
-            out["mean_downtime"] = float(self.mean_downtime)
-        if self.end_at is not None:
-            out["end_at"] = float(self.end_at)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RandomLinkFlapSpec":
-        """Validate and rebuild a spec from :meth:`to_dict` output."""
-        rest = _pop_kind(cls, data)
-        _no_unknown(cls.kind, rest,
-                    ("probability", "mean_downtime", "start_at", "end_at"))
-        try:
-            return cls(probability=rest["probability"],
-                       mean_downtime=rest.get("mean_downtime"),
-                       start_at=rest.get("start_at", 0.0),
-                       end_at=rest.get("end_at"))
-        except KeyError as missing:
-            raise FaultError(f"{cls.kind} is missing key {missing}") from None
-
-
 @dataclass(frozen=True)
 class FaultCampaign:
     """An ordered, immutable collection of fault specs — one experiment's faults.
@@ -466,23 +334,5 @@ class FaultCampaign:
         Spec kinds resolve through :data:`repro.registry.FAULTS`, so any
         registered custom fault type deserializes transparently.
         """
-        if not isinstance(data, Mapping):
-            raise FaultError(
-                f"FaultCampaign must be a mapping, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"specs"}
-        if unknown:
-            raise FaultError(f"FaultCampaign has unknown keys {sorted(unknown)}")
-        entries = data.get("specs")
-        if not isinstance(entries, (list, tuple)):
-            raise FaultError(
-                f"FaultCampaign.specs must be a list, got {entries!r}"
-            )
-        specs = []
-        for entry in entries:
-            if not isinstance(entry, Mapping) or "kind" not in entry:
-                raise FaultError(
-                    f"each campaign entry needs a 'kind' key, got {entry!r}"
-                )
-            specs.append(registry.FAULTS.create(entry["kind"], entry))
-        return cls(specs=tuple(specs))
+        return cls(specs=parse_campaign("FaultCampaign", data,
+                                        registry.FAULTS, FaultError))

@@ -16,7 +16,8 @@ ride in a cached config). R1 makes both omissions a lint failure:
 * every concrete ``FaultSpec`` or ``AttackSpec`` subclass, and the config
   spec classes
   (``TopologySpec``/``RoutingSpec``/``SelectionSpec``/``MarkingSpec``),
-  must define (or inherit) the ``to_dict``/``from_dict`` pair;
+  must define (or inherit) the ``to_dict``/``from_dict`` pair — attack
+  and fault kinds inherit it from :class:`repro.util.kindspec.KindSpec`;
 * modules that deal in registries must not ``raise KeyError`` on failed
   name lookups — that is what the structured
   :class:`repro.errors.UnknownNameError` (with its ``choices`` attribute)
@@ -304,8 +305,10 @@ class RegistryCompleteness(ProgramRule):
                         message=(f"spec class {name!r} lacks "
                                  f"{'/'.join(missing)} (cache keys rely on "
                                  "the canonical serialization pair)"),
-                        hint="implement to_dict() and from_dict() mirroring "
-                             "the other specs",
+                        hint="derive attack and fault kinds from their "
+                             "base so they inherit the dict form of "
+                             "repro.util.kindspec.KindSpec; config specs "
+                             "implement to_dict() and from_dict()",
                     )
 
     @staticmethod

@@ -27,6 +27,7 @@ from repro.attack.scenario import (
     VolumetricMixSpec,
     WormAttackSpec,
 )
+from repro.attack.spoofing import FixedSpoofing
 from repro.core.config import (
     ExperimentConfig,
     MarkingSpec,
@@ -87,6 +88,12 @@ class TestRegistry:
         assert isinstance(rebuilt, AttackSpec)
         assert rebuilt.to_dict() == data
         assert rebuilt == spec
+        # the shared dict-form error paths hold for every kind
+        with pytest.raises(AttackError, match="unknown keys"):
+            type(spec).from_dict({**data, "warp_factor": 9})
+        other = "flood" if kind != "flood" else "worm"
+        with pytest.raises(AttackError, match="cannot parse kind"):
+            type(spec).from_dict({**data, "kind": other})
 
     def test_unknown_kind_raises_structured_error(self):
         with pytest.raises(UnknownNameError) as err:
@@ -107,6 +114,36 @@ class TestValidation:
     def test_unknown_spoofing_rejected(self):
         with pytest.raises(AttackError, match="spoofing"):
             FloodAttackSpec(spoofing="carrier-pigeon")
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "worm", "seeds": 5},
+        {"kind": "flood", "attackers": 5},
+        {"kind": "reflection", "reflectors": 5},
+        {"kind": "mix", "components": [{"kind": "flood"}], "weights": 5},
+    ], ids=lambda entry: entry["kind"])
+    def test_malformed_field_raises_attack_error(self, entry):
+        # a non-list where a list belongs is reported by field, never as a
+        # raw TypeError from deserialization
+        field_name = next(k for k in entry if k not in ("kind", "components"))
+        data = ExperimentConfig(
+            topology=TopologySpec("torus", (4, 4)),
+            routing=RoutingSpec("fully-adaptive"),
+            marking=MarkingSpec("ddpm")).to_dict()
+        data["attacks"] = {"specs": [entry]}
+        with pytest.raises(AttackError, match=f"{field_name} must be"):
+            ExperimentConfig.from_dict(data)
+
+    def test_fixed_spoofing_needs_address_when_built(self):
+        with pytest.raises(AttackError, match="spoofing_address"):
+            FloodAttackSpec.from_dict({"kind": "flood", "spoofing": "fixed"})
+        with pytest.raises(AttackError, match="spoofing_address"):
+            PulsingAttackSpec(spoofing="fixed")
+        assert FloodAttackSpec(spoofing="fixed",
+                               spoofing_address=3).spoofing_address == 3
+        # a live strategy stands in for the named one and its address
+        live = FloodAttackSpec(spoofing="fixed",
+                               spoofing_strategy=FixedSpoofing(3))
+        assert live.spoofing_address is None
 
     def test_unknown_key_rejected(self):
         with pytest.raises(AttackError, match="unknown keys"):

@@ -35,6 +35,15 @@ ALL_SPECS = (
     RandomLinkFlapSpec(probability=0.3, start_at=0.5, end_at=2.0),
 )
 
+#: the keys each fault kind's dict form cannot omit.
+REQUIRED_KEYS = {
+    "link-flap": ("u", "v", "fail_at"),
+    "switch-crash": ("node", "crash_at"),
+    "nic-stall": ("node", "start_at", "end_at"),
+    "packet": ("mode", "probability"),
+    "random-link-flap": ("probability",),
+}
+
 
 class TestSpecValidation:
     def test_link_flap_rejects_self_link(self):
@@ -81,6 +90,16 @@ class TestRoundTrips:
         assert data["kind"] == spec.kind
         rebuilt = type(spec).from_dict(data)
         assert rebuilt == spec
+        # the shared dict-form error paths hold for every kind
+        with pytest.raises(FaultError, match="unknown keys"):
+            type(spec).from_dict({**data, "severity": "high"})
+        other = "nic-stall" if spec.kind != "nic-stall" else "link-flap"
+        with pytest.raises(FaultError, match="cannot parse kind"):
+            type(spec).from_dict({**data, "kind": other})
+        for key in REQUIRED_KEYS[spec.kind]:
+            partial = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(FaultError, match=f"is missing key '{key}'"):
+                type(spec).from_dict(partial)
 
     def test_campaign_roundtrip_via_registry(self):
         campaign = FaultCampaign(ALL_SPECS)
@@ -110,6 +129,10 @@ class TestRoundTrips:
 
 
 class TestRegistry:
+    def test_every_kind_has_a_spec(self):
+        assert {spec.kind for spec in ALL_SPECS} == set(registry.FAULTS.names())
+        assert set(REQUIRED_KEYS) == set(registry.FAULTS.names())
+
     def test_all_builtin_kinds_registered(self):
         for kind in ("link-flap", "switch-crash", "nic-stall", "packet",
                      "random-link-flap"):
