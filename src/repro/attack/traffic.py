@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.engine.contract import refuse
 from repro.errors import ConfigurationError
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet
@@ -227,12 +228,8 @@ def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
     check_in_range(rate, "rate", 1e-12, float("inf"))
     check_in_range(duration, "duration", 0.0, float("inf"))
     log = getattr(fabric, "log", None)
-    if log is None or not hasattr(log, "extend"):
-        raise ConfigurationError(
-            "schedule_background_bulk writes columnar injection rows and "
-            "requires a batched fabric (engine='batched'); use "
-            "schedule_background with the exact engine"
-        )
+    if log is None:
+        refuse(fabric.engine_name, "bulk-injection", "schedule_background_bulk")
     from repro.network.ip import IPHeader
     from repro.network.packet import allocate_packet_ids
 

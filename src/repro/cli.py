@@ -37,6 +37,7 @@ from repro.core.config import (
 )
 from repro.core.experiment import run_identification_experiment
 from repro.core.replication import summarize_metric
+from repro.engine.contract import ENGINES, refused_features
 from repro.util.tables import TextTable
 
 __all__ = ["main", "build_parser"]
@@ -116,15 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="time every simulation event and print the top-10 "
                           "labels/callsites by cumulative wall-clock time "
                           "(incompatible with --seeds/--cache-dir)")
-    exp.add_argument("--engine", choices=("exact", "batched", "sharded"),
-                     default="exact",
-                     help="fabric engine: 'exact' (per-packet discrete "
-                          "events, the golden reference), 'batched' "
-                          "(vectorized cohort rounds for large topologies; "
-                          "statistically equivalent, see DESIGN.md §12), or "
-                          "'sharded' (the batched engine partitioned across "
-                          "worker processes; identical results, DESIGN.md "
-                          "§14)")
+    exp.add_argument("--engine", choices=ENGINES, default="exact",
+                     help="fabric engine; exact is the golden reference. What each "
+                          "refuses, wholly or in part (engine matrix: DESIGN.md §12): "
+                          + "; ".join(f"{engine}: {', '.join(refused_features(engine))}"
+                                      for engine in ENGINES))
     exp.add_argument("--shards", type=int, default=None, metavar="K",
                      help="shard count for --engine sharded (default: the "
                           "engine's built-in default)")

@@ -23,6 +23,7 @@ from repro.attack.spoofing import SpoofingStrategy
 from repro.core.config import ExperimentConfig
 from repro.defense.detection import Detector
 from repro.defense.identification import IdentificationPipeline
+from repro.engine.contract import ENGINES
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.marking.base import MarkingScheme
@@ -33,24 +34,16 @@ from repro.topology.base import Topology
 
 __all__ = ["Cluster"]
 
-#: fabric engines selectable via ExperimentConfig.engine / --engine
-ENGINES = ("exact", "batched", "sharded")
-
 
 def _fabric_class(engine: str):
-    """Resolve an engine name to its fabric class (lazy batched import)."""
+    """Resolve an engine name to its fabric class (lazy cohort import)."""
+    if engine not in ENGINES:
+        raise ConfigurationError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     if engine == "exact":
         return Fabric
-    if engine == "batched":
-        from repro.network.colqueue import BatchedFabric
+    from repro.network import colqueue
 
-        return BatchedFabric
-    if engine == "sharded":
-        from repro.network.colqueue import ShardedFabric
-
-        return ShardedFabric
-    raise ConfigurationError(
-        f"unknown engine {engine!r}; expected one of {ENGINES}")
+    return colqueue.ShardedFabric if engine == "sharded" else colqueue.BatchedFabric
 
 
 class Cluster:

@@ -31,6 +31,7 @@ if TYPE_CHECKING:
 
 from repro import registry
 from repro.attack.scenario import AttackCampaign
+from repro.engine.contract import ENGINES
 from repro.errors import ConfigurationError, UnknownNameError
 from repro.faults.campaign import FaultCampaign
 from repro.marking.base import MarkingScheme
@@ -318,10 +319,8 @@ class ExperimentConfig:
             kwargs["attacks"] = AttackCampaign.from_dict(attacks)
         engine = data.get("engine")
         if engine is not None:
-            if engine not in ("exact", "batched", "sharded"):
-                raise ConfigurationError(
-                    f"engine must be 'exact', 'batched', or 'sharded', "
-                    f"got {engine!r}")
+            if engine not in ENGINES:
+                raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
             kwargs["engine"] = engine
         shards = data.get("shards")
         if shards is not None:

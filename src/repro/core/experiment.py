@@ -21,7 +21,7 @@ from repro.core.cluster import Cluster
 from repro.core.config import ExperimentConfig
 from repro.core.results import ExperimentResult
 from repro.defense.metrics import score_identification
-from repro.errors import ConfigurationError
+from repro.engine.contract import refused_features
 from repro.faults.injector import FaultInjector
 from repro.marking.dpm import DpmScheme, build_signature_table
 from repro.routing.dor import DimensionOrderRouter
@@ -69,18 +69,10 @@ def run_identification_experiment(
     """
     cluster = Cluster.from_config(config, profile=profile, watchdog=watchdog)
     victim = config.victim if config.victim is not None else cluster.default_victim()
-    # Sharded is the batched engine partitioned across workers: identical
-    # columnar capture/sink surface, identical restrictions.
-    batched = cluster.engine in ("batched", "sharded")
-
+    # A fault campaign on an engine that cannot run it is refused at the
+    # run, through the engine contract (repro.engine.contract).
     injector: Optional[FaultInjector] = None
     if config.faults is not None:
-        if batched:
-            raise ConfigurationError(
-                "fault campaigns schedule discrete events and require "
-                "engine='exact'; the batched engine only supports static "
-                "link failures applied before the run"
-            )
         injector = FaultInjector(config.faults, cluster.fabric,
                                  horizon=config.duration)
         injector.arm()
@@ -105,10 +97,11 @@ def run_identification_experiment(
 
     # The paper assumes detection exists (§6.1): feed exactly the attack
     # packets to the analysis, so the score isolates identification quality.
-    if batched:
-        # Columnar twin of the per-packet handler below: ids are frozen at
-        # schedule time, so one np.isin per flushed batch reproduces the
-        # per-packet ground-truth gate without packet objects.
+    if "per-packet-observers" in refused_features(cluster.engine):
+        # An engine without per-packet observers feeds the victim through
+        # its columnar delivery sink: ids are frozen at schedule time, so
+        # one np.isin per flushed batch reproduces the per-packet
+        # ground-truth gate without packet objects.
         attack_ids = np.fromiter(truth.attack_packet_ids, dtype=np.int64,
                                  count=len(truth.attack_packet_ids))
         attack_ids.sort()

@@ -32,8 +32,7 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
 6. **advance** — admitted rows, in rank order, decrement TTL, pass
    through the scheme's own columnar hop (``MarkingScheme.on_hop_array``,
    drawing from the ``"batched-marking"`` stream), step to the next node,
-   and form the next round's moving set. A scheme whose scalar and
-   columnar forms come from different classes is refused at construction.
+   and form the next round's moving set.
 
 Determinism contract (DESIGN.md §12): same seed, same config => identical
 results, independent of host or run count. Equivalence contract: identical
@@ -42,7 +41,9 @@ per-packet schedule cannot influence outcomes (deterministic routing +
 deterministic marking, and DDPM under *any* routing — its telescoping
 offsets make the delivered word a pure function of source and destination);
 statistically equivalent elsewhere (probabilistic marking, adaptive
-tie-breaks, latency timing).
+tie-breaks, latency timing). What it refuses, and which engine to use
+instead, is :mod:`repro.engine.contract`'s table; ``admit`` checks a
+fabric against it before this engine is built.
 
 Per-row Python work is banned here by lint rule H3
 (``no-per-packet-python-in-batched-path``); the loops below are per-round,
@@ -55,42 +56,16 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.engine.contract import refuse, selection_mode
+from repro.errors import SimulationError
 from repro.network.flowcontrol import VirtualCutThrough
 from repro.network.ip import IPHeader
 from repro.routing.plan import route_table
-from repro.routing.selection import (FirstCandidatePolicy,
-                                     LeastCongestedPolicy, RandomPolicy)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.colqueue import BatchedFabric
 
 __all__ = ["CohortEngine"]
-
-
-def _check_columnar_marking(scheme) -> None:
-    """Refuse a marking scheme whose cohort hop would not be its own.
-
-    The scalar and columnar forms of each switch-side method must come
-    from one class. A subclass that overrides only ``on_hop`` or
-    ``on_inject`` (``ddpm-auth``'s MAC trail, ``hddpm``'s hierarchy tags)
-    would otherwise run its parent's array form and silently lose its own
-    marking. ``None`` (no scheme) leaves the MF words at zero.
-    """
-    if scheme is None:
-        return
-    mro = type(scheme).__mro__
-    for scalar, array in (("on_inject", "inject_array"),
-                          ("on_hop", "on_hop_array")):
-        owner = next(cls for cls in mro if scalar in vars(cls))
-        twin = next((cls for cls in mro if array in vars(cls)), None)
-        if twin is not owner:
-            where = "nowhere" if twin is None else f"in {twin.__name__}"
-            raise ConfigurationError(
-                f"marking scheme {scheme.name!r} defines {scalar} in "
-                f"{owner.__name__} but {array} {where}; the batched engines "
-                "need both forms from one class; use engine='exact'"
-            )
 
 
 # ----------------------------------------------------------------------
@@ -110,27 +85,14 @@ class CohortEngine:
     injections to completion, one cohort-hop round per iteration."""
 
     def __init__(self, fabric: "BatchedFabric"):
-        _check_columnar_marking(fabric.marking)
+        # The fabric passed repro.engine.contract.admit: its router has a
+        # route table and its selection policy a vectorized twin.
         self.fabric = fabric
         self.sim = fabric.sim
         topology = fabric.topology
         self.n = topology.num_nodes
         cfg = fabric.config
-        router = fabric.router
-        routes = route_table(router, topology)
-        if routes is None:
-            # Valiant detours, odd-even's turn history and misrouting around
-            # faults depend on per-packet route state the cohorts do not carry.
-            raise ConfigurationError(
-                f"router {router.name!r} is not supported by the batched "
-                "engine"
-                + (" on a fabric with failed links (misrouting needs "
-                   "per-packet state); minimal-adaptive handles static "
-                   "faults" if topology.links.failed_links else
-                   " (per-packet route state has no columnar twin)")
-                + "; use engine='exact'"
-            )
-        self.routes = routes
+        self.routes = routes = route_table(fabric.router, topology)
         self.marking = fabric.marking
         self.rng = self.sim.rng.stream("batched-cohort")
         # Marking draws (PPM coins and fragment offsets) get their own
@@ -144,18 +106,7 @@ class CohortEngine:
         # multi-process execution).
         self._stats = fabric
 
-        selection = fabric.selection
-        if isinstance(selection, LeastCongestedPolicy):
-            self.mode = "congestion"
-        elif isinstance(selection, RandomPolicy):
-            self.mode = "random"
-        elif isinstance(selection, FirstCandidatePolicy):
-            self.mode = "first"
-        else:
-            raise ConfigurationError(
-                f"selection policy {type(selection).__name__} has no "
-                "vectorized twin; use engine='exact'"
-            )
+        self.mode = selection_mode(fabric.selection)
 
         bandwidth = cfg.link_bandwidth
         self._vct = isinstance(fabric.service, VirtualCutThrough)
@@ -245,11 +196,8 @@ class CohortEngine:
         the argument breaks — refused below.
         """
         if until is not None and not self._vct:
-            raise ConfigurationError(
-                "run_until needs the virtual-cut-through service model (the "
-                "partial-horizon cut relies on its fixed per-row lag); "
-                "store-and-forward runs require engine='exact'"
-            )
+            refuse(self.fabric.engine_name, "run-until",
+                   "run_until under store-and-forward")
         sim = self.sim
         watchdog = sim.watchdog
         if watchdog is not None:
@@ -298,17 +246,12 @@ class CohortEngine:
                 and len(log) == self._pending["times"].size:
             return
         pending = log.columns()
-        if self._pending is not None and self._next:
-            old_ids = self._pending["ids"][:self._next]
-            if pending["ids"].size < self._next \
-                    or not np.array_equal(pending["ids"][:self._next],
-                                          old_ids):
-                raise ConfigurationError(
-                    "injections were captured at or before times the batched "
-                    "engine already advanced past; schedule follow-up "
-                    "traffic beyond the current frontier or use "
-                    "engine='exact'"
-                )
+        # A shorter capture fails the comparison too: the prefixes differ
+        # in length.
+        if self._pending is not None and not np.array_equal(
+                pending["ids"][:self._next], self._pending["ids"][:self._next]):
+            refuse(self.fabric.engine_name, "capture-after-run",
+                   "injections captured at or before its frontier")
         self._install(pending,
                       np.arange(pending["times"].size, dtype=np.int64))
 

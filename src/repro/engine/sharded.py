@@ -49,8 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.batched import (_STORE_COLUMNS, CohortEngine,
-                                  _check_columnar_marking)
+from repro.engine.batched import _STORE_COLUMNS, CohortEngine
 from repro.engine.stats import WelfordAccumulator
 from repro.engine.watchdog import WatchdogReport
 from repro.errors import (ConfigurationError, SimulationError,
@@ -219,8 +218,6 @@ def _rebuild_error(shard: int,
     name, message, report = payload
     if name == "WatchdogTimeout" and report is not None:
         return WatchdogTimeout(WatchdogReport(**report))
-    if name == "ConfigurationError":
-        return ConfigurationError(message)
     return SimulationError(f"shard {shard} worker failed: {name}: {message}")
 
 
@@ -366,7 +363,6 @@ class ShardedEngine:
     """Partition, spawn, window-synchronize, and deterministically merge."""
 
     def __init__(self, fabric):
-        _check_columnar_marking(fabric.marking)
         self.fabric = fabric
         self.sim = fabric.sim
         self.shards = int(fabric.shards)

@@ -13,6 +13,7 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "UnknownNameError",
+    "EngineUnsupported",
     "TopologyError",
     "RoutingError",
     "UnroutablePacketError",
@@ -66,6 +67,31 @@ class UnknownNameError(ConfigurationError):
         self.choices = tuple(choices)
         known = ", ".join(self.choices) if self.choices else "none registered"
         super().__init__(f"unknown {kind} {name!r} (known: {known})")
+
+
+class EngineUnsupported(ConfigurationError):
+    """A fabric engine refuses a feature it would otherwise run wrongly.
+
+    Raised through the engine contract table
+    (:mod:`repro.engine.contract`), so callers can switch engines without
+    parsing the message:
+
+    Attributes
+    ----------
+    engine:
+        The engine that refused, one of ``repro.engine.contract.ENGINES``.
+    feature:
+        The contract row it refused (e.g. ``"stateful-router"``).
+    fallback:
+        The engine that runs the feature.
+    """
+
+    def __init__(self, engine: str, feature: str, fallback: str, message: str):
+        super().__init__(engine, feature, fallback, message)
+        self.engine, self.feature, self.fallback = engine, feature, fallback
+
+    def __str__(self) -> str:
+        return str(self.args[3])
 
 
 class TopologyError(ReproError, ValueError):

@@ -27,10 +27,10 @@ This module holds the network-side half:
   once; traffic captured after that is refused.
 
 Equivalence contract: the exact per-packet mode remains the golden-pinned
-reference. DESIGN.md §12 spells out when the batched mode is bit-equal
-(deterministic routing + deterministic marking) and when it is only
-statistically equivalent (probabilistic marking draws, adaptive tie-breaks,
-congestion timing).
+reference. The table in :mod:`repro.engine.contract` (rendered in
+DESIGN.md §12) says where each cohort engine is bit-equal to it, where only
+statistically equivalent, and what it refuses; every cohort run first
+passes :func:`~repro.engine.contract.admit`.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.engine.contract import admit, refuse
 from repro.errors import ConfigurationError
 from repro.network.fabric import FabricShell
 from repro.network.packet import Packet
@@ -191,37 +192,12 @@ class BatchedFabric(FabricShell):
 
     def _refuse_after_run(self, api: str) -> None:
         if self._engine is not None:
-            raise ConfigurationError(
-                f"{api} after the {self.engine_name} engine has run would be "
-                "ignored: its route tables are fixed at the first run. "
-                "Mid-run link failures require engine='exact'")
+            refuse(self.engine_name, "link-change-after-run",
+                   f"{api} after the first run")
 
     # ------------------------------------------------------------------
     # Runtime control
     # ------------------------------------------------------------------
-    def _check_supported(self) -> None:
-        """Reject hooks and pending events the round loop would never honor.
-
-        The batched loop executes no discrete events, so anything armed
-        through ``sim.schedule_call`` — fault campaigns, dynamic attack
-        specs (worm propagation, reflection replies) — would be silently
-        dead. Refusing loudly keeps the equivalence contract honest.
-        """
-        if len(self.sim.queue):
-            raise ConfigurationError(
-                f"{len(self.sim.queue)} discrete event(s) are scheduled, but "
-                "the batched engine executes no events. Fault campaigns and "
-                "dynamic attack scenarios require engine='exact'; static "
-                "link failures can be applied via fail_link() before the run"
-            )
-        if self.injection_filter is not None or self.fault_hook is not None \
-                or self._inject_gate is not None:
-            raise ConfigurationError(
-                "per-packet fabric hooks (injection_filter / fault_hook / "
-                "inject gate) are not supported by the batched engine; "
-                "use engine='exact'"
-            )
-
     def run(self) -> float:
         """Advance all captured cohorts to completion; flush sinks at the end."""
         return self._advance(None)
@@ -239,7 +215,7 @@ class BatchedFabric(FabricShell):
         return self._advance(float(time))
 
     def _advance(self, until: Optional[float]) -> float:
-        self._check_supported()
+        admit(self)
         if self._engine is None:
             from repro.engine.batched import CohortEngine
 
@@ -286,7 +262,7 @@ class ShardedFabric(BatchedFabric):
 
     def run(self) -> float:
         """Partition, advance every shard to completion, merge, flush sinks."""
-        self._check_supported()
+        admit(self)
         if self._engine is None:
             from repro.engine.sharded import ShardedEngine
 
@@ -296,20 +272,12 @@ class ShardedFabric(BatchedFabric):
             # before the end, so a failed run can simply be retried.
             self._engine = engine
         elif len(self.log) != self._engine.captured:
-            raise ConfigurationError(
-                "traffic captured after a completed sharded run cannot be "
-                "run: shard workers run the capture once, to completion. "
-                "Follow-up traffic requires engine='batched' (resumable "
-                "runs) or engine='exact'"
-            )
+            refuse(self.engine_name, "capture-after-run",
+                   "traffic captured after a completed run")
         if self._delivery_sinks:
             self.flush_delivery_sinks()
         return self.sim.now
 
     def run_until(self, time: float) -> float:
-        raise ConfigurationError(
-            "run_until is not supported by the sharded engine: shard workers "
-            "run the captured traffic to completion in one synchronized "
-            "pass. Partial-horizon runs require engine='batched' "
-            "(single-process, supports run_until) or engine='exact'"
-        )
+        """Refused: shard workers run the capture to completion."""
+        refuse(self.engine_name, "run-until", "run_until")

@@ -5,8 +5,8 @@ validated router, config, simulator, service, selection, addresses,
 marking scheme), one :class:`Nic` per node, the global statistics, the
 columnar delivery sinks, packet construction and the fault/filter hook
 attributes. It builds no switch or channel, and its per-packet surfaces
-(handlers, transit observers, the congestion view) refuse with one
-``ConfigurationError`` naming ``engine='exact'``. The cohort backends in
+(handlers, transit observers, the congestion view) refuse through the
+engine contract (:mod:`repro.engine.contract`). The cohort backends in
 :mod:`repro.network.colqueue` subclass it directly.
 
 :class:`Fabric`, the exact backend, adds one :class:`Switch` per node and
@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.engine.contract import refuse
 from repro.engine.simulator import Simulator
 from repro.engine.stats import Counter, Histogram, WelfordAccumulator
 from repro.errors import ConfigurationError
@@ -46,12 +47,6 @@ from repro.routing.selection import FirstCandidatePolicy, SelectionPolicy
 from repro.topology.base import Topology
 
 __all__ = ["Fabric", "FabricConfig", "FabricShell"]
-
-_PER_PACKET_MSG = (
-    "per-packet {api} is not available on the batched and sharded engines: "
-    "cohorts carry no packet objects. Attach a columnar delivery sink "
-    "(attach_delivery_sink) or run with engine='exact'"
-)
 
 
 @dataclass
@@ -104,9 +99,10 @@ class FabricShell:
     """What every engine shares: wiring, NICs, statistics and sinks.
 
     The backends add the packet lifecycle (``inject``, ``run``,
-    ``run_until``, ``fail_link``, ``restore_link``). The shell itself
+    ``run_until``, ``fail_link``, ``restore_link``) and ``engine_name``,
+    their name in :data:`repro.engine.contract.ENGINES`. The shell itself
     carries no packet objects, so its per-packet observation surfaces
-    refuse; :class:`Fabric` overrides them.
+    refuse through the engine contract; :class:`Fabric` overrides them.
     """
 
     #: packet freelist; only the exact backend takes one (cohorts hold no
@@ -263,24 +259,26 @@ class FabricShell:
     def add_delivery_handler(self, node: int,
                              handler: Callable[[DeliveredPacket], None]) -> None:
         """Subscribe to deliveries at ``node`` (exact engine only)."""
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="delivery handlers"))
+        refuse(self.engine_name, "per-packet-observers", "per-packet delivery handlers")
 
     def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
         """Observe every drop (exact engine only)."""
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="drop handlers"))
+        refuse(self.engine_name, "per-packet-observers", "per-packet drop handlers")
 
     def add_transit_observer(self, node: int,
                              observer: Callable[[Packet, int, float], None]) -> None:
         """Observe packets the switch at ``node`` forwards (exact engine only)."""
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="transit observers"))
+        refuse(self.engine_name, "per-packet-observers", "per-packet transit observers")
 
     def congestion(self, u: int, v: int) -> float:
         """Occupancy of directed channel u -> v (exact engine only)."""
-        raise ConfigurationError(_PER_PACKET_MSG.format(api="congestion view"))
+        refuse(self.engine_name, "per-packet-observers", "per-packet congestion view")
 
 
 class Fabric(FabricShell):
     """The exact backend: a running cluster interconnect, packet by packet."""
+
+    engine_name = "exact"
 
     def __init__(self, topology: Topology, router: Router, *,
                  pool: Optional[PacketPool] = None, **shell_kwargs):
@@ -432,7 +430,8 @@ class Fabric(FabricShell):
     def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
         self._drop_handlers.append(handler)
 
-    def add_delivery_handler(self, node: int, handler: Callable[[DeliveredPacket], None]) -> None:
+    def add_delivery_handler(self, node: int,
+                             handler: Callable[[DeliveredPacket], None]) -> None:
         # The definition point of the per-packet API itself — callers in
         # network/ hot paths are what H2 polices, not this delegation.
         self.nics[node].add_delivery_handler(handler)

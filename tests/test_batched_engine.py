@@ -12,10 +12,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.cluster import Cluster, ENGINES
+from repro.core.cluster import Cluster
 from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
 from repro.core.experiment import run_identification_experiment
+from repro.engine.contract import ENGINES
 from repro.errors import ConfigurationError
 from repro.marking import (AuthenticatedDdpmScheme, DdpmScheme, DpmScheme,
                            HierarchicalDdpmScheme)

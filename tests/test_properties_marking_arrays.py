@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.batched import _check_columnar_marking
+from repro.engine.contract import _check_columnar_marking
 from repro.errors import ConfigurationError
 from repro.network.ip import IPHeader
 from repro.network.packet import Packet
