@@ -32,11 +32,13 @@ lint-sarif:
 # batched-engine equivalence pins re-run under REPRO_SANITIZE=1 — the
 # instrumented engine must reproduce every pinned result with zero reports.
 # The batched pins also run sanitized: that is what catches a marking draw
-# on a stream another package owns.
+# on a stream another package owns. All seven exact-engine pins run
+# sanitized too, since the exact engine defers channel completion events.
 sanitize-smoke:
 	$(PYPATH) $(PY) -m pytest tests/test_sanitize.py -x -q
 	$(PYPATH) $(PY) -m pytest -m sanitize -x -q
-	REPRO_SANITIZE=1 $(PYPATH) $(PY) -m pytest tests/test_batched_golden.py -x -q
+	REPRO_SANITIZE=1 $(PYPATH) $(PY) -m pytest tests/test_batched_golden.py \
+		tests/test_golden_equivalence.py -x -q
 	@echo "sanitize-smoke OK: pins hold under REPRO_SANITIZE=1"
 
 # Strict typing gate over the public orchestration surface (repro.core,

@@ -14,6 +14,10 @@ handle is returned (so they can never be cancelled), which lets the queue
 represent them as bare heap tuples with **no Event object at all** — the
 ``event`` element of the heap entry is ``None`` and the callback, args, and
 label ride in the entry itself.
+
+A sequence number drawn from the queue's counter reserves a slot:
+:meth:`EventQueue.push_call` pushes at it later, and the entry pops exactly
+where it would have had it been pushed then (``Simulator.defer``).
 """
 
 from __future__ import annotations
@@ -63,21 +67,6 @@ class Event:
         """Mark this event so the queue discards it instead of firing it."""
         self.cancelled = True
 
-    def fire(self) -> Any:
-        """Invoke the stored callback with its stored arguments."""
-        return self.callback(*self.args)
-
-    def sort_key(self):
-        """Total ordering: (time, priority, insertion sequence)."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         tag = f" {self.label}" if self.label else ""
@@ -120,18 +109,15 @@ class EventQueue:
         self._live += 1
         return event
 
-    def push_call(self, time: float, callback: Callable[..., Any],
+    def push_call(self, time: float, seq: int, callback: Callable[..., Any],
                   args: Tuple = (), label: str = "") -> None:
-        """Zero-allocation scheduling: no handle, no Event, not cancellable.
+        """Push a handle-free entry at ``seq``, drawn earlier from ``_counter``.
 
-        The entry carries the callback/args/label itself; the run loop
-        recognizes the ``None`` in the event slot and invokes the callback
+        No handle, no Event, not cancellable: the entry carries the
+        callback/args/label itself, and the run loop invokes the callback
         straight off the tuple.
         """
-        heapq.heappush(
-            self._heap,
-            (time, 0, next(self._counter), None, callback, args, label),
-        )
+        heapq.heappush(self._heap, (time, 0, seq, None, callback, args, label))
         self._live += 1
 
     def pop(self) -> Event:

@@ -53,6 +53,9 @@ class EventProfiler:
         # so the bucket is a homogeneous list — readers cast on the way out.
         self._buckets: Dict[Tuple[str, str], List[float]] = {}
         self.events_recorded = 0
+        #: the profiled simulator (it sets this); the report prints its
+        #: events_executed and heap_events
+        self.sim: Any = None
         # label -> [flushes, rows, total_seconds] for columnar batch flushes
         # (delivery rings and any future batched sink); kept separate from
         # the per-event buckets because one flush spans many packets.
@@ -239,6 +242,9 @@ class EventProfiler:
             ])
         header = (f"event profile: {self.events_recorded} events, "
                   f"{total:.4f}s inside callbacks")
+        if self.sim is not None:
+            header += (f"; simulator: {self.sim.events_executed} events "
+                       f"executed, {self.sim.heap_events} off the heap")
         body = f"{header}\n{table.render()}"
         if self._flush_buckets:
             flush_table = TextTable(["flush label", "flushes", "rows",

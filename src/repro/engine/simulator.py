@@ -13,6 +13,12 @@ objects, no Event allocation) and no handle is returned. ``run_until``
 inlines the peek/pop/execute cycle over the raw heap — one heap operation
 and zero method calls of queue bookkeeping per event.
 
+An event that usually has nothing to do can skip the heap: ``defer``
+reserves its ``(time, 0, seq)`` slot and ``commit`` pushes it into that
+slot only if it gets work before ``frontier`` (the executing event's key)
+passes it. ``events_executed`` counts it either way and is exact at every
+``run_until`` boundary; ``heap_events`` counts heap pops (DESIGN.md §7).
+
 Profiling is opt-in (``Simulator(profile=EventProfiler())`` or the CLI's
 ``--profile``): when enabled, every executed event is timed and attributed
 to its label/callsite; when disabled the run loop pays a single ``is None``
@@ -24,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.engine.events import Event, EventQueue
 from repro.engine.rng import RngRegistry
@@ -83,8 +89,18 @@ class Simulator:
         else:
             self.rng = RngRegistry(seed)
         self.max_events = max_events
+        #: simulated events, deferred ones included; exact at every run_until
+        #: boundary, while after step() or inside a callback it also counts
+        #: deferred events still ahead of the frontier
         self.events_executed = 0
+        self.heap_events = 0
+        #: the executing event's key or heap entry, (now, inf) between runs
+        #: and () before the first: every key at or before it has run
+        self.frontier: tuple = ()
+        self._deferred: Dict[Any, tuple] = {}  # owner -> its heap entry
         self.profile = profile
+        if profile is not None:
+            profile.sim = self
         self.watchdog = watchdog
         self._running = False
 
@@ -109,7 +125,7 @@ class Simulator:
         """
         if delay < 0 or delay != delay:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Inlined EventQueue.push_call: this is called once per packet-hop
+        # Inlined EventQueue.push_call at a fresh seq: called once per hop
         # event, so even one method call of indirection is measurable.
         queue = self.queue
         heapq.heappush(
@@ -124,6 +140,30 @@ class Simulator:
         if time < self.now or math.isnan(time):
             raise SimulationError(f"cannot schedule at {time} before now={self.now}")
         return self.queue.push(time, callback, priority, label)
+
+    def defer(self, owner: Any, time: float, callback: Callable[[], Any],
+              label: str = "") -> tuple:
+        """Reserve the heap slot of ``callback()`` at ``time``; return its key.
+
+        The key is ``(time, 0, seq)``; compare only keys with :attr:`frontier`.
+        Unless :meth:`commit` pushes it first, the event counts as run, doing
+        nothing, once :attr:`frontier` passes it. One per ``owner`` at a time.
+        """
+        entry = (time, 0, next(self.queue._counter), None, callback, (), label)
+        self._deferred[owner] = entry
+        self.events_executed += 1
+        return entry[:3]
+
+    def commit(self, owner: Any) -> None:
+        """Push ``owner``'s deferred event into its slot, if it is still ahead."""
+        entry = self._deferred.pop(owner, ())
+        if entry[:3] > self.frontier:
+            self.events_executed -= 1
+            self.queue.push_call(entry[0], entry[2], entry[4], (), entry[6])
+
+    def _count(self, heap_events: int) -> None:
+        self.events_executed += heap_events - self.heap_events
+        self.heap_events = heap_events
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -144,7 +184,8 @@ class Simulator:
                 f"event time {event.time} precedes clock {self.now} (queue corrupt)"
             )
         self.now = event.time
-        self.events_executed += 1
+        self.frontier = (event.time, event.priority, event.seq)
+        self._count(self.heap_events + 1)
         profile = self.profile
         if profile is None:
             event.callback(*event.args)
@@ -161,7 +202,7 @@ class Simulator:
 
         The clock is advanced to ``end_time`` if the queue drains first and
         ``end_time`` is finite, so back-to-back ``run_until`` calls observe a
-        continuous timeline.
+        continuous timeline. The ``max_events`` valve counts heap events.
         """
         if self._running:
             raise SimulationError("re-entrant run_until() call")
@@ -175,13 +216,14 @@ class Simulator:
         # inlines EventQueue.peek_time/pop over the raw heap so each event
         # costs one heappop plus the callback, with no per-event method
         # calls. Semantics match step(): lazy deletion of cancelled events,
-        # max_events safety valve, monotonic clock enforcement.
+        # max_events safety valve, monotonic clock enforcement. `executed`
+        # counts heap events; _count() folds it into events_executed.
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop
         max_events = self.max_events
         profile = self.profile
-        executed = self.events_executed
+        executed = self.heap_events
         watchdog = self.watchdog
         if watchdog is not None:
             watchdog.start()
@@ -210,6 +252,7 @@ class Simulator:
                 heappop(heap)
                 queue._live -= 1
                 self.now = time
+                self.frontier = entry
                 executed += 1
                 if event is None:
                     # Fast-path entry: (..., None, callback, args, label).
@@ -222,22 +265,25 @@ class Simulator:
                 else:
                     profile.record_call(event)
                 if wd_next_check is not None and executed >= wd_next_check:
-                    self.events_executed = executed
+                    self._count(executed)
                     watchdog.check_stall(self)
                     wd_next_check = executed + watchdog.check_interval
             if watchdog is not None and not heap:
                 # The event queue drained: anything still parked in network
                 # queues can never move again — the deadlock signature.
-                self.events_executed = executed
+                self._count(executed)
                 watchdog.check_deadlock(self)
             if math.isfinite(end_time) and end_time > self.now:
                 self.now = end_time
+            self.frontier = (self.now, math.inf)
+            for owner in list(self._deferred):
+                self.commit(owner)  # uncounts the ones that have not run
             if sanitizer is not None:
-                self.events_executed = executed
+                self._count(executed)
                 sanitizer.check_heap(heap, self.now)
             return self.now
         finally:
-            self.events_executed = executed
+            self._count(executed)
             self._running = False
 
     def reset(self, seed: Optional[int] = None) -> None:
@@ -245,6 +291,9 @@ class Simulator:
         self.queue.clear()
         self.now = 0.0
         self.events_executed = 0
+        self.heap_events = 0
+        self.frontier = ()
+        self._deferred.clear()
         if seed is None:
             self.rng.reset()
         elif self.sanitizer is not None:

@@ -49,16 +49,15 @@ class DdpmScheme(MarkingScheme):
         # Memo of the pure per-hop MF transform and the inject constant;
         # rebuilt on attach (they are functions of the attached topology).
         self._hop_cache: Dict[int, int] = {}
-        self._delta_cache: Dict[tuple, tuple] = {}
         self._inject_word: Optional[int] = None
-        self._n_nodes = 0
+        self._key_stride = 0
 
     def _on_attach(self, topology: Topology) -> None:
         self.layout = DdpmLayout.for_topology(topology, total_bits=self.total_bits)
         self._hop_cache = {}
-        self._delta_cache = {}
         self._inject_word = self.layout.encode(topology.identity_offset())
-        self._n_nodes = topology.num_nodes
+        # Index deltas lie in (-N, N), so word * 2N + delta is collision-free.
+        self._key_stride = 2 * topology.num_nodes
 
     # -- switch side -------------------------------------------------------
     def on_inject(self, packet: Packet, node: int) -> None:
@@ -69,28 +68,20 @@ class DdpmScheme(MarkingScheme):
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
         """V' := V + (Y - X), the constant-time per-switch operation.
 
-        The transform is a pure function of (MF word, from, to), so each
-        distinct triple is decoded/combined/encoded once and memoized —
-        the steady-state per-hop cost is one dict lookup. The triple is
-        flattened to a single int key (node indices are < num_nodes), which
-        hashes without allocating a tuple per hop.
+        The transform is a pure function of (MF word, hop delta), memoized
+        under one int key per pair: the steady-state cost is a dict hit.
+        The index step ``to_node - from_node`` names the hop delta on every
+        coordinate topology (a signed stride per axis, the wrap link's
+        ``(k-1)`` strides on a torus, ``±2^axis`` on a hypercube), so a
+        16x16 torus memoizes at most 256 words x 8 steps.
         """
         ident = packet.header.identification
-        n = self._n_nodes
-        key = (ident * n + from_node) * n + to_node
+        key = ident * self._key_stride + to_node - from_node
         word = self._hop_cache.get(key)
         if word is None:
             topo = self._require_attached()
-            vector = self.layout.decode(ident)
-            # hop_delta is a pure function of the edge; an N-node k-ary
-            # topology has only O(N * degree) edges, far fewer than the
-            # (word, edge) triples above, so misses there still hit here.
-            edge = (from_node, to_node)
-            delta = self._delta_cache.get(edge)
-            if delta is None:
-                delta = topo.hop_delta(from_node, to_node)
-                self._delta_cache[edge] = delta
-            combined = topo.combine_offsets(vector, delta)
+            combined = topo.combine_offsets(self.layout.decode(ident),
+                                            topo.hop_delta(from_node, to_node))
             try:
                 word = self.layout.encode(combined)
             except FieldOverflowError:

@@ -7,6 +7,11 @@ a packet starts crossing only when a credit is available, and the credit
 returns when the receiver has processed the packet (forwarded or delivered
 it). Queue depth plus consumed credits is the congestion metric adaptive
 selection policies consult.
+
+A send schedules its arrival and a ``chan-serial`` completion that starts
+the next send. The completion is deferred (``Simulator.defer``) and pushed
+into its reserved heap slot only once a packet waits for it, so an
+uncontended send costs one heap event; ``busy`` reads the completion's key.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ class Channel:
 
     __slots__ = (
         "src", "dst", "latency", "bandwidth", "buffer_capacity", "credits",
-        "queue", "busy", "sim", "service", "on_arrival", "packets_carried",
-        "failed", "on_transmit", "on_wire_drop",
-        "_serialization_done_cb", "_arrive_cb", "_hold_by_size",
+        "queue", "sim", "service", "on_arrival", "failed", "on_transmit",
+        "on_wire_drop", "_done", "_try_transmit_cb",
+        "_arrive_cb", "_hold_by_size",
     )
 
     def __init__(self, sim: Simulator, service: ServiceModel, src: int, dst: int, *,
@@ -64,7 +69,8 @@ class Channel:
         self.buffer_capacity = buffer_capacity
         self.credits = buffer_capacity
         self.queue: Deque[Packet] = deque()
-        self.busy = False
+        #: (time, 0, seq) key of the current send's completion event
+        self._done: tuple = ()
         self.on_arrival = on_arrival
         #: fired when a packet actually starts crossing (the fabric applies
         #: hop accounting and the per-hop marking write here, so a packet
@@ -75,11 +81,10 @@ class Channel:
         #: failure (the fabric records the drop); the reserved receiver
         #: credit is returned by the channel itself
         self.on_wire_drop = on_wire_drop
-        self.packets_carried = 0
         self.failed = False
         # Pre-bound callbacks: binding per hop would allocate a fresh bound
         # method for every scheduled event on the hot path.
-        self._serialization_done_cb = self._serialization_done
+        self._try_transmit_cb = self._try_transmit
         self._arrive_cb = self._arrive
         # Serialization time depends only on (service, bandwidth, packet
         # size) and all three service models are pure in it, so each size's
@@ -88,6 +93,11 @@ class Channel:
         self._hold_by_size: dict = {}
 
     # ------------------------------------------------------------------
+    @property
+    def busy(self) -> bool:
+        """True while a packet serializes: its completion has not run yet."""
+        return self._done > self.sim.frontier
+
     def occupancy(self) -> int:
         """Congestion metric: queued packets plus in-use receiver buffers."""
         return len(self.queue) + (self.buffer_capacity - self.credits)
@@ -122,11 +132,17 @@ class Channel:
 
     # ------------------------------------------------------------------
     def _try_transmit(self) -> None:
-        if self.busy or self.failed or not self.queue or self.credits == 0:
+        queue = self.queue
+        if not queue or self.failed:
             return
-        packet = self.queue.popleft()
+        sim = self.sim
+        if self._done > sim.frontier:
+            sim.commit(self)  # still serializing; the completion has work now
+            return
+        if self.credits == 0:
+            return
+        packet = queue.popleft()
         self.credits -= 1
-        self.busy = True
         if self.on_transmit is not None:
             self.on_transmit(packet, self)
         size = packet.header.total_length
@@ -134,15 +150,12 @@ class Channel:
         if hold is None:
             hold = self.service.serialization_time(packet, self.bandwidth)
             self._hold_by_size[size] = hold
-        sim = self.sim
-        sim.schedule_call(hold, self._serialization_done_cb, label="chan-serial")
+        self._done = sim.defer(self, sim.now + hold, self._try_transmit_cb,
+                               "chan-serial")
+        if queue:
+            sim.commit(self)  # packets wait: the completion starts the next send
         sim.schedule_call(hold + self.latency, self._arrive_cb, packet,
                           label="chan-arrive")
-
-    def _serialization_done(self) -> None:
-        self.busy = False
-        self.packets_carried += 1
-        self._try_transmit()
 
     def _arrive(self, packet: Packet) -> None:
         if self.failed:

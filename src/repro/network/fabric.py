@@ -312,7 +312,7 @@ class Fabric(FabricShell):
                     latency=cfg.link_latency,
                     bandwidth=cfg.link_bandwidth,
                     buffer_capacity=cfg.buffer_capacity,
-                    on_arrival=self._on_channel_arrival,
+                    on_arrival=self.switches[b].accept_from_channel,
                     on_transmit=self._on_channel_transmit,
                     on_wire_drop=self._on_wire_drop,
                 )
@@ -328,9 +328,6 @@ class Fabric(FabricShell):
         self._transit_observers: Dict[int, List[Callable[[Packet, int, float], None]]] = {}
         if self.sim.watchdog is not None:
             self.sim.watchdog.attach_deadlock_probe(self.pending_work)
-
-    def _on_channel_arrival(self, packet: Packet, channel: Channel) -> None:
-        self.switches[channel.dst].accept_from_channel(packet, channel)
 
     def _on_channel_transmit(self, packet: Packet, channel: Channel) -> None:
         # The hop becomes real the moment the packet starts crossing: hop

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import IdentificationError, MarkingError
+from repro.errors import FieldOverflowError, IdentificationError, MarkingError
 from repro.marking import DdpmScheme
 from repro.network import Fabric, FabricConfig
 from repro.network.ip import IPHeader
@@ -60,6 +62,58 @@ class TestSwitchSide:
     def test_per_hop_operations_are_simple(self, mesh44, cube4):
         assert attached(mesh44).per_hop_operations()["add"] == 2
         assert attached(cube4).per_hop_operations()["xor"] == 4
+
+
+class TestHopMemo:
+    """The (word, index step) memo equals decode -> combine -> encode.
+
+    Hops over every directed link, wrap links and a 1-node axis included,
+    with any 16-bit word: corrupted words that overflow on encode must be
+    forwarded unchanged. A small word pool makes the memo answer hops over
+    many different links from one entry.
+    """
+
+    TOPOLOGIES = {"mesh": Mesh((4, 5)), "torus": Torus((5, 4)),
+                  "torus-3d": Torus((3, 1, 4)), "hypercube": Hypercube(4)}
+
+    @staticmethod
+    def reference(scheme, topology, word, u, v):
+        vector = scheme.layout.decode(word)
+        try:
+            return scheme.layout.encode(
+                topology.combine_offsets(vector, topology.hop_delta(u, v)))
+        except FieldOverflowError:
+            return word
+
+    @pytest.mark.parametrize("kind", list(TOPOLOGIES))
+    @settings(max_examples=40, deadline=None)
+    @given(pool=st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=4),
+           hops=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                         min_size=1, max_size=80))
+    def test_memo_matches_the_transform(self, kind, pool, hops):
+        topology = self.TOPOLOGIES[kind]
+        links = [(u, v) for a, b in topology.to_edge_list() for u, v in ((a, b), (b, a))]
+        scheme = attached(topology)
+        for pick, link in hops:
+            word = pool[pick % len(pool)]
+            u, v = links[link % len(links)]
+            packet = Packet(IPHeader(1, 2), u, v)
+            packet.header.identification = word
+            scheme.on_hop(packet, u, v)
+            expected = self.reference(scheme, topology, word, u, v)
+            assert packet.header.identification == expected
+        if kind == "mesh":
+            assert len(scheme._hop_cache) <= len(pool) * 2 * len(topology.dims)
+
+    def test_corrupted_word_is_forwarded_unchanged(self, mesh44):
+        scheme = attached(mesh44)
+        # x = +3, the slot's maximum: one more +x hop overflows.
+        word = scheme.layout.encode((3, 0))
+        for _ in range(2):  # the miss, then the memo hit
+            packet = Packet(IPHeader(1, 2), 0, 1)
+            packet.header.identification = word
+            scheme.on_hop(packet, mesh44.index((0, 0)), mesh44.index((1, 0)))
+            assert packet.header.identification == word
 
 
 class TestSinglePacketIdentification:
