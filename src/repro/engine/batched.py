@@ -17,9 +17,8 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    changed since the round that routed them;
 3. **route** — next-hop candidates come from the router's
    :class:`~repro.routing.plan.RouteTable`, the one table the exact engine
-   reads too: filled once per distinct (node, destination) pair (in bulk by
-   coordinate arithmetic for minimal routers) and replayed as padded
-   candidate arrays;
+   reads too: one padded candidate row per (node, sign class of the minimal
+   offset), the router's closed form evaluated once, indexed per round;
 4. **select** — vectorized selection-policy twins; congestion and random
    tie-breaks draw from one dedicated per-cohort RNG stream
    (``"batched-cohort"``), so runs are deterministic per seed;

@@ -13,9 +13,9 @@ This is the router that survives the Figure 2(c) fault pattern.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from repro.routing.base import RouteState, Router
+from repro.routing.base import ClosedForm, RouteState, Router, minimal_form
 from repro.topology.base import Topology
 
 __all__ = ["MinimalAdaptiveRouter", "FullyAdaptiveRouter"]
@@ -25,8 +25,6 @@ class MinimalAdaptiveRouter(Router):
     """All live profitable next hops are candidates; never misroutes."""
 
     allows_misrouting = False
-    # Profitable hops depend only on (node, destination): table-driven.
-    is_stateless = True
 
     def __init__(self):
         self.name = "minimal-adaptive"
@@ -34,6 +32,9 @@ class MinimalAdaptiveRouter(Router):
     def candidates(self, topology: Topology, current: int,
                    state: RouteState) -> Tuple[int, ...]:
         return self.minimal_candidates(topology, current, state)
+
+    def closed_form(self, topology: Topology) -> ClosedForm:
+        return minimal_form(topology)
 
 
 class FullyAdaptiveRouter(Router):
@@ -73,3 +74,9 @@ class FullyAdaptiveRouter(Router):
             misroutes = tuple(others)
 
         return tuple(profitable) + misroutes
+
+    def closed_form(self, topology: Topology) -> Optional[ClosedForm]:
+        """Prefer-minimal while no link is failed: every minimal step is
+        then live, so the misroute fallback never fires."""
+        tabled = self.prefer_minimal and not topology.links.failed_links
+        return minimal_form(topology) if tabled else None

@@ -10,12 +10,44 @@ and the analytical experiments all use it; the full fabric
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import LivelockError, RoutingError, UnroutablePacketError
 from repro.topology.base import Topology
 
-__all__ = ["RouteState", "Router", "walk_route"]
+__all__ = ["RouteState", "Router", "ClosedForm", "PROFITABLE", "LIVE",
+           "minimal_form", "walk_route"]
+
+#: topology kinds with a coordinate system, the only ones the offset-driven
+#: routers run on (coordinate-free ones route with TableRouter)
+COORDINATE_KINDS = ("mesh", "torus", "hypercube")
+
+#: closed-form gates: the first phase holding a profitable move, or the
+#: first phase holding a live one
+PROFITABLE, LIVE = "profitable", "live"
+
+
+class ClosedForm(NamedTuple):
+    """A router's candidates as a function of the minimal offset's signs.
+
+    ``phases`` are ordered tuples of (axis, sign) moves. A move is
+    *profitable* when the offset's sign on its axis equals the move's sign
+    (on a hypercube the XOR offset is 0 or 1, so only +1 moves are), and
+    *live* when it is profitable and its link exists and is up. ``gate``
+    picks one phase: the first with a profitable move (:data:`PROFITABLE`)
+    or the first with a live one (:data:`LIVE`). The candidates are that
+    phase's live moves in order; none when no phase qualifies.
+    """
+
+    phases: Tuple[Tuple[Tuple[int, int], ...], ...]
+    gate: str
+
+
+def minimal_form(topology: Topology) -> ClosedForm:
+    """The closed form of :meth:`Router.minimal_candidates`: one phase of
+    every move, axes ascending (at most one per axis is profitable)."""
+    return ClosedForm((tuple((axis, sign) for axis in range(len(topology.dims))
+                             for sign in (-1, 1)),), LIVE)
 
 
 class RouteState:
@@ -79,12 +111,6 @@ class Router(ABC):
     is_deterministic: bool = False
     #: True when the router may propose non-profitable (misroute) hops
     allows_misrouting: bool = False
-    #: True when candidates() depends only on (topology, current node,
-    #: destination) — never on last_node, misroutes, or scratch. Stateless
-    #: routers are table-driven: every engine reads their candidates from
-    #: one :class:`repro.routing.plan.RouteTable` per (router, topology,
-    #: link version), rebuilt when fail_link/restore_link bump the version.
-    is_stateless: bool = False
 
     @abstractmethod
     def candidates(self, topology: Topology, current: int,
@@ -95,11 +121,26 @@ class Router(ABC):
         failed link this is terminal — paper Figure 2(b) for XY routing).
         """
 
+    def closed_form(self, topology: Topology) -> Optional[ClosedForm]:
+        """:meth:`candidates` on ``topology``'s current link state as a
+        :class:`ClosedForm`, or None when they read more than (node,
+        destination) — the last node, the misroute count, scratch state.
+
+        A router with a closed form is table-driven: every engine reads its
+        candidates from one :class:`repro.routing.plan.RouteTable` per
+        (router, topology, link version). Default: None, asked live.
+        """
+        return None
+
     def validate(self, topology: Topology) -> None:
         """Raise :class:`RoutingError` if this router cannot run on ``topology``.
 
-        Default: any topology with a coordinate system is accepted.
+        Default: meshes, tori and hypercubes are accepted; topologies
+        without coordinates route with :class:`~repro.routing.TableRouter`.
         """
+        if topology.kind not in COORDINATE_KINDS:
+            raise RoutingError(f"{self.name} routing needs a mesh, torus or hypercube, "
+                               f"got {topology!r}; use TableRouter")
 
     def minimal_candidates(self, topology: Topology, current: int,
                            state: RouteState) -> Tuple[int, ...]:
@@ -110,8 +151,8 @@ class Router(ABC):
         profitable only at exact torus antipodes, where the tie resolves to
         the positive direction — consistent with ``distance_vector``).
 
-        The reference that the route table's closed-form bulk fill
-        (:mod:`repro.routing.plan`) is tested against.
+        The reference that :func:`minimal_form`, as the route table
+        (:mod:`repro.routing.plan`) evaluates it, is tested against.
         """
         vector = topology.distance_vector(current, state.destination)
         out: List[int] = []

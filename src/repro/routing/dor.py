@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import RoutingError
-from repro.routing.base import RouteState, Router
+from repro.routing.base import PROFITABLE, ClosedForm, RouteState, Router
 from repro.topology.base import Topology
 
 __all__ = ["DimensionOrderRouter"]
@@ -35,15 +35,13 @@ class DimensionOrderRouter(Router):
 
     is_deterministic = True
     allows_misrouting = False
-    # candidates() reads only the destination from RouteState, so the unique
-    # next hop per (node, destination) is served from the route table.
-    is_stateless = True
 
     def __init__(self, axis_order: Optional[Sequence[int]] = None):
         self.axis_order = tuple(axis_order) if axis_order is not None else None
         self.name = "dimension-order" if axis_order is None else f"dimension-order{self.axis_order}"
 
     def validate(self, topology: Topology) -> None:
+        super().validate(topology)
         n = len(topology.dims)
         if self.axis_order is not None and sorted(self.axis_order) != list(range(n)):
             raise RoutingError(
@@ -64,3 +62,9 @@ class DimensionOrderRouter(Router):
                 return ()  # the unique DOR hop is unavailable: blocked
             return (nxt,)
         return ()  # already at destination; walk_route never asks in this case
+
+    def closed_form(self, topology: Topology) -> ClosedForm:
+        """One phase per axis in order; the first with a profitable move is
+        the only one, so a dead unique hop blocks."""
+        order = self.axis_order if self.axis_order is not None else range(len(topology.dims))
+        return ClosedForm(tuple(((axis, -1), (axis, 1)) for axis in order), PROFITABLE)

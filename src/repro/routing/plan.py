@@ -1,29 +1,29 @@
 """One route table per (router, topology, link version), read by every engine.
 
 A switch's routing function maps (current node, destination) to its legal
-next hops (paper §3, Figure 4). For a *table-driven* router that map depends
-on nothing else, so it is computed once per link state and read two ways:
+next hops (paper §3, Figure 4). Every table-driven router — dimension order
+(XY, e-cube), the turn models, minimal adaptive — reads only the *signs* of
+the minimal offset to the destination, the offset DDPM marks (§5). So the
+map has one row per (node, sign class): n·3^d rows on a mesh or torus,
+n·2^d on a hypercube, against n² (node, destination) pairs.
+
+Each router declares that map beside its ``candidates`` as a
+:class:`~repro.routing.base.ClosedForm` — ordered phases of (axis, sign)
+moves plus a gate — and :class:`RouteTable` evaluates it for many rows at
+once over per-move step tables, with failed links masked out. Two reads:
 
 * :meth:`RouteTable.candidates` — the scalar read. The exact engine's
   switches and :func:`~repro.routing.base.walk_route` call it per hop; it
-  keeps one tuple per node for every destination column asked about, and
-  never allocates the n² row map.
+  keeps one tuple per node for every destination column asked about.
 * :meth:`RouteTable.lookup` — the columnar read. The cohort engines call it
-  per round; it keeps a dense int32 (node, destination) -> row map over a
-  padded candidate matrix, filled lazily for unseen keys.
+  per round; it takes each row's sign class from
+  :meth:`~repro.topology.base.Topology.offset_array` and indexes the
+  (node, class) table, filled whole by the first lookup.
 
-Both reads draw on one fill. Routers whose candidates are exactly
-:meth:`~repro.routing.base.Router.minimal_candidates` fill in bulk on
-meshes, tori and hypercubes: coordinate arithmetic over per-axis step
-tables, with failed links masked out. Every other table-driven router
-(dimension order, the minimal turn models) fills pair by pair through
-``router.candidates``.
-
-Table-driven routers are the ``is_stateless`` ones, plus prefer-minimal
-fully-adaptive while no link is failed (every minimal step is then live, so
-its misroute fallback never fires). Stateful routers — Valiant, odd-even,
-pooled fully-adaptive, fully-adaptive around a failed link — have no table:
-:func:`next_hops` asks them live, and the cohort engines refuse them.
+A router without a closed form on the topology's link state — Valiant,
+odd-even, non-minimal west-first, pooled fully-adaptive, fully-adaptive
+around a failed link — has no table: :func:`next_hops` asks it live, and
+the cohort engines refuse it.
 """
 
 from __future__ import annotations
@@ -32,36 +32,24 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.adaptive import FullyAdaptiveRouter, MinimalAdaptiveRouter
-from repro.routing.base import RouteState, Router
+from repro.routing.base import LIVE, RouteState, Router
 from repro.topology.base import Topology
 
 __all__ = ["RouteTable", "route_table", "next_hops"]
-
-#: topology kinds whose minimal candidates are closed-form in the coordinates
-_CLOSED_FORM_KINDS = ("mesh", "torus", "hypercube")
-
-
-def _minimal_only(router: Router, topology: Topology) -> bool:
-    """True when ``router.candidates`` equals ``minimal_candidates`` here."""
-    if isinstance(router, MinimalAdaptiveRouter):
-        return True
-    return (isinstance(router, FullyAdaptiveRouter) and router.prefer_minimal
-            and not topology.links.failed_links)
 
 
 def route_table(router: Router, topology: Topology) -> Optional["RouteTable"]:
     """The router's table for the topology's current link state.
 
-    ``None`` for a stateful router. The router holds one entry, rebuilt when
-    it meets another topology or the link set changes version, so a link
-    failure invalidates the table with one integer compare.
+    ``None`` for a router without a closed form there. The router holds one
+    entry, rebuilt when it meets another topology or the link set changes
+    version, so a link failure invalidates the table with one integer
+    compare.
     """
     entry = getattr(router, "_route_table", None)
     version = topology.links.version
     if entry is None or entry[0] is not topology or entry[1] != version:
-        driven = router.is_stateless or _minimal_only(router, topology)
-        table = RouteTable(router, topology) if driven else None
+        table = RouteTable(router, topology) if router.closed_form(topology) else None
         entry = router._route_table = (topology, version, table)
     return entry[2]
 
@@ -83,141 +71,98 @@ class RouteTable:
     """
 
     def __init__(self, router: Router, topology: Topology):
-        self.router = router
         self.topology = topology
-        self.n = topology.num_nodes
+        self.n = n = topology.num_nodes
         #: candidate-matrix columns (and the cohort engines' ports per node)
         self.width = max(topology.degree(), 1)
-        self._bulk = (topology.kind in _CLOSED_FORM_KINDS
-                      and _minimal_only(router, topology))
-        if self._bulk:
-            self._build_step_tables()
-        # Scalar read: destination -> one candidate tuple per node (None
-        # until probed, for the pair-by-pair fill).
-        self._columns: Dict[int, List[Optional[Tuple[int, ...]]]] = {}
-        # Columnar read: the dense row map is allocated by the first lookup.
-        self._row_of: Optional[np.ndarray] = None
-        self._cand = np.full((256, self.width), -1, dtype=np.int64)
-        self._deg = np.zeros(256, dtype=np.int64)
-        self._count = 0
+        form = router.closed_form(topology)
+        axis, sign = np.array([move for phase in form.phases for move in phase]).T
+        sizes = [len(phase) for phase in form.phases]
+        self._phase = np.repeat(np.arange(len(sizes)), sizes)
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._gate_live = form.gate == LIVE
 
-    def _build_step_tables(self) -> None:
-        """Per-axis step targets and the failed-link mask for the bulk fill.
-
-        ``_step[node, axis, d]`` is the neighbor one hop along ``axis`` in
-        direction d (0 = minus, 1 = plus), -1 where the topology has no such
-        link; torus and hypercube axes wrap, hypercube steps toggle a bit.
-        """
-        topology = self.topology
+        # Sign classes: the offset's signs as little-endian digits, base 3
+        # shifted by one (balanced ternary) or, since a hypercube's XOR
+        # offset is never negative, base 2 there.
         dims = np.asarray(topology.dims, dtype=np.int64)
+        base, shift = (2, 0) if topology.kind == "hypercube" else (3, 1)
+        self._weights = base ** np.arange(dims.size, dtype=np.int64)
+        self._shift = shift * int(self._weights.sum())
+        self._classes = base ** dims.size
+        signs = np.arange(self._classes)[:, None] // self._weights % base - shift
+        self._profitable = signs[:, axis] == sign  # (class, move)
+
+        # Each move's target per node, -1 where the topology has no such
+        # link; torus and hypercube axes wrap, hypercube steps toggle a bit.
         coords = topology.coord_array()
         strides = np.append(np.cumprod(dims[::-1])[::-1][1:], 1)
-        shifted = coords[:, :, None] + np.array([-1, 1], dtype=np.int64)
+        shifted = coords[:, axis] + sign
         if topology.kind == "mesh":
-            exists = (shifted >= 0) & (shifted < dims[:, None])
+            exists = (shifted >= 0) & (shifted < dims[axis])
         else:
-            shifted %= dims[:, None]
-            exists = np.broadcast_to(dims[:, None] > 1, shifted.shape)
-        nodes = np.arange(self.n, dtype=np.int64)[:, None, None]
-        self._step = np.where(
-            exists, nodes + (shifted - coords[:, :, None]) * strides[:, None],
-            -1)
-        self._dims = dims
-        self._coords = coords
+            shifted %= dims[axis]
+            exists = np.broadcast_to(dims[axis] > 1, shifted.shape)
+        nodes = np.arange(n, dtype=np.int64)[:, None]
+        self._target = np.where(
+            exists, nodes + (shifted - coords[:, axis]) * strides[axis], -1)
         # Directed (node * n + neighbor) keys of every failed link.
         failed = np.array(sorted(topology.links.failed_links),
                           dtype=np.int64).reshape(-1, 2)
-        self._failed = (np.concatenate([failed @ [self.n, 1],
-                                        failed @ [1, self.n]])
-                        if failed.size else None)
+        down = np.concatenate([failed @ [n, 1], failed @ [1, n]])
+        self._up = exists & ~np.isin(nodes * n + self._target, down)
 
-    # ------------------------------------------------------------------
-    # The fill
-    # ------------------------------------------------------------------
-    def _probe(self, current: int, destination: int) -> Tuple[int, ...]:
-        """One pair through the router itself (fresh route state)."""
-        return self.router.candidates(self.topology, current,
-                                      RouteState(destination))
+        # Scalar read: destination -> one candidate tuple per node.
+        self._columns: Dict[int, List[Tuple[int, ...]]] = {}
+        # Columnar read: the (node, class) candidates and degrees, filled
+        # by the first lookup.
+        self._cand = self._deg = None
 
-    def _fill(self, cur: np.ndarray,
-              dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _fill(self, nodes: np.ndarray,
+              classes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate rows (padded with -1) and their degrees for the
-        (``cur``, ``dst``) pairs."""
-        m = cur.size
-        cand = np.full((m, self.width), -1, dtype=np.int64)
-        deg = np.zeros(m, dtype=np.int64)
-        if not self._bulk:
-            for row, (c, d) in enumerate(zip(cur.tolist(), dst.tolist())):  # per-unseen-pair probe  # repro-lint: disable=H3
-                hops = self._probe(c, d)
-                cand[row, :len(hops)] = hops
-                deg[row] = len(hops)
-            return cand, deg
-        # Closed-form minimal_candidates: per axis in ascending order, the
-        # single profitable live step. Torus offsets fold to the minimal
-        # signed residue, ties positive (as torus_distance_vector);
-        # hypercube coordinates are bits, and either direction toggles.
-        vec = self._coords[dst] - self._coords[cur]
-        if self.topology.kind == "torus":
-            vec %= self._dims
-            vec -= (vec > self._dims // 2) * self._dims
-        for axis in range(vec.shape[1]):  # per-axis, a handful  # repro-lint: disable=H3
-            comp = vec[:, axis]
-            nxt = self._step[cur, axis, (comp > 0).astype(np.int64)]
-            valid = (comp != 0) & (nxt >= 0)
-            if self._failed is not None:
-                valid &= ~np.isin(cur * self.n + nxt, self._failed)
-            idx = np.flatnonzero(valid)
-            cand[idx, deg[idx]] = nxt[idx]
-            deg[idx] += 1
+        (``nodes``, sign ``classes``) rows: the closed form, evaluated."""
+        profitable = self._profitable[classes]
+        live = profitable & self._up[nodes]
+        gated = live if self._gate_live else profitable
+        # First gated phase per row; phase 0 when none is, which then has
+        # no live move either (live implies gated).
+        chosen = np.logical_or.reduceat(gated, self._starts, axis=1).argmax(1)
+        keep = live & (self._phase == chosen[:, None])
+        # Pack each row's kept moves left in move order: nonzero walks the
+        # rows in order, so a kept move's slot is its rank past the row's
+        # first.
+        deg = keep.sum(axis=1)
+        row, move = np.nonzero(keep)
+        cand = np.full((keep.shape[0], self.width), -1, dtype=np.int64)
+        cand[row, np.arange(row.size) - (np.cumsum(deg) - deg)[row]] = \
+            self._target[nodes[row], move]
         return cand, deg
 
-    # ------------------------------------------------------------------
-    # The two reads
-    # ------------------------------------------------------------------
+    def _sign_class(self, pos: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        offsets = self.topology.offset_array(pos, dst)
+        return np.sign(offsets) @ self._weights + self._shift
+
     def candidates(self, current: int, destination: int) -> Tuple[int, ...]:
         """Legal next hops from ``current`` toward ``destination``.
 
-        The first read of a destination fills its whole column in bulk;
-        the pair-by-pair fill probes each entry when first read, since a
-        column of Python probes costs n router calls.
+        The first read of a destination evaluates its whole column.
         """
         column = self._columns.get(destination)
         if column is None:
-            column = self._columns[destination] = self._column(destination)
-        hops = column[current]
-        if hops is None:
-            hops = column[current] = self._probe(current, destination)
-        return hops
-
-    def _column(self, destination: int) -> List[Optional[Tuple[int, ...]]]:
-        if not self._bulk:
-            return [None] * self.n
-        cand, deg = self._fill(np.arange(self.n, dtype=np.int64),
-                               np.full(self.n, destination, dtype=np.int64))
-        return [tuple(row[:d]) for row, d in zip(cand.tolist(), deg.tolist())]
+            nodes = np.arange(self.n, dtype=np.int64)
+            cand, deg = self._fill(nodes, self._sign_class(
+                nodes, np.full(self.n, destination, dtype=np.int64)))
+            column = self._columns[destination] = [
+                tuple(row[:d]) for row, d in zip(cand.tolist(), deg.tolist())]
+        return column[current]
 
     def lookup(self, pos: np.ndarray,
                dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (candidate matrix, degree) for a cohort's positions."""
-        if self._row_of is None:
-            # One int32 per (node, destination) pair: direct fancy indexing
-            # beats a unique+dict probe by an order of magnitude per round,
-            # and even the 64x64 torus (4096^2 pairs) costs only 64 MB.
-            self._row_of = np.full(self.n * self.n, -1, dtype=np.int32)
-        keys = pos * self.n + dst
-        picked = self._row_of[keys]
-        missing = picked < 0
-        if missing.any():
-            unseen = np.unique(keys[missing])
-            cand, deg = self._fill(unseen // self.n, unseen % self.n)
-            start, end = self._count, self._count + unseen.size
-            if end > self._deg.size:
-                size = max(2 * self._deg.size, end)
-                self._cand = np.resize(self._cand, (size, self.width))
-                self._deg = np.resize(self._deg, size)
-            self._cand[start:end] = cand
-            self._deg[start:end] = deg
-            self._row_of[unseen] = np.arange(start, end)
-            self._count = end
-            picked = self._row_of[keys]
-        return self._cand[picked], self._deg[picked]
+        if self._cand is None:
+            rows = np.arange(self.n * self._classes, dtype=np.int64)
+            self._cand, self._deg = self._fill(rows // self._classes,
+                                               rows % self._classes)
+        rows = pos * self._classes + self._sign_class(pos, dst)
+        return self._cand.take(rows, axis=0), self._deg.take(rows)

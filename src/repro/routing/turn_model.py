@@ -17,10 +17,10 @@ row, *south* increases row.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import RoutingError
-from repro.routing.base import RouteState, Router
+from repro.routing.base import LIVE, PROFITABLE, ClosedForm, RouteState, Router
 from repro.topology.base import Topology
 from repro.topology.mesh import Mesh
 
@@ -56,9 +56,6 @@ class WestFirstRouter(Router):
     def __init__(self, minimal: bool = True):
         self.minimal = minimal
         self.allows_misrouting = not minimal
-        # The non-minimal variant's misroute branch reads last_node/misroutes
-        # from RouteState, so only the minimal form is table-driven.
-        self.is_stateless = minimal
         self.name = "west-first" if minimal else "west-first-nonminimal"
 
     def validate(self, topology: Topology) -> None:
@@ -102,6 +99,14 @@ class WestFirstRouter(Router):
             return tuple(out)
         return ()
 
+    def closed_form(self, topology: Topology) -> Optional[ClosedForm]:
+        """West first, alone; then east, south and north. The misroute
+        branch reads last_node and misroutes, so only the minimal form has
+        one."""
+        if not self.minimal:
+            return None
+        return ClosedForm((((COL, -1),), ((COL, 1), (ROW, 1), (ROW, -1))), PROFITABLE)
+
 
 class NorthLastRouter(Router):
     """North-last partially adaptive routing on a 2-D mesh.
@@ -110,8 +115,6 @@ class NorthLastRouter(Router):
     remains; once the packet starts moving north it may not turn again.
     Prohibited turns are the two *out of* the north direction.
     """
-
-    is_stateless = True
 
     def __init__(self):
         self.name = "north-last"
@@ -146,6 +149,10 @@ class NorthLastRouter(Router):
             return (north,) if north is not None else ()
         return ()
 
+    def closed_form(self, topology: Topology) -> ClosedForm:
+        """East, west and south while one is live; then north."""
+        return ClosedForm((((COL, 1), (COL, -1), (ROW, 1)), ((ROW, -1),)), LIVE)
+
 
 class NegativeFirstRouter(Router):
     """Negative-first partially adaptive routing on an n-dimensional mesh.
@@ -154,8 +161,6 @@ class NegativeFirstRouter(Router):
     (adaptively among the negative ones), then adaptively among positive
     hops. Works on meshes of any dimensionality.
     """
-
-    is_stateless = True
 
     def __init__(self):
         self.name = "negative-first"
@@ -181,3 +186,9 @@ class NegativeFirstRouter(Router):
         if negative:
             return tuple(negative)
         return tuple(positive)
+
+    def closed_form(self, topology: Topology) -> ClosedForm:
+        """Every negative move while one is live; then every positive one."""
+        axes = range(len(topology.dims))
+        return ClosedForm((tuple((axis, -1) for axis in axes),
+                           tuple((axis, 1) for axis in axes)), LIVE)

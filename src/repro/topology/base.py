@@ -181,6 +181,17 @@ class Topology(ABC):
         """Minimal offset vector from src to dst (paper §5's V for a direct route)."""
 
     @abstractmethod
+    def offset_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Columnar :meth:`distance_vector`: row i of the returned
+        ``(len(src), len(dims))`` int64 array is the minimal offset from
+        ``src[i]`` to ``dst[i]``.
+
+        Computed one axis at a time over contiguous rows and returned as
+        their transpose (Fortran order): numpy's per-element loops over a
+        length-d inner axis cost several times a whole-axis pass.
+        """
+
+    @abstractmethod
     def hop_delta(self, u: int, v: int) -> Coord:
         """Per-hop offset contributed by the single link hop u -> v."""
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.topology.base import Topology
 from repro.util.bitops import hamming_distance
@@ -69,6 +71,10 @@ class Hypercube(Topology):
         if not (self.contains(src) and self.contains(dst)):
             raise TopologyError(f"nodes ({src}, {dst}) outside {self.n}-cube")
         return tuple((xor >> (self.n - 1 - axis)) & 1 for axis in range(self.n))
+
+    def offset_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        coords = self.coord_array().T
+        return (coords.take(dst, axis=1) ^ coords.take(src, axis=1)).T
 
     def hop_delta(self, u: int, v: int) -> Tuple[int, ...]:
         xor = u ^ v

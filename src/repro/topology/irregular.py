@@ -13,10 +13,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.topology.base import Topology
 
 __all__ = ["IrregularTopology"]
+
+_NO_COORDINATES = ("irregular topologies have no coordinate system; DDPM does "
+                   "not apply (paper §6.3)")
 
 
 class IrregularTopology(Topology):
@@ -76,21 +81,16 @@ class IrregularTopology(Topology):
 
     # -- offset algebra: intentionally unsupported -------------------------
     def distance_vector(self, src: int, dst: int) -> Tuple[int, ...]:
-        raise TopologyError(
-            "irregular topologies have no coordinate system; DDPM does not apply (paper §6.3)"
-        )
+        raise TopologyError(_NO_COORDINATES)
+
+    def offset_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        raise TopologyError(_NO_COORDINATES)
 
     def hop_delta(self, u: int, v: int) -> Tuple[int, ...]:
-        raise TopologyError(
-            "irregular topologies have no coordinate system; DDPM does not apply (paper §6.3)"
-        )
+        raise TopologyError(_NO_COORDINATES)
 
     def combine_offsets(self, accumulated: Sequence[int], delta: Sequence[int]) -> Tuple[int, ...]:
-        raise TopologyError(
-            "irregular topologies have no coordinate system; DDPM does not apply (paper §6.3)"
-        )
+        raise TopologyError(_NO_COORDINATES)
 
     def resolve_source(self, dst: int, offset: Sequence[int]) -> int:
-        raise TopologyError(
-            "irregular topologies have no coordinate system; DDPM does not apply (paper §6.3)"
-        )
+        raise TopologyError(_NO_COORDINATES)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.topology import coords as C
 from repro.topology.base import Topology
@@ -65,6 +67,10 @@ class Mesh(Topology):
     def distance_vector(self, src: int, dst: int) -> Tuple[int, ...]:
         """Plain coordinate difference dst - src (paper §5: v_i = y_i - x_i)."""
         return C.vector_sub(self.coord(dst), self.coord(src))
+
+    def offset_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        coords = self.coord_array().T
+        return (coords.take(dst, axis=1) - coords.take(src, axis=1)).T
 
     def hop_delta(self, u: int, v: int) -> Tuple[int, ...]:
         delta = C.vector_sub(self.coord(v), self.coord(u))

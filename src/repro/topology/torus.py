@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import TopologyError
 from repro.topology import coords as C
 from repro.topology.base import Topology
@@ -84,6 +86,14 @@ class Torus(Topology):
     def distance_vector(self, src: int, dst: int) -> Tuple[int, ...]:
         """Minimal signed residues per dimension."""
         return C.torus_distance_vector(self.coord(src), self.coord(dst), self.dims)
+
+    def offset_array(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Minimal signed residues per dimension, ties positive."""
+        coords = self.coord_array().T
+        dims = np.asarray(self.dims, dtype=np.int64)[:, None]
+        offsets = (coords.take(dst, axis=1) - coords.take(src, axis=1)) % dims
+        offsets -= (offsets > dims // 2) * dims
+        return offsets.T
 
     def hop_delta(self, u: int, v: int) -> Tuple[int, ...]:
         cu, cv = self.coord(u), self.coord(v)

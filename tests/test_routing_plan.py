@@ -2,11 +2,14 @@
 
 Every engine reads a table-driven router's candidates from one
 :class:`RouteTable`: the exact engine and ``walk_route`` through the scalar
-read, the cohort engines through the columnar ``lookup``. Minimal routers on
-meshes, tori and hypercubes are filled in closed form, so these properties
-are what keeps that fill equal to the scalar ``minimal_candidates``: for
-every registered table-driven router, both reads must answer exactly what
-``router.candidates`` answers, order included.
+read, the cohort engines through the columnar ``lookup``. The table is the
+router's declared closed form evaluated per (node, offset-sign class), so
+these properties are what keeps each closed form equal to the router's own
+``candidates``: for every registered table-driven router on meshes (2-D and
+3-D), tori and hypercubes, both reads must answer exactly what
+``router.candidates`` answers, order included. The sign classes come from
+``Topology.offset_array``, checked here row for row against the scalar
+``distance_vector``.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from repro.registry import ROUTING
 from repro.routing import FirstCandidatePolicy, MinimalAdaptiveRouter
 from repro.routing.base import RouteState
 from repro.routing.plan import RouteTable, next_hops, route_table
-from repro.topology import Hypercube, Mesh, Torus
+from repro.topology import ClusterMesh, FatTree, Hypercube, Mesh, Torus
 
 TOPOLOGIES = {
     "mesh": lambda: Mesh((3, 4)),
@@ -32,6 +35,8 @@ TOPOLOGIES = {
     # onto one link); a 2-wide mesh axis has one neighbor per node there.
     "k1-torus": lambda: Torus((3, 1, 4)),
     "k2-mesh": lambda: Mesh((2, 5)),
+    # Three axes: negative-first's phases and 3-axis dimension order.
+    "3d-mesh": lambda: Mesh((3, 2, 3)),
     "hypercube": lambda: Hypercube(4),
 }
 
@@ -69,8 +74,8 @@ def _reference(router, topology, current, destination):
 
 
 def test_table_driven_routers():
-    """Stateless routers plus prefer-minimal fully-adaptive are tabled;
-    the rest are asked live."""
+    """Routers with a closed form are tabled (prefer-minimal fully-adaptive
+    only while no link is failed); the rest are asked live."""
     mesh = Mesh((4, 4))
     driven = {name for name in ROUTING.names()
               if route_table(_router(name), mesh) is not None}
@@ -125,8 +130,33 @@ def test_both_reads_equal_router_candidates(name, kind, data, fail_one):
         assert all((row[d:] == -1).all() for row, d in zip(cand, deg))
 
 
+@pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+def test_offset_array_equals_distance_vector(kind):
+    """Every pair, torus antipodes and k = 1 axes included."""
+    topology = TOPOLOGIES[kind]()
+    n = topology.num_nodes
+    src = np.repeat(np.arange(n), n)
+    dst = np.tile(np.arange(n), n)
+    offsets = topology.offset_array(src, dst)
+    assert offsets.shape == (n * n, len(topology.dims))
+    assert [tuple(row) for row in offsets.tolist()] == [
+        topology.distance_vector(u, v) for u, v in zip(src.tolist(), dst.tolist())]
+
+
+@pytest.mark.parametrize("name", ["dor", "minimal-adaptive", "fully-adaptive"])
+@pytest.mark.parametrize("build", [lambda: FatTree(4),
+                                   lambda: ClusterMesh((2, 2), 2)],
+                         ids=["fat-tree", "cluster-mesh"])
+def test_coordinate_free_topologies_are_refused_at_build(name, build):
+    """Offset-driven routers need coordinates; the fabric refuses them up
+    front (naming TableRouter) rather than on the first hop."""
+    with pytest.raises(RoutingError, match="TableRouter"):
+        Fabric(build(), _router(name))
+
+
 def test_columnar_fill_grows_past_its_first_block():
-    """Every pair of a 20x20 mesh (160,000 keys) fills in one lookup."""
+    """Every pair of a 20x20 mesh (160,000 reads) answers in one lookup,
+    from the table's 3,600 (node, sign class) rows."""
     topology = Mesh((20, 20))
     router = MinimalAdaptiveRouter()
     table = route_table(router, topology)

@@ -41,6 +41,8 @@ class TestDefaultModeMatchesMinHops:
     @pytest.mark.parametrize("topo", [
         Mesh((4, 4)), Mesh((3, 2, 4)), Mesh((7,)),
         Torus((4, 4)), Torus((5, 3)), Torus((3, 3, 3)),
+        # At the frozen table's node cap, and with a k = 1 axis.
+        Torus((16, 16)), Torus((3, 1, 4)),
         Hypercube(3), Hypercube(5),
     ], ids=repr)
     def test_regular_topologies_all_pairs(self, topo):
