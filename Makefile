@@ -7,7 +7,7 @@ SMOKE_CACHE := .bench-smoke-cache
 A3_RESULT   := benchmarks/results/claim_a3_identification_quality_scheme_x_routing_matrix.txt
 
 .PHONY: test test-faults test-sharded bench bench-smoke bench-reflection \
-	bench-gate bench-pipeline-test profile clean-cache lint lint-sarif \
+	bench-gate bench-pipeline-test profile clean-cache lint \
 	sanitize-smoke typecheck
 
 # Tier-1 gate: the full unit/integration/property suite.
@@ -16,17 +16,14 @@ test:
 
 # Determinism/invariant linter (in-tree, zero dependencies beyond stdlib).
 # Incremental: per-file results are cached by content hash in
-# .repro-lint-cache.json, so re-runs on an unchanged tree are near-instant.
-# Exit 1 = findings; suppress individual lines with
+# .repro-lint-cache.json, keyed also on the linter's own sources, so
+# re-runs on an unchanged tree are near-instant and a rule edit re-checks
+# everything. Exit 1 = findings; suppress individual lines with
 # `# repro-lint: disable=<rule>` (see DESIGN.md §9/§13); unused
-# suppressions are themselves findings (W1).
+# suppressions are themselves findings (W1). Bare `except:` is ruff's
+# E722 (`ruff check src tests`, run in CI).
 lint:
 	$(PYPATH) $(PY) -m repro.lint src tests
-
-# Same run, emitted as SARIF 2.1.0 (lint.sarif) for code-scanning upload.
-lint-sarif:
-	$(PYPATH) $(PY) -m repro.lint src tests --format sarif > lint.sarif; \
-	status=$$?; echo "wrote lint.sarif"; exit $$status
 
 # Runtime-invariant smoke: the SimSanitizer unit suite plus the golden and
 # batched-engine equivalence pins re-run under REPRO_SANITIZE=1 — the
@@ -130,4 +127,4 @@ bench-reflection:
 
 clean-cache:
 	rm -rf $(SMOKE_CACHE) .repro-cache
-	rm -f .repro-lint-cache.json lint.sarif
+	rm -f .repro-lint-cache.json

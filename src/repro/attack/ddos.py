@@ -38,14 +38,11 @@ class AttackTrafficResult:
                                                  repr=False)
 
     def freeze_ids(self) -> Set[int]:
-        """Snapshot the attack packet ids.
+        """Snapshot the attack packet ids into the ground-truth set.
 
-        Called once at schedule time: ids are assigned at ``make_packet``
-        and a pooled fabric may recycle Packet objects (with fresh ids)
-        after delivery, so the ground truth must be captured before the
-        run — and a snapshot turns the previous per-call set rebuild
-        (quadratic when used as a per-packet membership test) into one
-        O(1)-lookup set.
+        Called once at schedule time, so the per-packet membership test
+        (:meth:`is_attack_packet`) is one O(1) set lookup rather than a
+        set rebuild per call, which would be quadratic over a run.
         """
         self._frozen_ids = {p.packet_id for p in self.attack_packets}
         return self._frozen_ids
@@ -65,8 +62,8 @@ class AttackTrafficResult:
         """Record one attack packet created *after* scheduling.
 
         Dynamic scenarios (worm scans, reflector replies) emit packets
-        mid-run; this keeps the ground-truth id set live by snapshotting
-        the id at creation time, before any pool recycling can occur.
+        mid-run; this keeps the ground-truth id set live by adding the id
+        at creation time.
         """
         self.attack_packets.append(packet)
         if self._frozen_ids is None:

@@ -13,10 +13,6 @@ Checked invariants
   subpackage that first draws from it; a draw reaching the same stream from
   a *different* subpackage is exactly the cross-contamination lint rule D4
   hunts statically (kind ``"rng-cross-use"``).
-* **Packet-pool discipline** — releasing a packet shell that is already on
-  the freelist aliases two live packets onto one object
-  (kind ``"pool-double-release"``); acquire/release counters are kept for
-  leak accounting via :meth:`SimSanitizer.pool_accounting`.
 * **Credit conservation** — once the event queue drains, every live channel
   must have all its receiver credits back (kind ``"credit-leak"``).
 * **Event-heap ordering** — the scheduler's heap must satisfy the heap
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -42,7 +38,6 @@ from repro.errors import SanitizerError
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.simulator import Simulator
     from repro.network.channel import Channel
-    from repro.network.packet import Packet
 
 __all__ = [
     "GuardedGenerator",
@@ -77,8 +72,7 @@ class SanitizerReport:
     Attributes
     ----------
     kind:
-        ``"rng-cross-use"``, ``"pool-double-release"``, ``"credit-leak"``,
-        or ``"heap-order"``.
+        ``"rng-cross-use"``, ``"credit-leak"``, or ``"heap-order"``.
     detail:
         Human-readable one-liner with the offending identifiers.
     subject:
@@ -194,8 +188,8 @@ class SimSanitizer:
     """Collects runtime evidence and raises on the first broken invariant.
 
     One instance per :class:`~repro.engine.simulator.Simulator`; the
-    simulator, pool, and fabric call the ``note_*`` / ``check_*`` hooks at
-    the natural boundaries (draws, pool transfers, drain points). Hooks are
+    simulator and fabric call the ``note_*`` / ``check_*`` hooks at the
+    natural boundaries (draws, drain points). Hooks are
     cheap enough for test-scale runs; the production hot loop never sees
     them unless sanitizing was requested.
     """
@@ -206,10 +200,6 @@ class SimSanitizer:
         self.stream_owners: Dict[str, str] = {}
         #: per-stream draw counts (diagnostics, not an invariant)
         self.draw_counts: Dict[str, int] = {}
-        #: id()s of packet shells currently parked on a freelist
-        self._pooled_ids: Set[int] = set()
-        self.pool_releases = 0
-        self.pool_acquires = 0
 
     # ------------------------------------------------------------------
     # Report plumbing
@@ -251,35 +241,6 @@ class SimSanitizer:
                 f"was drawn from repro.{scope}",
                 subject=stream_name,
             )
-
-    # ------------------------------------------------------------------
-    # Packet pool discipline
-    # ------------------------------------------------------------------
-    def note_pool_release(self, packet: "Packet") -> None:
-        """Called by the pool just before appending ``packet`` to the freelist."""
-        key = id(packet)
-        if key in self._pooled_ids:
-            self._raise(
-                "pool-double-release",
-                f"packet #{packet.packet_id} released while already on the "
-                "freelist (two owners would recycle one shell)",
-                subject=str(packet.packet_id),
-            )
-        self._pooled_ids.add(key)
-        self.pool_releases += 1
-
-    def note_pool_acquire(self, packet: "Packet") -> None:
-        """Called by the pool when ``packet`` is recycled off the freelist."""
-        self._pooled_ids.discard(id(packet))
-        self.pool_acquires += 1
-
-    def pool_accounting(self) -> Dict[str, int]:
-        """Leak accounting: shells parked vs. transfer counts."""
-        return {
-            "releases": self.pool_releases,
-            "acquires": self.pool_acquires,
-            "parked": len(self._pooled_ids),
-        }
 
     # ------------------------------------------------------------------
     # Credit conservation
@@ -335,5 +296,4 @@ class SimSanitizer:
                     )
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"SimSanitizer(streams={len(self.stream_owners)}, "
-                f"pooled={len(self._pooled_ids)})")
+        return f"SimSanitizer(streams={len(self.stream_owners)})"

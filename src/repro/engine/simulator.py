@@ -66,8 +66,8 @@ class Simulator:
         without a watchdog pays one ``is None`` test per event.
     sanitize:
         Enable the runtime :class:`repro.engine.sanitize.SimSanitizer`:
-        RNG streams audit cross-package use, the packet pool checks release
-        discipline, and the run loop validates event-heap ordering at its
+        RNG streams audit cross-package use, drained fabrics check credit
+        conservation, and the run loop validates event-heap ordering at its
         boundaries. ``None`` (the default) defers to the ``REPRO_SANITIZE``
         environment variable (any value other than empty/``0`` enables it).
         Violations raise :class:`repro.errors.SanitizerError`.

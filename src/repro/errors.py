@@ -189,8 +189,7 @@ class SanitizerError(SimulationError):
 
     Carries the structured :class:`repro.engine.sanitize.SanitizerReport`
     in :attr:`report` — which invariant broke (RNG stream cross-use,
-    packet-pool double release or leak, credit conservation, event-heap
-    ordering), where, and at what simulated time — so tests and the
+    credit conservation, event-heap ordering), where, and at what simulated time — so tests and the
     hardened runner can discriminate without parsing the message.
     """
 

@@ -9,9 +9,9 @@ joins facts across files.
 
 Invalidation is deliberately blunt:
 
-* the envelope carries :data:`CACHE_VERSION` — bump it whenever a rule's
-  semantics, the fact schemas, or the violation format change, and the
-  whole cache is discarded;
+* the envelope carries :func:`linter_fingerprint`, a sha256 over the
+  linter's own sources — editing any rule, fact schema, or the violation
+  format discards the whole cache, with no version to remember to bump;
 * the envelope also carries the selected rule set — a ``--select`` run
   and a full run never share entries;
 * entries for files not seen in the current run are dropped on save, so
@@ -28,12 +28,11 @@ import hashlib
 import json
 import os
 import tempfile
+from pathlib import Path
 from typing import Any, Dict, Iterable, Optional
 
-__all__ = ["LintCache", "CACHE_VERSION", "DEFAULT_CACHE_PATH", "content_hash"]
-
-#: bump on any change to rule semantics, fact schemas, or entry layout.
-CACHE_VERSION = 4
+__all__ = ["LintCache", "DEFAULT_CACHE_PATH", "content_hash",
+           "linter_fingerprint"]
 
 DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 
@@ -43,12 +42,22 @@ def content_hash(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+def linter_fingerprint() -> str:
+    """sha256 over every ``repro/lint/*.py`` source, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 class LintCache:
     """Load/store per-file lint results keyed by content hash."""
 
     def __init__(self, path: str, selected: Iterable[str]):
         self.path = path
         self.selected = sorted(selected)
+        self.fingerprint = linter_fingerprint()
         self.hits = 0
         self.misses = 0
         self._entries: Dict[str, Dict[str, Any]] = {}
@@ -63,7 +72,7 @@ class LintCache:
             return
         if not isinstance(document, dict):
             return
-        if document.get("version") != CACHE_VERSION:
+        if document.get("linter") != self.fingerprint:
             return
         if document.get("rules") != self.selected:
             return
@@ -93,7 +102,7 @@ class LintCache:
     def save(self) -> None:
         """Write the entries touched this run (atomic replace, best effort)."""
         document = {
-            "version": CACHE_VERSION,
+            "linter": self.fingerprint,
             "rules": self.selected,
             "files": self._touched,
         }

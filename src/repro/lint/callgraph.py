@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for the lint program rules.
 
-The per-file rules (D1, D2, S1, ...) judge syntax they can see; the
-program rules (D3, H1, H3, D4, D5) need to know *who can call whom* so
+The per-file rules (D1, D2) judge syntax they can see; the program
+rules (D3, D4, H1, H3) need to know *who can call whom* so
 "this loop runs on the per-round advance path" or "this function can end
 up scheduling events" is computed rather than guessed from local syntax.
 

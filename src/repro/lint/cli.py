@@ -7,11 +7,9 @@ Exit codes follow the compiler convention the Makefile and CI key off:
 * ``2`` — usage error (unknown rule id, missing path, bad directive).
 
 ``--format json`` swaps the human report for a machine-readable document
-(see :meth:`repro.lint.runner.LintReport.to_dict`); ``--format sarif``
-emits SARIF 2.1.0 for code-scanning upload; ``--json`` remains as an
-alias for ``--format json``. ``--select`` restricts the run to a
-comma/space-separated subset of rule ids (unknown ids are a usage
-error); ``--list-rules`` prints the rule table and exits.
+(see :meth:`repro.lint.runner.LintReport.to_dict`). ``--select``
+restricts the run to a comma/space-separated subset of rule ids (unknown
+ids are a usage error); ``--list-rules`` prints the rule table and exits.
 
 Runs over disk paths use the per-file content-hash cache
 (``.repro-lint-cache.json``) so repeat runs on an unchanged tree skip
@@ -28,9 +26,7 @@ from typing import IO, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache
-from repro.lint.rules import create_rules, known_rule_ids, rule_classes
-from repro.lint.runner import LintReport, lint_paths
-from repro.lint.sarif import to_sarif
+from repro.lint.runner import LintReport, known_rule_ids, lint_paths, rule_classes
 
 __all__ = ["main", "build_parser"]
 
@@ -45,11 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("paths", nargs="*", default=["src", "tests"],
                         help="files or directories to lint "
                              "(default: src tests)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", dest="format",
                         help="report format (default: text)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="alias for --format json")
     parser.add_argument("--select", default=None, metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all rules)")
@@ -103,7 +97,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         _print_rule_table(sys.stdout)
         return 0
-    output_format = "json" if args.as_json else args.format
     select = _parse_select(args.select)
     try:
         cache = None
@@ -111,18 +104,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             selected_ids = select if select is not None else list(known_rule_ids())
             cache = LintCache(args.cache_path, selected_ids)
         report = lint_paths(args.paths, select=select, cache=cache)
-    except ConfigurationError as exc:
+    except (ConfigurationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if output_format == "json":
+    if args.format == "json":
         json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    elif output_format == "sarif":
-        json.dump(to_sarif(report, create_rules(select)), sys.stdout,
-                  indent=2)
         sys.stdout.write("\n")
     else:
         _print_report(report, sys.stdout)

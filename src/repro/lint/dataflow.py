@@ -1,10 +1,8 @@
-"""Interprocedural RNG-provenance and wall-clock-taint rules: D4, D5.
+"""Interprocedural RNG-provenance rule: D4.
 
-D1–D3 police *syntax* (which APIs are called); these two rules police
-*provenance* (where the values flow from):
-
-**D4 (rng-provenance)** taint-tracks RNG generator objects from their
-creation sites. Inside the simulation perimeter (plus ``attack`` and
+D1–D3 police *syntax* (which APIs are called); D4 polices *provenance*
+(where the values flow from). It taint-tracks RNG generator objects from
+their creation sites. Inside the simulation perimeter (plus ``attack`` and
 ``defense``), every draw must trace back to a named stream handed out by
 ``engine.rng`` — a helper constructing ``default_rng()`` mid-simulation,
 a module-global generator, or an ``AttackSpec`` reaching through another
@@ -14,18 +12,8 @@ the config seed. Origins are tracked through local assignments and class
 attributes (merged program-wide by class name, so a draw in one method is
 checked against the assignment in ``__init__`` — even across files).
 
-**D5 (wallclock-taint-escape)** closes the loophole D1 leaves open: the
-watchdog and profiler are *allowed* to read host clocks, so a wall-clock
-value can legally come into existence — but it must never flow back into
-simulation code. The pass computes, by per-module fixpoint over the
-exempt files, which of their functions/attributes actually *return or
-hold* wall-clock-derived values (``Watchdog.wall_elapsed`` yes;
-``EventProfiler.record`` no — it times the call but returns the callee's
-result), then flags perimeter reads of those names through a
-watchdog/profiler receiver.
-
-Both are :class:`~repro.lint.rules.ProgramRule` subclasses: the per-file
-pass extracts JSON-serializable facts (cached by content hash) and the
+D4 is a :class:`~repro.lint.rules.ProgramRule`: the per-file pass
+extracts JSON-serializable facts (cached by content hash) and the
 settlement joins them program-wide.
 """
 
@@ -38,15 +26,13 @@ from repro.lint.callgraph import iter_function_scopes, walk_in_scope
 from repro.lint.determinism import (
     NP_RANDOM_CONSTRUCTORS,
     SIMULATION_PACKAGES,
-    WALLCLOCK_ALLOWED,
-    WALLCLOCK_TIME_ATTRS,
     _attribute_chain,
     _site,
 )
-from repro.lint.rules import FileContext, Program, ProgramRule, register_rule
+from repro.lint.rules import FileContext, Program, ProgramRule
 from repro.lint.violations import Violation
 
-__all__ = ["RngProvenance", "WallclockTaintEscape", "DRAW_METHODS"]
+__all__ = ["RngProvenance", "DRAW_METHODS"]
 
 #: packages whose draws must trace to a named stream — the determinism
 #: perimeter plus the scenario layers that drive it.
@@ -93,7 +79,6 @@ def _is_rng_named(name: str) -> bool:
 
 
 # ----------------------------------------------------------------------
-@register_rule
 class RngProvenance(ProgramRule):
     """D4: every RNG draw in simulation code traces to a named stream."""
 
@@ -271,150 +256,5 @@ class RngProvenance(ProgramRule):
                     rule=self.rule_id,
                     message=(f"draw through another component's generator "
                              f"({site['chain']}) in {site['scope']!r}"),
-                    hint=self.hint,
-                )
-
-
-# ----------------------------------------------------------------------
-#: receiver names through which watchdog/profiler state is reached.
-_EXEMPT_RECEIVERS = frozenset({
-    "watchdog", "_watchdog", "profile", "_profile", "profiler", "_profiler",
-})
-
-
-def _expr_is_tainted(expr: ast.AST, tainted_locals: Set[str],
-                     tainted_defs: Set[str], tainted_attrs: Set[str]) -> bool:
-    """Does ``expr`` carry a wall-clock-derived value?"""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.Call):
-            chain = _attribute_chain(node.func)
-            if chain is not None:
-                if chain[-1] in WALLCLOCK_TIME_ATTRS:
-                    return True
-                if chain[-1] in tainted_defs:
-                    return True
-        elif isinstance(node, ast.Name) and node.id in tainted_locals:
-            return True
-        elif isinstance(node, ast.Attribute) and node.attr in tainted_attrs:
-            return True
-    return False
-
-
-def _analyze_exempt_def(func: ast.AST, tainted_defs: Set[str],
-                        tainted_attrs: Set[str]) -> Tuple[bool, Set[str]]:
-    """(returns-tainted-value, self-attrs assigned tainted) for one def."""
-    tainted_locals: Set[str] = set()
-    new_attrs: Set[str] = set()
-    returns_tainted = False
-    # two passes so a later-line taint feeding an earlier read stabilizes
-    for _ in range(2):
-        for node in walk_in_scope(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                value = node.value
-                if value is None:
-                    continue
-                if not _expr_is_tainted(value, tainted_locals, tainted_defs,
-                                        tainted_attrs):
-                    continue
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        tainted_locals.add(target.id)
-                    elif isinstance(target, ast.Attribute) \
-                            and isinstance(target.value, ast.Name) \
-                            and target.value.id == "self":
-                        new_attrs.add(target.attr)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                if _expr_is_tainted(node.value, tainted_locals, tainted_defs,
-                                    tainted_attrs):
-                    returns_tainted = True
-    return returns_tainted, new_attrs
-
-
-def compute_tainted_exports(tree: ast.Module) -> Tuple[str, ...]:
-    """Names in an exempt module whose values are wall-clock derived.
-
-    Fixpoint over the module's defs and self-attributes: a def is tainted
-    when it *returns* a wall-clock-derived value (timing a callee and
-    returning the callee's result does not count); an attribute is tainted
-    when assigned one.
-    """
-    tainted_defs: Set[str] = set()
-    tainted_attrs: Set[str] = set()
-    scopes = iter_function_scopes(tree)
-    changed = True
-    while changed:
-        changed = False
-        for _scope, func, _cls in scopes:
-            returns_tainted, new_attrs = _analyze_exempt_def(
-                func, tainted_defs, tainted_attrs)
-            name = func.name  # type: ignore[attr-defined]
-            if returns_tainted and name not in tainted_defs:
-                tainted_defs.add(name)
-                changed = True
-            for attr in new_attrs - tainted_attrs:
-                tainted_attrs.add(attr)
-                changed = True
-    return tuple(sorted(tainted_defs | tainted_attrs))
-
-
-@register_rule
-class WallclockTaintEscape(ProgramRule):
-    """D5: wall-clock values stay inside the watchdog/profiler exemption."""
-
-    rule_id = "D5"
-    name = "wallclock-taint-escape"
-    description = (
-        "the watchdog and profiler may read host clocks (D1 exemption), "
-        "but a wall-clock-derived value read back out of them into "
-        "engine/network/routing/marking/faults code couples simulated "
-        "behavior to real time"
-    )
-    hint = (
-        "consume wall-clock observables in runner/cli/analysis code; "
-        "simulation decisions may only depend on Simulator.now"
-    )
-
-    def collect(self, ctx: FileContext) -> Optional[Dict[str, Any]]:
-        module = ctx.repro_module()
-        if module is None:
-            return None
-        if module in WALLCLOCK_ALLOWED:
-            exports = compute_tainted_exports(ctx.tree)
-            return {"exports": list(exports)} if exports else None
-        if module.split("/", 1)[0] not in SIMULATION_PACKAGES:
-            return None
-        reads: List[Dict[str, Any]] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            chain = _attribute_chain(node)
-            if chain is None or len(chain) < 2:
-                continue
-            if chain[-1] in _EXEMPT_RECEIVERS:
-                continue  # the receiver itself, not a read through it
-            if any(part in _EXEMPT_RECEIVERS for part in chain[:-1]):
-                site = _site(node)
-                site.update(attr=chain[-1], chain=".".join(chain))
-                reads.append(site)
-        return {"reads": reads} if reads else None
-
-    def settle(self, program: Program) -> Iterable[Violation]:
-        facts = program.facts(self.rule_id)
-        exports: Set[str] = set()
-        for file_facts in facts.values():
-            exports.update(file_facts.get("exports", ()))
-        if not exports:
-            return
-        for path in sorted(facts):
-            for site in facts[path].get("reads", ()):
-                if site["attr"] not in exports:
-                    continue
-                yield Violation(
-                    path=path, line=site["line"], col=site["col"],
-                    rule=self.rule_id,
-                    message=(f"wall-clock-tainted {site['attr']!r} read via "
-                             f"{site['chain']} in simulation code"),
                     hint=self.hint,
                 )

@@ -1,4 +1,4 @@
-"""Determinism and hot-path rules: D1, D2, D3, H1, H2, H3, S1.
+"""Determinism and hot-path rules: D1, D2, D3, H1, H3.
 
 These rules encode the invariants behind the golden seed-for-seed
 equivalence contract (``tests/golden/equivalence.json``): simulation
@@ -6,8 +6,8 @@ behavior may depend only on the config and its seed — never on wall-clock
 time, process-global RNG state, or unordered container iteration — and the
 zero-allocation scheduling fast path must stay closure-free.
 
-D1, D2, H2, and S1 are local rules: their findings depend on one file's
-text alone. D3, H1, and H3 are :class:`~repro.lint.rules.ProgramRule`
+D1 and D2 are local rules: their findings depend on one file's text
+alone. D3, H1, and H3 are :class:`~repro.lint.rules.ProgramRule`
 subclasses — they collect per-file facts and settle against the
 whole-program :class:`~repro.lint.callgraph.CallGraph`, so "this function
 schedules events" and "this loop runs on the cohort-advance path" are
@@ -20,7 +20,7 @@ import ast
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.callgraph import MODULE_SCOPE, iter_function_scopes, walk_in_scope
-from repro.lint.rules import FileContext, Program, ProgramRule, Rule, register_rule
+from repro.lint.rules import FileContext, Program, ProgramRule, Rule
 from repro.lint.violations import Violation
 
 __all__ = [
@@ -28,9 +28,7 @@ __all__ = [
     "NoGlobalRng",
     "OrderedIteration",
     "NoClosureScheduling",
-    "NoPerPacketCallbacks",
     "NoPerPacketPythonInBatchedPath",
-    "NoBareExcept",
 ]
 
 #: repro subpackages whose code feeds simulated behavior — the determinism
@@ -49,6 +47,18 @@ WALLCLOCK_TIME_ATTRS = frozenset({
 
 #: ``datetime``/``date`` constructors that read host clocks.
 WALLCLOCK_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+
+#: links through which perimeter code reaches the clock-reading watchdog
+#: and profiler.
+WALLCLOCK_LINKS = frozenset({
+    "watchdog", "_watchdog", "profile", "_profile", "profiler", "_profiler",
+})
+
+#: configuration the perimeter may read back through a link: set by the
+#: caller, never measured.
+WALLCLOCK_CONFIG_READS = frozenset({
+    "check_interval", "hop_ceiling", "wall_clock_limit",
+})
 
 #: ``numpy.random`` names that are explicit seed-carrying constructors
 #: rather than process-global draws. Calling one *without* seed material
@@ -86,25 +96,40 @@ def _site(node: ast.AST) -> Dict[str, int]:
 
 
 # ----------------------------------------------------------------------
-@register_rule
 class NoWallclock(Rule):
-    """D1: simulation code must not consult host clocks."""
+    """D1: simulation code must not consult host clocks.
+
+    The watchdog and profiler are exempt because they are *about* wall
+    time, so D1 also keeps their values from flowing back: a perimeter
+    attribute chain through a watchdog/profiler link may be stored to,
+    called as a statement, or read for its configuration
+    (:data:`WALLCLOCK_CONFIG_READS`); any other read is a finding.
+    """
 
     rule_id = "D1"
     name = "no-wallclock"
     description = (
         "time.time/perf_counter/monotonic and datetime.now are forbidden in "
         "engine, network, routing, marking, and faults (watchdog and "
-        "profiler are exempt by design)"
+        "profiler are exempt by design, but values read back out of them "
+        "are not)"
     )
     hint = (
         "simulated behavior must depend only on Simulator.now; wall-clock "
         "reads belong in runner/cli/watchdog/profiler code"
     )
+    escape_hint = (
+        "consume watchdog/profiler observables in runner/cli/analysis code; "
+        "the perimeter may only configure them or call them as statements"
+    )
 
     def check(self, ctx: FileContext) -> Iterable[Violation]:
         if not _in_simulation_perimeter(ctx):
             return
+        # ast.walk visits parents first, so both sets are complete for a
+        # node by the time it is reached.
+        receivers: Set[int] = set()
+        statement_callees: Set[int] = set()
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "time":
                 for alias in node.names:
@@ -113,7 +138,11 @@ class NoWallclock(Rule):
                             self, node,
                             f"imports wall-clock function time.{alias.name}",
                         )
+            elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                statement_callees.add(id(node.value.func))
             elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Attribute):
+                    receivers.add(id(node.value))
                 chain = _attribute_chain(node)
                 if chain is None:
                     continue
@@ -127,10 +156,20 @@ class NoWallclock(Rule):
                     yield ctx.violation(
                         self, node, f"reads host clock via {'.'.join(chain)}"
                     )
+                elif isinstance(node.ctx, ast.Load) \
+                        and id(node) not in receivers \
+                        and id(node) not in statement_callees \
+                        and chain[-1] not in WALLCLOCK_CONFIG_READS \
+                        and WALLCLOCK_LINKS.intersection(chain[:-1]):
+                    yield ctx.violation(
+                        self, node,
+                        f"reads {'.'.join(chain)} back out of the "
+                        "watchdog/profiler exemption",
+                        hint=self.escape_hint,
+                    )
 
 
 # ----------------------------------------------------------------------
-@register_rule
 class NoGlobalRng(Rule):
     """D2: all randomness flows from seeded, named generator streams."""
 
@@ -255,7 +294,6 @@ class _UnorderedIterClassifier:
         return None
 
 
-@register_rule
 class OrderedIteration(ProgramRule):
     """D3: event-scheduling / RNG-consuming code iterates in sorted order.
 
@@ -366,7 +404,6 @@ class OrderedIteration(ProgramRule):
 
 
 # ----------------------------------------------------------------------
-@register_rule
 class NoClosureScheduling(ProgramRule):
     """H1: the allocation-free fast path takes no lambdas or nested defs.
 
@@ -498,47 +535,6 @@ class NoClosureScheduling(ProgramRule):
 
 
 # ----------------------------------------------------------------------
-#: registration calls that subscribe a Python callable per packet event.
-_PER_PACKET_REGISTRATIONS = frozenset({
-    "add_delivery_handler", "add_drop_handler", "add_transit_observer",
-})
-
-
-@register_rule
-class NoPerPacketCallbacks(Rule):
-    """H2: network hot-path modules consume deliveries via batch sinks."""
-
-    rule_id = "H2"
-    name = "no-per-packet-callbacks"
-    description = (
-        "registering a per-packet Python callback (add_delivery_handler and "
-        "friends) inside network/ hot-path modules bypasses the columnar "
-        "delivery rings; route through attach_delivery_sink so observation "
-        "cost is paid per batch flush, not per packet"
-    )
-    hint = (
-        "use Fabric.attach_delivery_sink(node, consumer) — or suppress with "
-        "`# repro-lint: disable=H2` for sanctioned diagnostics"
-    )
-
-    def check(self, ctx: FileContext) -> Iterable[Violation]:
-        module = ctx.repro_module()
-        if module is None or module.split("/", 1)[0] != "network":
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _attribute_chain(node.func)
-            if chain is not None and len(chain) > 1 \
-                    and chain[-1] in _PER_PACKET_REGISTRATIONS:
-                yield ctx.violation(
-                    self, node,
-                    f"per-packet callback registration {chain[-1]}() in a "
-                    "network hot-path module",
-                )
-
-
-# ----------------------------------------------------------------------
 #: the batched cohort-advance path: every per-row operation in these
 #: modules must be a whole-array numpy step, never a Python loop. The
 #: marking modules hold the schemes' columnar hops (``on_hop_array``);
@@ -550,19 +546,25 @@ _BATCHED_PATH_MODULES = frozenset({
     "marking/ppm.py", "marking/ppm_fragment.py", "marking/advanced_ppm.py",
 })
 
+#: registration calls that subscribe a Python callable per packet event;
+#: flagged in the batched modules and in every ``network/`` module.
+_PER_PACKET_REGISTRATIONS = frozenset({
+    "add_delivery_handler", "add_drop_handler", "add_transit_observer",
+})
+
 #: method names that anchor the steady-state advance path.
 _ENGINE_ROOT_METHODS = frozenset({"run", "advance", "advance_window"})
 
 
-@register_rule
 class NoPerPacketPythonInBatchedPath(ProgramRule):
     """H3: the cohort-advance path stays loop-free (vectorized numpy only).
 
     The batched engine's whole performance contract is that cost scales
     with *rounds*, not packets. An explicit ``for``/``while`` over cohort
-    rows (or a per-packet callback registration) quietly reintroduces
-    per-packet Python and erodes the 10x throughput floor the benchmark
-    gate enforces.
+    rows quietly reintroduces per-packet Python and erodes the 10x
+    throughput floor the benchmark gate enforces. A per-packet callback
+    registration does the same to the exact engine's columnar delivery
+    path, so registrations are flagged in every ``network/`` module too.
 
     Hot-path membership is computed, not guessed: the roots are the
     ``run``/``advance`` methods of engine classes inside the batched
@@ -575,27 +577,39 @@ class NoPerPacketPythonInBatchedPath(ProgramRule):
     rule_id = "H3"
     name = "no-per-packet-python-in-batched-path"
     description = (
-        "explicit for/while loops and per-packet callback registrations "
-        "reachable from the cohort-advance roots "
+        "explicit for/while loops reachable from the cohort-advance roots "
         "(Engine.run/advance/advance_window) in the batched modules "
         "(engine/batched.py, engine/sharded.py, network/colqueue.py, "
-        "routing/plan.py and the marking schemes' columnar hops) "
-        "reintroduce per-row Python "
-        "cost; build-time construction is exempt"
+        "routing/plan.py and the marking schemes' columnar hops), and "
+        "per-packet callback registrations (add_delivery_handler and "
+        "friends) there or anywhere in network/, reintroduce per-row "
+        "Python cost; build-time construction is exempt"
     )
     hint = (
-        "express the operation over whole cohort columns with numpy; "
-        "suppress a sanctioned bounded loop with "
-        "`# repro-lint: disable=H3`"
+        "express the operation over whole cohort columns with numpy, or "
+        "observe deliveries through Fabric.attach_delivery_sink; suppress "
+        "a sanctioned loop or diagnostic with `# repro-lint: disable=H3`"
     )
 
     def collect(self, ctx: FileContext) -> Optional[Dict[str, Any]]:
-        if ctx.repro_module() not in _BATCHED_PATH_MODULES:
+        module = ctx.repro_module()
+        batched = module in _BATCHED_PATH_MODULES
+        if not batched and not (module or "").startswith("network/"):
             return None
         loops: List[Dict[str, Any]] = []
         registrations: List[Dict[str, Any]] = []
-
-        def scan_scope(scope: str, body_root: ast.AST) -> None:
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                chain = _attribute_chain(node.func)
+                if chain is not None and len(chain) > 1 \
+                        and chain[-1] in _PER_PACKET_REGISTRATIONS:
+                    site = _site(node)
+                    site["name"] = chain[-1]
+                    registrations.append(site)
+        scopes = [(MODULE_SCOPE, ctx.tree)] + [
+            (scope, func) for scope, func, _cls in iter_function_scopes(ctx.tree)
+        ] if batched else []
+        for scope, body_root in scopes:
             for node in walk_in_scope(body_root):
                 if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
                     site = _site(node)
@@ -603,18 +617,6 @@ class NoPerPacketPythonInBatchedPath(ProgramRule):
                     site["kind"] = ("while" if isinstance(node, ast.While)
                                     else "for")
                     loops.append(site)
-                elif isinstance(node, ast.Call):
-                    chain = _attribute_chain(node.func)
-                    if chain is not None and len(chain) > 1 \
-                            and chain[-1] in _PER_PACKET_REGISTRATIONS:
-                        site = _site(node)
-                        site["scope"] = scope
-                        site["name"] = chain[-1]
-                        registrations.append(site)
-
-        scan_scope(MODULE_SCOPE, ctx.tree)
-        for scope, func, _cls in iter_function_scopes(ctx.tree):
-            scan_scope(scope, func)
         return {"loops": loops, "registrations": registrations}
 
     def settle(self, program: Program) -> Iterable[Violation]:
@@ -649,28 +651,6 @@ class NoPerPacketPythonInBatchedPath(ProgramRule):
                     path=path, line=site["line"], col=site["col"],
                     rule=self.rule_id,
                     message=(f"per-packet callback registration "
-                             f"{site['name']}() in the batched cohort path"),
+                             f"{site['name']}() on a columnar hot path"),
                     hint=self.hint,
                 )
-
-
-# ----------------------------------------------------------------------
-@register_rule
-class NoBareExcept(Rule):
-    """S1: hot-path code never swallows arbitrary failures."""
-
-    rule_id = "S1"
-    name = "no-bare-except"
-    description = (
-        "bare `except:` in engine/network hot paths hides queue corruption "
-        "and watchdog signals; catch the specific repro.errors type"
-    )
-    hint = "catch a concrete exception type (see repro.errors) or re-raise"
-
-    def check(self, ctx: FileContext) -> Iterable[Violation]:
-        module = ctx.repro_module()
-        if module is None or module.split("/", 1)[0] not in ("engine", "network"):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield ctx.violation(self, node, "bare except: in hot-path module")

@@ -45,7 +45,7 @@ import re
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.determinism import _attribute_chain
-from repro.lint.rules import FileContext, Program, ProgramRule, register_rule
+from repro.lint.rules import FileContext, Program, ProgramRule
 from repro.lint.violations import Violation
 
 __all__ = ["RegistryCompleteness"]
@@ -159,7 +159,6 @@ def _references_registry(tree: ast.Module) -> bool:
     return False
 
 
-@register_rule
 class RegistryCompleteness(ProgramRule):
     """R1: pluggable classes are registered and cache-serializable."""
 

@@ -1,4 +1,4 @@
-"""Lint-rule interface and registry.
+"""Lint-rule interface.
 
 Two rule shapes share the :class:`Rule` base:
 
@@ -13,41 +13,21 @@ Two rule shapes share the :class:`Rule` base:
   handed to them. Facts are cacheable; settlement is cheap and always
   re-runs.
 
-Rules are *stateful per run*, so :func:`create_rules` hands the runner a
-fresh instance of every registered rule class.
-
-Registration is decorator-style::
-
-    @register_rule
-    class NoWallclock(Rule):
-        rule_id = "D1"
-        ...
-
-The table is presented sorted by rule id, which fixes the column order in
-``--list-rules`` and the grouping of the human report independent of
-module import order.
+Rules are *stateful per run*, so
+:func:`repro.lint.runner.create_rules` hands each run fresh instances of
+the classes listed in :data:`repro.lint.runner.RULES`.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import PurePath
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-from repro.errors import ConfigurationError, UnknownNameError
 from repro.lint.callgraph import CallGraph
 from repro.lint.violations import Violation
 
-__all__ = [
-    "FileContext",
-    "Program",
-    "ProgramRule",
-    "Rule",
-    "create_rules",
-    "known_rule_ids",
-    "register_rule",
-    "rule_classes",
-]
+__all__ = ["FileContext", "Program", "ProgramRule", "Rule"]
 
 
 class FileContext:
@@ -162,59 +142,3 @@ class ProgramRule(Rule):
     def settle(self, program: Program) -> Iterable[Violation]:
         """Findings computed over the merged program facts."""
         return ()
-
-
-_RULES: Dict[str, Type[Rule]] = {}
-
-
-def register_rule(cls: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding ``cls`` to the rule table (unique ids)."""
-    if not cls.rule_id:
-        raise ConfigurationError(f"rule {cls.__name__} has no rule_id")
-    if cls.rule_id in _RULES:
-        raise ConfigurationError(f"lint rule {cls.rule_id!r} is already registered")
-    _RULES[cls.rule_id] = cls
-    return cls
-
-
-def rule_classes() -> Tuple[Type[Rule], ...]:
-    """All registered rule classes, sorted by rule id.
-
-    Sorted (not registration-ordered) so the table is identical however
-    the rule modules happened to be imported.
-    """
-    _load_builtin_rules()
-    return tuple(_RULES[rule_id] for rule_id in sorted(_RULES))
-
-
-def known_rule_ids() -> Tuple[str, ...]:
-    """Every registered rule id plus pseudo-rule E1, sorted."""
-    _load_builtin_rules()
-    return tuple(sorted(set(_RULES) | {"E1"}))
-
-
-def create_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Fresh instances of the selected rules (default: all).
-
-    Unknown ids in ``select`` raise the structured
-    :class:`repro.errors.UnknownNameError` (``kind="lint-rule"``) naming
-    the known rules, so a typo in ``--select`` fails loudly instead of
-    silently checking nothing.
-    """
-    _load_builtin_rules()
-    if select is None:
-        return [_RULES[rule_id]() for rule_id in sorted(_RULES)]
-    chosen: List[Rule] = []
-    for rule_id in select:
-        cls = _RULES.get(rule_id)
-        if cls is None:
-            raise UnknownNameError("lint-rule", rule_id,
-                                   choices=tuple(sorted(_RULES)))
-        chosen.append(cls())
-    return chosen
-
-
-def _load_builtin_rules() -> None:
-    """Import the rule modules (idempotent; they self-register on import)."""
-    from repro.lint import dataflow, determinism, registrycheck  # noqa: F401
-    from repro.lint import suppressions  # noqa: F401  (registers W1)

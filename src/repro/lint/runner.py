@@ -30,17 +30,31 @@ import ast
 import os
 from pathlib import Path, PurePath
 from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+                    Tuple, Type)
 
+from repro.errors import UnknownNameError
 from repro.lint.cache import LintCache, content_hash
 from repro.lint.callgraph import CallGraph, extract_file_graph
-from repro.lint.rules import (FileContext, Program, ProgramRule, Rule,
-                              create_rules, known_rule_ids)
+from repro.lint.dataflow import RngProvenance
+from repro.lint.determinism import (NoClosureScheduling, NoGlobalRng,
+                                    NoPerPacketPythonInBatchedPath,
+                                    NoWallclock, OrderedIteration)
+from repro.lint.registrycheck import RegistryCompleteness
+from repro.lint.rules import FileContext, Program, ProgramRule, Rule
 from repro.lint.suppressions import (SuppressionIndex, UnusedSuppression,
                                      validate_directives)
 from repro.lint.violations import Violation
 
-__all__ = ["LintReport", "collect_files", "lint_paths", "lint_sources"]
+__all__ = ["LintReport", "RULES", "collect_files", "create_rules",
+           "known_rule_ids", "lint_paths", "lint_sources", "rule_classes"]
+
+#: every rule class, sorted by id: the table behind ``--list-rules``,
+#: ``--select`` and the directive check.
+RULES: Tuple[Type[Rule], ...] = (
+    NoWallclock, NoGlobalRng, OrderedIteration, RngProvenance,
+    NoClosureScheduling, NoPerPacketPythonInBatchedPath,
+    RegistryCompleteness, UnusedSuppression,
+)
 
 #: directory names never descended into during collection.
 SKIP_DIRS = frozenset({
@@ -54,6 +68,33 @@ PARSE_ERROR_RULE = "E1"
 
 #: pseudo-key under which call-graph facts ride in the cache entry.
 CALLGRAPH_FACTS_KEY = "@callgraph"
+
+
+def rule_classes() -> Tuple[Type[Rule], ...]:
+    """All rule classes, sorted by rule id."""
+    return RULES
+
+
+def known_rule_ids() -> Tuple[str, ...]:
+    """Every rule id plus pseudo-rule E1, sorted."""
+    return tuple(sorted({cls.rule_id for cls in RULES} | {PARSE_ERROR_RULE}))
+
+
+def create_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
+    """Fresh instances of the selected rules (default: all).
+
+    Unknown ids in ``select`` raise the structured
+    :class:`repro.errors.UnknownNameError` (``kind="lint-rule"``) naming
+    the known rules, so a typo in ``--select`` fails loudly instead of
+    silently checking nothing.
+    """
+    by_id = {cls.rule_id: cls for cls in RULES}
+    if select is None:
+        return [cls() for cls in RULES]
+    for rule_id in select:
+        if rule_id not in by_id:
+            raise UnknownNameError("lint-rule", rule_id, choices=tuple(by_id))
+    return [by_id[rule_id]() for rule_id in select]
 
 
 class LintReport:

@@ -42,7 +42,7 @@ import tokenize
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import UnknownNameError
-from repro.lint.rules import Rule, register_rule
+from repro.lint.rules import Rule
 from repro.lint.violations import Violation
 
 __all__ = ["Directive", "SuppressionIndex", "UnusedSuppression", "DIRECTIVE_RE",
@@ -194,7 +194,6 @@ def validate_directives(path: str, index: SuppressionIndex,
                 raise exc
 
 
-@register_rule
 class UnusedSuppression(Rule):
     """W1: a suppression directive must actually suppress something.
 

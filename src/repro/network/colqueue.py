@@ -150,7 +150,7 @@ class BatchedFabric(FabricShell):
     The shell supplies the wiring, NICs, statistics and columnar delivery
     sinks; ``inject`` captures columns into an :class:`InjectionLog` and
     ``run`` drives :class:`repro.engine.batched.CohortEngine` over them.
-    No packet pool, no channels, no deadlock probe.
+    No channels, no deadlock probe.
     """
 
     #: engine discriminator mirrored into ExperimentConfig.engine

@@ -40,7 +40,7 @@ from repro.network.flowcontrol import ServiceModel, VirtualCutThrough
 from repro.network.ip import IPHeader, DEFAULT_TTL
 from repro.network.markstream import BatchConsumer, DeliveryRing
 from repro.network.nic import DeliveredPacket, Nic
-from repro.network.packet import Packet, PacketKind, PacketPool
+from repro.network.packet import Packet, PacketKind
 from repro.network.switch import Switch
 from repro.routing.base import Router
 from repro.routing.selection import FirstCandidatePolicy, SelectionPolicy
@@ -104,10 +104,6 @@ class FabricShell:
     carries no packet objects, so its per-packet observation surfaces
     refuse through the engine contract; :class:`Fabric` overrides them.
     """
-
-    #: packet freelist; only the exact backend takes one (cohorts hold no
-    #: packet shells to recycle).
-    pool: Optional[PacketPool] = None
 
     def __init__(self, topology: Topology, router: Router, *,
                  selection: Optional[SelectionPolicy] = None,
@@ -206,11 +202,6 @@ class FabricShell:
             ttl=self.config.default_ttl,
             total_length=IPHeader.HEADER_BYTES + payload_bytes,
         )
-        pool = self.pool
-        if pool is not None:
-            return pool.acquire(header, src_node, dst_node, kind=kind,
-                                flow_id=flow_id, seq=seq,
-                                misroute_budget=self.config.misroute_budget)
         return Packet(header, src_node, dst_node, kind=kind, flow_id=flow_id,
                       seq=seq, misroute_budget=self.config.misroute_budget)
 
@@ -224,10 +215,9 @@ class FabricShell:
         Python callback each; the ring flushes to its consumers when full
         and at every run boundary. This — together with the explicit flush
         in result accessors — is the sanctioned batch-flush surface the
-        H2 lint rule points per-packet registrations toward.
+        H3 lint rule points per-packet registrations toward.
         """
-        ring = DeliveryRing(node, capacity, pool=self.pool,
-                            profiler=self.sim.profile)
+        ring = DeliveryRing(node, capacity, profiler=self.sim.profile)
         self.nics[node].attach_sink(ring)
         self._delivery_sinks.append(ring)
         if consumer is not None:
@@ -280,20 +270,8 @@ class Fabric(FabricShell):
 
     engine_name = "exact"
 
-    def __init__(self, topology: Topology, router: Router, *,
-                 pool: Optional[PacketPool] = None, **shell_kwargs):
+    def __init__(self, topology: Topology, router: Router, **shell_kwargs):
         super().__init__(topology, router, **shell_kwargs)
-        #: optional packet freelist; when set, :meth:`make_packet` acquires
-        #: shells from it and the retirement paths (unobserved deliveries,
-        #: ring flushes, drops — including wire drops) release them back.
-        self.pool = pool
-        if pool is not None:
-            for nic in self.nics:
-                nic.pool = pool
-            if self.sim.sanitizer is not None:
-                # Sanitized runs audit freelist transfers for double-release.
-                pool.sanitizer = self.sim.sanitizer
-
         #: shared memoized distance lookup (== topology.min_hops, but O(1));
         #: the switches' per-hop profitability test goes through this.
         self.oracle = topology.distance_oracle()
@@ -408,21 +386,15 @@ class Fabric(FabricShell):
     def drop(self, packet: Packet, at_node: int, reason: str) -> None:
         """Discard a packet, recording the reason.
 
-        Without a pool the packet itself is retained in ``dropped_packets``
-        for inspection; with one, the per-reason counters keep the full
-        story and the shell goes back to the freelist (this is the
-        pool-aware ejection path — wire drops on failed links arrive here
-        through :meth:`_on_wire_drop` too).
+        The packet itself is retained in ``dropped_packets`` for inspection
+        (wire drops on failed links arrive here through
+        :meth:`_on_wire_drop` too).
         """
         self.n_dropped += 1
         self._drop_reasons[reason] = self._drop_reasons.get(reason, 0) + 1
         for handler in self._drop_handlers:
             handler(packet, at_node, reason)
-        pool = self.pool
-        if pool is None:
-            self.dropped_packets.append((packet, at_node, reason))
-        else:
-            pool.release(packet)
+        self.dropped_packets.append((packet, at_node, reason))
 
     def add_drop_handler(self, handler: Callable[[Packet, int, str], None]) -> None:
         self._drop_handlers.append(handler)
@@ -430,7 +402,7 @@ class Fabric(FabricShell):
     def add_delivery_handler(self, node: int,
                              handler: Callable[[DeliveredPacket], None]) -> None:
         # The definition point of the per-packet API itself — callers in
-        # network/ hot paths are what H2 polices, not this delegation.
+        # network/ hot paths are what H3 polices, not this delegation.
         self.nics[node].add_delivery_handler(handler)
 
     def add_transit_observer(self, node: int,

@@ -25,10 +25,7 @@ Batch lifetime: the column arrays handed to consumers are *views* into the
 ring's storage, valid only for the duration of the flush call — a consumer
 that wants to keep data beyond its return must copy (every in-tree consumer
 either aggregates immediately or copies). The ``packets`` list is an
-independent snapshot and safe to iterate, but when the owning fabric runs a
-:class:`~repro.network.packet.PacketPool` the packet objects are recycled
-right after the flush returns, so references must not outlive the call
-either.
+independent snapshot and safe to keep.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from repro.network.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.profile import EventProfiler
-    from repro.network.packet import PacketPool
 
 __all__ = ["MarkBatch", "DeliveryRing"]
 
@@ -170,19 +166,15 @@ class DeliveryRing:
     before reading. Consumers receive the filled prefix as a
     :class:`MarkBatch` (see the module docstring for the lifetime contract).
 
-    When ``pool`` is set, flushed packets are released back to the freelist
-    after all consumers ran — the batched twin of the NIC's unobserved-
-    delivery release. When ``profiler`` is set, each flush's wall-clock cost
-    and row count are folded into the profiler's batch-flush counters.
+    When ``profiler`` is set, each flush's wall-clock cost and row count
+    are folded into the profiler's batch-flush counters.
     """
 
-    __slots__ = ("node", "capacity", "flushes", "rows_flushed", "pool",
-                 "profiler", "_times", "_sources", "_dests", "_words",
-                 "_ttls", "_hops", "_ids", "_packets", "_object_rows",
-                 "_fill", "_consumers")
+    __slots__ = ("node", "capacity", "flushes", "rows_flushed", "profiler",
+                 "_times", "_sources", "_dests", "_words", "_ttls", "_hops",
+                 "_ids", "_packets", "_object_rows", "_fill", "_consumers")
 
     def __init__(self, node: int, capacity: int = 1024, *,
-                 pool: Optional["PacketPool"] = None,
                  profiler: Optional["EventProfiler"] = None):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
@@ -190,7 +182,6 @@ class DeliveryRing:
         self.capacity = capacity
         self.flushes = 0
         self.rows_flushed = 0
-        self.pool = pool
         self.profiler = profiler
         self._times = np.empty(capacity, dtype=np.float64)
         self._sources = np.empty(capacity, dtype=np.uint32)
@@ -292,14 +283,9 @@ class DeliveryRing:
                                         self._run_consumers, batch)
         else:
             self._run_consumers(batch)
-        pool = self.pool
-        if pool is not None and packets is not None:
-            for packet in packets:
-                if packet is not None:
-                    pool.release(packet)
         if packets is not None:
             # Drop the ring's own references so flushed packets can be
-            # collected (or recycled) without waiting for row overwrites.
+            # collected without waiting for row overwrites.
             self._packets[:n] = [None] * n
         return n
 

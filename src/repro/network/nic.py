@@ -18,7 +18,6 @@ from repro.network.packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.markstream import DeliveryRing
-    from repro.network.packet import PacketPool
 
 __all__ = ["Nic", "DeliveredPacket"]
 
@@ -37,8 +36,7 @@ DeliveryHandler = Callable[[DeliveredPacket], None]
 class Nic:
     """Injection/ejection endpoint of one compute node."""
 
-    __slots__ = ("node", "n_injected", "n_delivered", "_handlers", "sink",
-                 "pool")
+    __slots__ = ("node", "n_injected", "n_delivered", "_handlers", "sink")
 
     def __init__(self, node: int):
         self.node = node
@@ -51,8 +49,6 @@ class Nic:
         #: every delivery is appended there instead of (or in addition to)
         #: the per-packet handlers.
         self.sink: Optional["DeliveryRing"] = None
-        #: optional freelist; retired deliveries nobody observes go back here.
-        self.pool: Optional["PacketPool"] = None
 
     @property
     def counters(self) -> Counter:
@@ -80,10 +76,9 @@ class Nic:
         """Hand a packet that reached this node to the host side.
 
         Three outcomes, cheapest first: an uninstrumented node neither
-        builds a :class:`DeliveredPacket` nor dispatches anything (and may
-        recycle the packet immediately); a sinked node appends one columnar
-        row; per-packet handlers get the classic event object. A sinked
-        packet is released by the ring after its flush, never here.
+        builds a :class:`DeliveredPacket` nor dispatches anything; a sinked
+        node appends one columnar row; per-packet handlers get the classic
+        event object.
         """
         packet.delivered_at = time
         self.n_delivered += 1
@@ -95,8 +90,6 @@ class Nic:
             event = DeliveredPacket(packet, self.node, time)
             for handler in handlers:
                 handler(event)
-        elif sink is None and self.pool is not None:
-            self.pool.release(packet)
 
     def note_injected(self) -> None:
         """Count a packet the host pushed into the fabric through this NIC."""

@@ -4,10 +4,6 @@
 so identification schemes can be scored; nothing in the forwarding or
 marking path is allowed to read it — tests enforce that identification works
 from the header alone.
-
-:class:`PacketPool` is an opt-in freelist that recycles retired packet
-shells (the ``Packet`` + ``RouteState`` pair) on the inject/eject path; see
-its docstring for the ownership rules.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.network.ip import IPHeader
 from repro.routing.base import RouteState
 
-__all__ = ["Packet", "PacketKind", "PacketPool", "allocate_packet_ids"]
+__all__ = ["Packet", "PacketKind", "allocate_packet_ids"]
 
 _packet_ids = itertools.count()
 
@@ -152,106 +148,3 @@ class Packet:
         return (f"Packet(#{self.packet_id} {self.kind.value} "
                 f"true_src={self.true_source} dst={self.destination_node} "
                 f"hops={self.hops})")
-
-
-class PacketPool:
-    """Freelist of retired packet shells, recycled on acquire.
-
-    A pooled :meth:`acquire` reuses a released ``Packet`` and its embedded
-    :class:`RouteState` in place of two fresh allocations; the recycled
-    packet gets a *new* ``packet_id`` from the global counter, so identity-
-    based bookkeeping (ground-truth id sets, dedup) stays sound as long as
-    ids are snapshotted before recycling can occur —
-    :meth:`repro.attack.ddos.AttackTrafficResult.freeze_ids` does exactly
-    that at schedule time.
-
-    Ownership rules (enforced by the fabric when constructed with a pool):
-
-    * a packet is released when it leaves the simulation — delivered with no
-      observer retaining it, flushed out of a
-      :class:`~repro.network.markstream.DeliveryRing`, or dropped (including
-      wire drops on failed links, where the pool replaces the fabric's
-      retained ``dropped_packets`` record);
-    * holders that outlive delivery (per-packet delivery handlers, the
-      detailed drop log) suppress the release on their paths, so enabling
-      the pool never invalidates an object somebody still watches.
-    """
-
-    __slots__ = ("max_size", "allocated", "reused", "released", "_free",
-                 "sanitizer")
-
-    def __init__(self, max_size: int = 4096):
-        if max_size < 1:
-            raise ConfigurationError(f"max_size must be >= 1, got {max_size}")
-        self.max_size = max_size
-        self.allocated = 0
-        self.reused = 0
-        self.released = 0
-        self._free: List[Packet] = []
-        #: optional :class:`repro.engine.sanitize.SimSanitizer`; when set
-        #: (wired by the fabric on sanitized runs), every freelist transfer
-        #: is audited for double-release and leak accounting.
-        self.sanitizer = None
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, header: IPHeader, true_source: int,
-                destination_node: int, *, kind: PacketKind = PacketKind.DATA,
-                flow_id: int = 0, seq: int = 0, misroute_budget: int = 0,
-                payload: Optional[object] = None) -> Packet:
-        """A fresh-looking packet: recycled shell when available, new otherwise."""
-        free = self._free
-        if not free:
-            self.allocated += 1
-            return Packet(header, true_source, destination_node, kind=kind,
-                          flow_id=flow_id, seq=seq,
-                          misroute_budget=misroute_budget, payload=payload)
-        packet = free.pop()
-        if self.sanitizer is not None:
-            self.sanitizer.note_pool_acquire(packet)
-        self.reused += 1
-        packet.packet_id = next(_packet_ids)
-        packet.header = header
-        packet.true_source = true_source
-        packet.destination_node = destination_node
-        state = packet.route_state
-        state.destination = destination_node
-        state.last_node = None
-        state.misroutes = 0
-        state.misroute_budget = misroute_budget
-        state.distance_to_go = None
-        if state.scratch:
-            state.scratch = {}
-        packet.kind = kind
-        packet.flow_id = flow_id
-        packet.seq = seq
-        packet.injected_at = None
-        packet.delivered_at = None
-        packet.hops = 0
-        packet.trace = None
-        packet.payload = payload
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return a retired packet to the freelist (dropped past ``max_size``)."""
-        if len(self._free) < self.max_size:
-            if self.sanitizer is not None:
-                self.sanitizer.note_pool_release(packet)
-            packet.trace = None
-            packet.payload = None
-            self._free.append(packet)
-            self.released += 1
-
-    def stats(self) -> dict:
-        """Counters for reports: allocations avoided vs. paid."""
-        return {
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "released": self.released,
-            "free": len(self._free),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"PacketPool(free={len(self._free)}/{self.max_size}, "
-                f"reused={self.reused}, allocated={self.allocated})")

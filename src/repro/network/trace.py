@@ -35,7 +35,7 @@ class PathObserver:
             # Diagnostic-only tap: path tracing inherently needs each
             # delivered packet's trace object, so the per-packet handler is
             # sanctioned here (tracing fabrics are never the perf path).
-            fabric.add_delivery_handler(node, self._on_delivery)  # repro-lint: disable=H2
+            fabric.add_delivery_handler(node, self._on_delivery)  # repro-lint: disable=H3
 
     def _on_delivery(self, event: DeliveredPacket) -> None:
         packet = event.packet

@@ -520,10 +520,3 @@ class TestFabricSeam:
         # The counter does count: the exact backend builds both.
         Fabric(Mesh((2, 2)), DimensionOrderRouter())
         assert built.count("Switch") == 4 and built.count("Channel") == 8
-
-    def test_cohort_fabric_takes_no_pool(self):
-        from repro.network.packet import PacketPool
-
-        with pytest.raises(TypeError, match="pool"):
-            BatchedFabric(Mesh((2, 2)), DimensionOrderRouter(),
-                          pool=PacketPool())

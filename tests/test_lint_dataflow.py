@@ -1,10 +1,7 @@
-"""Fixtures for the interprocedural dataflow rules: D4 (rng-provenance)
-and D5 (wallclock-taint-escape)."""
-
-import ast
+"""Fixtures for the provenance checks: D4 (rng-provenance) and D1's
+watchdog/profiler escape check."""
 
 from repro.lint import lint_sources
-from repro.lint.dataflow import compute_tainted_exports
 
 ATTACK = "src/repro/attack/mod.py"
 ENGINE = "src/repro/engine/mod.py"
@@ -140,29 +137,47 @@ WATCHDOG_SRC = (
 
 
 class TestD5WallclockTaintEscape:
-    def test_tainted_exports_fixpoint(self):
-        exports = compute_tainted_exports(ast.parse(WATCHDOG_SRC))
-        assert "wall_elapsed" in exports   # returns a clock-derived value
-        assert "_t0" in exports            # holds one
-        assert "total" in exports
-        # record() times the callee but returns the callee's result.
-        assert "record" not in exports
+    """Reads back out of the watchdog/profiler (the retired D5's cases) draw D1."""
 
     def test_flags_tainted_read_in_simulation_code(self):
         report = run_lint(
             (WATCHDOG, WATCHDOG_SRC),
             (ENGINE, "def f(sim):\n    return sim.watchdog.wall_elapsed()\n"),
-            select=["D5"],
+            select=["D1"],
         )
-        assert [v.rule for v in report.violations] == ["D5"]
+        assert [v.rule for v in report.violations] == ["D1"]
         assert report.violations[0].path == ENGINE
         assert "wall_elapsed" in report.violations[0].message
+
+    def test_flags_profiler_observables(self):
+        # EventProfiler keeps its timings in a dict, so no attribute store
+        # marks them; every read back out of the profiler is a finding.
+        report = run_lint(
+            (ENGINE, "def f(sim):\n"
+                     "    total = sim.profile.total_time\n"
+                     "    return total, sim.profile.entries()\n"),
+            select=["D1"],
+        )
+        assert [(v.rule, v.line) for v in report.violations] == [
+            ("D1", 2), ("D1", 3)]
 
     def test_untainted_reads_through_watchdog_are_clean(self):
         report = run_lint(
             (WATCHDOG, WATCHDOG_SRC),
             (ENGINE, "def f(sim):\n    return sim.watchdog.check_interval\n"),
-            select=["D5"],
+            select=["D1"],
+        )
+        assert report.ok
+
+    def test_stores_and_statement_calls_are_clean(self):
+        report = run_lint(
+            (ENGINE, "def f(sim, event):\n"
+                     "    sim.profile.sim = sim\n"
+                     "    sim.watchdog.livelocked_packets += 1\n"
+                     "    sim.profile.record_call(event)\n"
+                     "    if sim.profile is not None:\n"
+                     "        sim.watchdog.check_stall(sim)\n"),
+            select=["D1"],
         )
         assert report.ok
 
@@ -171,13 +186,13 @@ class TestD5WallclockTaintEscape:
             (WATCHDOG, WATCHDOG_SRC),
             ("src/repro/runner/mod.py",
              "def f(sim):\n    return sim.watchdog.wall_elapsed()\n"),
-            select=["D5"],
+            select=["D1"],
         )
         assert report.ok
 
     def test_no_exports_means_no_findings(self):
-        # A profiler that only forwards callee results taints nothing, so
-        # perimeter reads through it stay clean.
+        # Calling the profiler as a statement times the callee and uses no
+        # value from it; reading record()'s result would be a finding.
         profiler = ("src/repro/engine/profile.py",
                     "import time\n\n"
                     "class EventProfiler:\n"
@@ -186,7 +201,7 @@ class TestD5WallclockTaintEscape:
                     "        return fn()\n")
         report = run_lint(
             profiler,
-            (ENGINE, "def f(sim):\n    return sim.profiler.record(len)\n"),
-            select=["D5"],
+            (ENGINE, "def f(sim):\n    sim.profiler.record(len)\n"),
+            select=["D1"],
         )
         assert report.ok

@@ -165,13 +165,45 @@ class TestH1NoClosureScheduling:
                                    "    sim.schedule_call(1.0, lambda: None)\n")
         assert rules_hit(report) == {"H1"}
 
+    def test_flags_lambda_through_forwarder(self):
+        # arm_later forwards its callback parameter into schedule_call, so
+        # a lambda handed to it is the same closure one call further out.
+        source = ("class Injector:\n"
+                  "    def arm_later(self, delay, callback):\n"
+                  "        self.sim.schedule_call(delay, callback)\n"
+                  "\n"
+                  "def f(injector):\n"
+                  "    injector.arm_later(1.0, lambda: None)\n")
+        report = run_lint(ENGINE, source)
+        assert [(v.rule, v.line) for v in report.violations] == [("H1", 6)]
+
+    def test_forwarder_sharing_a_name_with_a_non_forwarder_is_clean(self):
+        # Calls resolve by name: Simulator.schedule takes closures by design
+        # and does not forward, so a lambda passed to any `schedule` stays
+        # clean even though FaultInjector.schedule forwards.
+        simulator = ("src/repro/engine/simulator.py",
+                     "class Simulator:\n"
+                     "    def schedule(self, delay, callback):\n"
+                     "        return self.queue.push(self.now + delay, callback)\n")
+        injector = ("src/repro/faults/injector.py",
+                    "class FaultInjector:\n"
+                    "    def schedule(self, at_time, fn, *args):\n"
+                    "        self.sim.schedule_call(at_time, fn, *args)\n"
+                    "\n"
+                    "def arm(injector):\n"
+                    "    injector.schedule(1.0, lambda: None)\n")
+        report = lint_sources([simulator, injector], select=["H1"])
+        assert report.ok
+
 
 class TestH2NoPerPacketCallbacks:
+    """Registrations in any network/ module (the retired H2's cases) draw H3."""
+
     def test_flags_delivery_handler_in_network(self):
         report = run_lint(NETWORK,
                           "def wire(fabric, node, fn):\n"
                           "    fabric.add_delivery_handler(node, fn)\n")
-        assert rules_hit(report) == {"H2"}
+        assert rules_hit(report) == {"H3"}
         assert report.violations[0].line == 2
 
     def test_flags_drop_and_transit_registrations(self):
@@ -179,7 +211,7 @@ class TestH2NoPerPacketCallbacks:
                           "def wire(fabric, node, fn):\n"
                           "    fabric.add_drop_handler(node, fn)\n"
                           "    fabric.add_transit_observer(node, fn)\n")
-        assert [v.rule for v in report.violations] == ["H2", "H2"]
+        assert [v.rule for v in report.violations] == ["H3", "H3"]
 
     def test_outside_network_tree_is_clean(self):
         # The rule scopes to hot-path network/ modules; defense or test code
@@ -187,7 +219,7 @@ class TestH2NoPerPacketCallbacks:
         report = run_lint(MARKING,
                           "def wire(fabric, node, fn):\n"
                           "    fabric.add_delivery_handler(node, fn)\n")
-        assert "H2" not in rules_hit(report)
+        assert "H3" not in rules_hit(report)
 
     def test_sink_attachment_is_clean(self):
         report = run_lint(NETWORK,
@@ -201,14 +233,14 @@ class TestH2NoPerPacketCallbacks:
         report = run_lint(NETWORK,
                           "def f(add_delivery_handler):\n"
                           "    add_delivery_handler()\n")
-        assert "H2" not in rules_hit(report)
+        assert "H3" not in rules_hit(report)
 
     def test_suppression_comment_sanctions_diagnostics(self):
         report = run_lint(NETWORK,
                           "def wire(fabric, node, fn):\n"
                           "    fabric.add_delivery_handler(node, fn)"
-                          "  # repro-lint: disable=H2\n")
-        assert "H2" not in rules_hit(report)
+                          "  # repro-lint: disable=H3\n")
+        assert "H3" not in rules_hit(report)
 
 
 class TestH3NoPerPacketPythonInBatchedPath:
@@ -289,12 +321,12 @@ class TestH3NoPerPacketPythonInBatchedPath:
         assert "H3" in rules_hit(report)
 
     def test_flags_per_packet_registration(self):
-        # add_delivery_handler in colqueue trips both the network-wide H2
-        # rule and the batched-path H3 rule.
+        # colqueue is both a batched module and a network/ module: the one
+        # registration scan reports the call once.
         report = run_lint(self.COLQUEUE,
                           "def wire(fabric, node, fn):\n"
                           "    fabric.add_delivery_handler(node, fn)\n")
-        assert rules_hit(report) == {"H2", "H3"}
+        assert [v.rule for v in report.violations] == ["H3"]
 
     def test_comprehensions_are_allowed(self):
         report = run_lint(self.BATCHED,
@@ -327,31 +359,6 @@ class TestH3NoPerPacketPythonInBatchedPath:
             source = Path(module).read_text()
             report = run_lint(module, source, select=["H3"])
             assert report.ok, f"{module}: {report.violations}"
-
-
-class TestS1NoBareExcept:
-    BARE = "def f(q):\n    try:\n        q.pop()\n    except:\n        pass\n"
-
-    def test_flags_bare_except_in_engine(self):
-        report = run_lint(ENGINE, self.BARE)
-        assert rules_hit(report) == {"S1"}
-
-    def test_flags_bare_except_in_network(self):
-        report = run_lint(NETWORK, self.BARE)
-        assert rules_hit(report) == {"S1"}
-
-    def test_typed_except_is_clean(self):
-        source = ("def f(q):\n"
-                  "    try:\n"
-                  "        q.pop()\n"
-                  "    except IndexError:\n"
-                  "        pass\n")
-        report = run_lint(ENGINE, source)
-        assert report.ok
-
-    def test_other_packages_not_in_scope(self):
-        report = run_lint(MARKING, self.BARE)
-        assert "S1" not in rules_hit(report)
 
 
 class TestR1RegistryCompleteness:
@@ -585,7 +592,7 @@ class TestJsonRoundTrip:
         target.mkdir(parents=True)
         bad = target / "mod.py"
         bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-        code = main([str(bad), "--json"])
+        code = main([str(bad), "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
         assert data["ok"] is False
@@ -624,8 +631,8 @@ class TestCli:
     def test_list_rules_names_every_rule(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("D1", "D2", "D3", "D4", "D5", "H1", "R1", "S1", "W1"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "D1", "D2", "D3", "D4", "H1", "H3", "R1", "W1"]
 
     def test_collect_files_skips_caches(self, tmp_path):
         (tmp_path / "__pycache__").mkdir()

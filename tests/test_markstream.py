@@ -1,4 +1,4 @@
-"""Columnar mark-stream: ring mechanics, pool lifecycle, batch equivalence.
+"""Columnar mark-stream: ring mechanics and batch equivalence.
 
 The contract under test (markstream module docstring): processing a delivery
 stream through batched sinks — for ANY flush schedule — leaves bit-identical
@@ -20,7 +20,7 @@ from repro.marking import DdpmScheme
 from repro.network import Fabric
 from repro.network.ip import IPHeader
 from repro.network.markstream import DeliveryRing, MarkBatch
-from repro.network.packet import Packet, PacketPool
+from repro.network.packet import Packet
 from repro.routing import MinimalAdaptiveRouter, RandomPolicy
 from repro.topology import Mesh
 
@@ -95,21 +95,6 @@ class TestDeliveryRing:
         ring.flush()
         assert calls == [3]
 
-    def test_pool_release_after_flush(self):
-        pool = PacketPool()
-        ring = DeliveryRing(0, capacity=8, pool=pool)
-        packets = make_packets(3)
-        for p in packets:
-            ring.append(p, 0.0)
-        ring.flush()
-        assert pool.released == 3 and len(pool) == 3
-        # Recycled shells come back out of acquire with fresh ids.
-        header = IPHeader(1, 2, ttl=32, total_length=84)
-        reused = pool.acquire(header, 1, 2)
-        assert reused in packets
-        assert reused.hops == 0 and reused.delivered_at is None
-        assert pool.reused == 1
-
     def test_profiler_counts_flushes(self):
         profiler = EventProfiler()
         ring = DeliveryRing(0, capacity=8, profiler=profiler)
@@ -122,40 +107,10 @@ class TestDeliveryRing:
         assert "flush@delivery-ring" in profiler.as_dict()
 
 
-class TestPacketPool:
-    def test_acquire_resets_all_mutable_state(self):
-        pool = PacketPool()
-        p = pool.acquire(IPHeader(1, 2, ttl=32, total_length=84), 1, 2)
-        p.hops = 9
-        p.route_state.misroutes = 3
-        p.route_state.scratch["x"] = 1
-        p.delivered_at = 4.2
-        p.trace = [1, 2]
-        pool.release(p)
-        q = pool.acquire(IPHeader(5, 6, ttl=32, total_length=84), 5, 6,
-                         misroute_budget=2)
-        assert q is p
-        assert q.hops == 0 and q.delivered_at is None and q.trace is None
-        assert q.route_state.misroutes == 0 and q.route_state.scratch == {}
-        assert q.route_state.destination == 6
-        assert q.route_state.misroute_budget == 2
-        assert q.true_source == 5
-
-    def test_max_size_caps_the_freelist(self):
-        pool = PacketPool(max_size=1)
-        a = pool.acquire(IPHeader(1, 2, ttl=32, total_length=84), 1, 2)
-        b = pool.acquire(IPHeader(1, 2, ttl=32, total_length=84), 1, 2)
-        pool.release(a)
-        pool.release(b)
-        assert len(pool) == 1
-        assert pool.stats()["allocated"] == 2
-
-
-def build_fabric(seed=0, pool=None):
+def build_fabric(seed=0):
     scheme = DdpmScheme()
     fab = Fabric(Mesh((4, 4)), MinimalAdaptiveRouter(), marking=scheme,
-                 selection=RandomPolicy(np.random.default_rng(seed)),
-                 pool=pool)
+                 selection=RandomPolicy(np.random.default_rng(seed)))
     return fab, scheme
 
 
@@ -257,63 +212,6 @@ class TestPipelineBatchEquivalence:
         assert pipeline._ring.pending > 0
         assert pipeline.suspects() == frozenset({3})
         assert pipeline._ring.pending == 0
-
-
-class TestPooledFabricEquivalence:
-    def test_pooled_run_matches_unpooled_results(self):
-        fab_ref, scheme_ref = build_fabric()
-        ref = IdentificationPipeline(fab_ref, 15,
-                                     scheme_ref.new_victim_analysis(15),
-                                     batch=True)
-        run_scenario(fab_ref)
-
-        pool = PacketPool(max_size=256)
-        fab_p, scheme_p = build_fabric(pool=pool)
-        pooled = IdentificationPipeline(fab_p, 15,
-                                        scheme_p.new_victim_analysis(15),
-                                        batch=True)
-        run_scenario(fab_p)
-
-        assert pooled.timeline() == ref.timeline()
-        assert pooled.suspects() == ref.suspects()
-        assert fab_p.n_delivered == fab_ref.n_delivered
-        assert fab_p.sim.events_executed == fab_ref.sim.events_executed
-        stats = pool.stats()
-        assert stats["released"] > 0
-
-    def test_lazy_injection_recycles_shells(self):
-        """When packets are made as the clock advances (the open-loop traffic
-        pattern), delivered shells are reacquired instead of reallocated."""
-        pool = PacketPool()
-        fab, _ = build_fabric(pool=pool)
-
-        def send(src, dst):
-            fab.inject(fab.make_packet(src, dst))
-
-        for i in range(50):
-            # Test-only closure: lazy acquisition is the point here.
-            fab.sim.schedule_call(i * 1.0, send, i % 4, 15)  # repro-lint: disable=H1
-        fab.run()
-        stats = pool.stats()
-        assert stats["reused"] > 0
-        assert stats["allocated"] + stats["reused"] == 50
-        assert stats["allocated"] < 50  # strictly fewer real allocations
-
-    def test_unobserved_deliveries_release_to_pool(self):
-        pool = PacketPool()
-        fab, _ = build_fabric(pool=pool)
-        fab.inject(fab.make_packet(0, 5))
-        fab.run()
-        assert pool.released == 1
-
-    def test_drops_release_to_pool_instead_of_logging(self):
-        pool = PacketPool()
-        fab, _ = build_fabric(pool=pool)
-        packet = fab.make_packet(0, 15)
-        fab.drop(packet, 0, "test_reason")
-        assert fab.dropped_packets == []
-        assert pool.released == 1
-        assert fab.counters.as_dict()["dropped_test_reason"] == 1
 
 
 class TestFeedPacketsBatched:

@@ -13,8 +13,6 @@ from repro.engine.sanitize import (
 )
 from repro.engine.simulator import Simulator
 from repro.errors import SanitizerError, SimulationError
-from repro.network.packet import PacketPool
-from repro.network.ip import IPHeader
 
 
 def exec_as(module_name, source):
@@ -103,31 +101,6 @@ class TestCrossUse:
         sim.rng.stream("a").random()
         sim.rng.stream("a").random()
         assert sim.sanitizer.draw_counts["a"] == 2
-
-
-class TestPoolDiscipline:
-    def _packet(self, pool):
-        return pool.acquire(IPHeader(src=1, dst=2), 1, 2)
-
-    def test_double_release_raises(self):
-        pool = PacketPool(max_size=8)
-        pool.sanitizer = SimSanitizer()
-        packet = self._packet(pool)
-        pool.release(packet)
-        with pytest.raises(SanitizerError) as excinfo:
-            pool.release(packet)
-        assert excinfo.value.report.kind == "pool-double-release"
-
-    def test_release_acquire_cycle_is_clean(self):
-        pool = PacketPool(max_size=8)
-        sanitizer = SimSanitizer()
-        pool.sanitizer = sanitizer
-        packet = self._packet(pool)
-        pool.release(packet)
-        again = self._packet(pool)
-        pool.release(again)
-        accounting = sanitizer.pool_accounting()
-        assert accounting == {"releases": 2, "acquires": 1, "parked": 1}
 
 
 class _FakeChannel:
