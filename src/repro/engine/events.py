@@ -15,9 +15,9 @@ represent them as bare heap tuples with **no Event object at all** — the
 ``event`` element of the heap entry is ``None`` and the callback, args, and
 label ride in the entry itself.
 
-A sequence number drawn from the queue's counter reserves a slot:
-:meth:`EventQueue.push_call` pushes at it later, and the entry pops exactly
-where it would have had it been pushed then (``Simulator.defer``).
+A sequence number drawn from the queue's counter reserves a slot: an entry
+built with it and pushed later pops exactly where it would have had it been
+pushed then (``Simulator.defer``/``commit``).
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class EventQueue:
 
     * ``(time, priority, seq, event)`` — cancellable, from :meth:`push`;
     * ``(time, priority, seq, None, callback, args, label)`` — the
-      zero-closure fast path from :meth:`push_call`, which allocates no
-      Event object at all.
+      zero-closure fast path from ``Simulator.schedule_call`` and
+      ``Simulator.commit``, which allocates no Event object at all.
 
     ``seq`` is unique, so every comparison is decided by the three leading
     numbers and runs entirely inside the C tuple-comparison loop —
@@ -109,21 +109,10 @@ class EventQueue:
         self._live += 1
         return event
 
-    def push_call(self, time: float, seq: int, callback: Callable[..., Any],
-                  args: Tuple = (), label: str = "") -> None:
-        """Push a handle-free entry at ``seq``, drawn earlier from ``_counter``.
-
-        No handle, no Event, not cancellable: the entry carries the
-        callback/args/label itself, and the run loop invokes the callback
-        straight off the tuple.
-        """
-        heapq.heappush(self._heap, (time, 0, seq, None, callback, args, label))
-        self._live += 1
-
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.
 
-        Fast-path entries (from :meth:`push_call`) are wrapped in a fresh
+        Fast-path entries (no Event) are wrapped in a fresh
         :class:`Event` here — only :meth:`Simulator.step` and tests take
         this path; the inlined run loop never calls ``pop``.
 

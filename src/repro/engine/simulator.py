@@ -9,7 +9,9 @@ Hot-path notes
 --------------
 ``schedule_call(delay, fn, *args)`` is the zero-closure fast path: the bound
 method and its arguments ride in the heap entry itself (no lambda, no cell
-objects, no Event allocation) and no handle is returned. ``run_until``
+objects, no Event allocation) and no handle is returned;
+``schedule_args(delay, fn, args, label)`` is the same call with the
+arguments as one tuple, which the per-hop callers use. ``run_until``
 inlines the peek/pop/execute cycle over the raw heap — one heap operation
 and zero method calls of queue bookkeeping per event.
 
@@ -123,10 +125,18 @@ class Simulator:
         hop. No handle is returned; an event scheduled this way cannot be
         cancelled. Use :meth:`schedule` when you need the handle.
         """
-        if delay < 0 or delay != delay:
+        self.schedule_args(delay, callback, args, label)
+
+    def schedule_args(self, delay: float, callback: Callable[..., Any],
+                      args: tuple, label: str = "") -> None:
+        """:meth:`schedule_call` with the arguments passed as one tuple.
+
+        A ``*args`` signature sends every call down the interpreter's
+        generic call path; the per-hop callers (a channel's arrival, a
+        switch's routing delay) pass the tuple they already have.
+        """
+        if not delay >= 0:  # negative or NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        # Inlined EventQueue.push_call at a fresh seq: called once per hop
-        # event, so even one method call of indirection is measurable.
         queue = self.queue
         heapq.heappush(
             queue._heap,
@@ -159,7 +169,9 @@ class Simulator:
         entry = self._deferred.pop(owner, ())
         if entry[:3] > self.frontier:
             self.events_executed -= 1
-            self.queue.push_call(entry[0], entry[2], entry[4], (), entry[6])
+            queue = self.queue
+            heapq.heappush(queue._heap, entry)  # the reserved entry, as is
+            queue._live += 1
 
     def _count(self, heap_events: int) -> None:
         self.events_executed += heap_events - self.heap_events

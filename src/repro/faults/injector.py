@@ -227,7 +227,6 @@ class FaultInjector:
                 channel = fabric.switches[node].outputs[next_node]
                 if not channel.failed:
                     counters.packet_duplicates += 1
-                    fabric.switches[node].n_forwarded += 1
                     channel.enqueue(packet.clone())
             else:  # bitflip: corrupt one random Marking-Field bit
                 counters.packet_bitflips += 1

@@ -226,7 +226,11 @@ class NoGlobalRng(Rule):
 
 # ----------------------------------------------------------------------
 #: call names that schedule simulator events.
-_SCHEDULING_CALLS = frozenset({"schedule", "schedule_call", "schedule_at"})
+_SCHEDULING_CALLS = frozenset({"schedule", "schedule_call", "schedule_args",
+                               "schedule_at"})
+#: the zero-closure fast path: callback in slot 1, then its arguments
+#: (``schedule_args`` takes them as one tuple).
+_FAST_SCHEDULING_CALLS = frozenset({"schedule_call", "schedule_args"})
 #: wrappers that preserve their argument's iteration order.
 _ORDER_PRESERVING = frozenset({"list", "tuple", "iter", "enumerate", "reversed"})
 #: Generator methods that are stream bookkeeping, not draws.
@@ -434,17 +438,22 @@ class NoClosureScheduling(ProgramRule):
                     continue
                 chain = _attribute_chain(node.func)
                 if chain is not None and len(chain) > 1 \
-                        and chain[-1] == "schedule_call":
-                    for arg in list(node.args) + [kw.value for kw in node.keywords]:
+                        and chain[-1] in _FAST_SCHEDULING_CALLS:
+                    args = list(node.args) + [kw.value for kw in node.keywords]
+                    for arg in args + [element for arg in args
+                                       if isinstance(arg, ast.Tuple)
+                                       for element in arg.elts]:
                         if isinstance(arg, ast.Lambda):
                             site = _site(arg)
                             site["what"] = "lambda"
-                            direct.append(site)
                         elif isinstance(arg, ast.Name) and arg.id in nested:
                             site = _site(arg)
                             site["what"] = f"nested function {arg.id!r}"
-                            direct.append(site)
-                if chain is not None and chain[-1] != "schedule_call":
+                        else:
+                            continue
+                        site["callee"] = chain[-1]
+                        direct.append(site)
+                if chain is not None and chain[-1] not in _FAST_SCHEDULING_CALLS:
                     indices = [index for index, arg in enumerate(node.args)
                                if isinstance(arg, ast.Lambda)]
                     if indices:
@@ -478,7 +487,8 @@ class NoClosureScheduling(ProgramRule):
             if not isinstance(node, ast.Call):
                 continue
             chain = _attribute_chain(node.func)
-            if chain is None or len(chain) < 2 or chain[-1] != "schedule_call":
+            if chain is None or len(chain) < 2 \
+                    or chain[-1] not in _FAST_SCHEDULING_CALLS:
                 continue
             if len(node.args) < 2 or not isinstance(node.args[1], ast.Name):
                 continue
@@ -516,7 +526,7 @@ class NoClosureScheduling(ProgramRule):
                 yield Violation(
                     path=path, line=site["line"], col=site["col"],
                     rule=self.rule_id,
-                    message=f"{site['what']} passed to schedule_call()",
+                    message=f"{site['what']} passed to {site['callee']}()",
                     hint=self.hint,
                 )
             for call in file_facts.get("calls", ()):

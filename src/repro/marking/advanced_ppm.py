@@ -115,15 +115,19 @@ class AdvancedPpmScheme(MarkingScheme):
         packet.header.identification = self._inject_word
 
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
-        values = self.layout.unpack(packet.header.identification)
+        """One coin; the word comes from the memos :meth:`on_hop_array`
+        keeps, so the layout runs once per distinct key."""
+        header = packet.header
         if self.rng.random() < self.probability:
-            values["edge"] = self.node_hash(from_node)
-            values["distance"] = 0
+            word = self._mark_words.get(from_node)
+            if word is None:
+                word = self._mark_words[from_node] = self._mark_word(from_node)
         else:
-            if values["distance"] == 0:
-                values["edge"] ^= self.node_hash(from_node)
-            values["distance"] = min(values["distance"] + 1, self.max_distance)
-        packet.header.identification = self.layout.pack(values)
+            key = header.identification * self.topology.num_nodes + from_node
+            word = self._continue_words.get(key)
+            if word is None:
+                word = self._continue_words[key] = self._continue_word(key)
+        header.identification = word
 
     def inject_array(self, n: int) -> np.ndarray:
         """Columnar :meth:`on_inject`: ``n`` saturated-distance words."""

@@ -69,12 +69,19 @@ class PpmScheme(MarkingScheme):
 
     # -- switch side -------------------------------------------------------
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
-        word = packet.header.identification
+        """One coin; the word comes from the memos :meth:`on_hop_array`
+        keeps, so the encoder's layout runs once per distinct key."""
+        header = packet.header
         if self.rng.random() < self.probability:
-            word = self.encoder.write_start(word, from_node)
+            word = self._start_words.get(from_node)
+            if word is None:
+                word = self._start_words[from_node] = self._start_word(from_node)
         else:
-            word = self.encoder.write_continue(word, from_node)
-        packet.header.identification = word
+            key = header.identification * self.topology.num_nodes + from_node
+            word = self._continue_words.get(key)
+            if word is None:
+                word = self._continue_words[key] = self._continue_word(key)
+        header.identification = word
 
     def on_hop_array(self, words: np.ndarray, src: np.ndarray,
                      dst: np.ndarray, ttls: np.ndarray,

@@ -12,6 +12,10 @@ A send schedules its arrival and a ``chan-serial`` completion that starts
 the next send. The completion is deferred (``Simulator.defer``) and pushed
 into its reserved heap slot only once a packet waits for it, so an
 uncontended send costs one heap event; ``busy`` reads the completion's key.
+:meth:`Channel.kick` is the one transmit routine: the completion runs it,
+and so do an enqueue, a returned credit that finds packets waiting, and a
+restored link. The fabric's switches append to ``queue`` and kick directly,
+having made :meth:`Channel.enqueue`'s dead-link check themselves.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class Channel:
     __slots__ = (
         "src", "dst", "latency", "bandwidth", "buffer_capacity", "credits",
         "queue", "sim", "service", "on_arrival", "failed", "on_transmit",
-        "on_wire_drop", "_done", "_try_transmit_cb",
+        "on_wire_drop", "_done", "_kick_cb",
         "_arrive_cb", "_hold_by_size",
     )
 
@@ -84,7 +88,7 @@ class Channel:
         self.failed = False
         # Pre-bound callbacks: binding per hop would allocate a fresh bound
         # method for every scheduled event on the hot path.
-        self._try_transmit_cb = self._try_transmit
+        self._kick_cb = self.kick
         self._arrive_cb = self._arrive
         # Serialization time depends only on (service, bandwidth, packet
         # size) and all three service models are pure in it, so each size's
@@ -109,7 +113,7 @@ class Channel:
                 f"channel {self.src}->{self.dst} is failed; switch routed onto a dead link"
             )
         self.queue.append(packet)
-        self._try_transmit()
+        self.kick()
 
     def return_credit(self) -> None:
         """Receiver finished with one buffered packet; a new send may start."""
@@ -118,20 +122,17 @@ class Channel:
                 f"credit overflow on channel {self.src}->{self.dst}"
             )
         self.credits += 1
-        self._try_transmit()
+        if self.queue:
+            self.kick()
 
     def kick(self) -> None:
-        """Public nudge: start a send if idle, credited, and queue-nonempty.
+        """Start a send if idle, credited, live and queue-nonempty.
 
-        External state changes that can unblock a transfer — most notably
-        :meth:`repro.network.fabric.Fabric.restore_link` bringing this
-        channel back up — call this instead of poking the private transmit
-        machinery.
+        The one transmit routine: a send's deferred completion runs it, and
+        so does every state change that can unblock one — an enqueue, a
+        returned credit, :meth:`repro.network.fabric.Fabric.restore_link`
+        bringing the channel back up.
         """
-        self._try_transmit()
-
-    # ------------------------------------------------------------------
-    def _try_transmit(self) -> None:
         queue = self.queue
         if not queue or self.failed:
             return
@@ -150,12 +151,12 @@ class Channel:
         if hold is None:
             hold = self.service.serialization_time(packet, self.bandwidth)
             self._hold_by_size[size] = hold
-        self._done = sim.defer(self, sim.now + hold, self._try_transmit_cb,
+        self._done = sim.defer(self, sim.now + hold, self._kick_cb,
                                "chan-serial")
         if queue:
             sim.commit(self)  # packets wait: the completion starts the next send
-        sim.schedule_call(hold + self.latency, self._arrive_cb, packet,
-                          label="chan-arrive")
+        sim.schedule_args(hold + self.latency, self._arrive_cb, (packet,),
+                          "chan-arrive")
 
     def _arrive(self, packet: Packet) -> None:
         if self.failed:

@@ -28,7 +28,7 @@ it costs one ``is None`` test per packet when nothing is armed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.engine.contract import refuse
 from repro.engine.simulator import Simulator
@@ -43,7 +43,8 @@ from repro.network.nic import DeliveredPacket, Nic
 from repro.network.packet import Packet, PacketKind
 from repro.network.switch import Switch
 from repro.routing.base import Router
-from repro.routing.selection import FirstCandidatePolicy, SelectionPolicy
+from repro.routing.plan import route_table
+from repro.routing.selection import FirstCandidatePolicy, LeastCongestedPolicy, SelectionPolicy
 from repro.topology.base import Topology
 
 __all__ = ["Fabric", "FabricConfig", "FabricShell"]
@@ -298,6 +299,10 @@ class Fabric(FabricShell):
                 self.channels[(a, b)] = channel
                 self.switches[a].outputs[b] = channel
 
+        # The route table (None: ask the router live) and the link version
+        # it was read at; the first hop reads it.
+        self._routes = self._routes_version = None
+
         self.dropped_packets: List[Tuple[Packet, int, str]] = []
         self._drop_handlers: List[Callable[[Packet, int, str], None]] = []
         #: per-switch transit observers: node -> [fn(packet, node, time)].
@@ -306,6 +311,24 @@ class Fabric(FabricShell):
         self._transit_observers: Dict[int, List[Callable[[Packet, int, float], None]]] = {}
         if self.sim.watchdog is not None:
             self.sim.watchdog.attach_deadlock_probe(self.pending_work)
+
+    def _read_routes(self) -> None:
+        self._routes = route_table(self.router, self.topology)
+        self._routes_version = self.topology.links.version
+
+    @property
+    def selection(self) -> SelectionPolicy:
+        """The selection policy; assignable at any time (whether the
+        switches apply it in place is decided when it is assigned)."""
+        return self._selection
+
+    @selection.setter
+    def selection(self, policy: SelectionPolicy) -> None:
+        self._selection = policy
+        # A plain least-congested policy over this fabric's own congestion
+        # view: the switches read each candidate's occupancy in place.
+        self._least_congested = (type(policy) is LeastCongestedPolicy
+                                 and policy.congestion == self.congestion)
 
     def _on_channel_transmit(self, packet: Packet, channel: Channel) -> None:
         # The hop becomes real the moment the packet starts crossing: hop
@@ -330,17 +353,11 @@ class Fabric(FabricShell):
     def congestion(self, u: int, v: int) -> float:
         """Occupancy of directed channel u -> v (selection-policy input).
 
-        Inlines :meth:`Channel.occupancy` — adaptive selection queries this
-        once per candidate per routed packet. Resolved through the switch's
-        int-keyed output map rather than the (u, v)-keyed channel table: two
-        int dict hits beat building and hashing a tuple per query.
+        A plain :class:`LeastCongestedPolicy` bound to this view is applied
+        in place by the switches, which read each candidate channel's
+        occupancy directly; any other policy reading it calls this.
         """
-        channel = self.switches[u].outputs[v]
-        return float(len(channel.queue) + channel.buffer_capacity - channel.credits)
-
-    def select(self, candidates: Sequence[int], current: int) -> int:
-        """Apply the configured selection policy."""
-        return self.selection.choose(candidates, current)
+        return float(self.switches[u].outputs[v].occupancy())
 
     # ------------------------------------------------------------------
     # Packet lifecycle
@@ -351,7 +368,7 @@ class Fabric(FabricShell):
         node = at_node if at_node is not None else packet.true_source
         if not self.topology.contains(node):
             raise ConfigurationError(f"injection node {node} outside topology")
-        self.sim.schedule_call(delay, self._do_inject, packet, node, label="inject")
+        self.sim.schedule_args(delay, self._do_inject, (packet, node), "inject")
 
     def _do_inject(self, packet: Packet, node: int) -> None:
         packet.injected_at = self.sim.now
@@ -369,8 +386,8 @@ class Fabric(FabricShell):
         if self._vct_injection:
             extra = self.service.injection_overhead(packet, self.config.link_bandwidth)
         if extra > 0:
-            self.sim.schedule_call(extra, self.switches[node].accept_from_nic,
-                                   packet, label="nic-inject")
+            self.sim.schedule_args(extra, self.switches[node].accept_from_nic,
+                                   (packet,), "nic-inject")
         else:
             self.switches[node].accept_from_nic(packet)
 
@@ -483,10 +500,7 @@ class Fabric(FabricShell):
         This is the watchdog's deadlock probe: if the event queue has
         drained but this is non-zero, those packets can never move again.
         """
-        total = 0
-        for channel in self.channels.values():
-            total += len(channel.queue) + (channel.buffer_capacity - channel.credits)
-        return total
+        return sum(channel.occupancy() for channel in self.channels.values())
 
     def livelocked(self, packet: Packet, node: int) -> None:
         """Drop a packet that hit the watchdog's hop ceiling.

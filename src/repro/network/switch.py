@@ -7,8 +7,9 @@ addition, subtraction, and XOR" (§6.2). Concretely, for each packet a switch:
 1. zeroes/initializes the marking field when the packet enters from its
    local NIC (``on_inject`` — this is what defeats attacker-preloaded MFs);
 2. decrements TTL and drops expired packets;
-3. asks the routing function for legal next hops and the selection policy
-   for one of them;
+3. reads the legal next hops — from the route column the fabric holds for
+   a table-driven router, from the router itself otherwise — and lets the
+   selection policy pick one;
 4. enqueues the packet on the chosen output channel.
 
 The marking scheme's per-hop write (``on_hop``) fires when the packet
@@ -21,23 +22,25 @@ routed again; their marking state is untouched because the aborted hop was
 never marked.
 
 This is the per-packet hot loop, so the bookkeeping is deliberately lean:
-counters are plain integer slots (materialized into a
-:class:`repro.engine.stats.Counter` view only on demand), the profitability
-test is one :class:`repro.topology.oracle.DistanceOracle` lookup with the
-current node's distance threaded through :class:`repro.routing.base.RouteState`,
-and the routing-delay event is scheduled closure-free. The fault hooks
-(hop ceiling, packet-fault injection, dead-channel reroute) each cost one
-``is None``/attribute test per packet when no campaign is armed.
+the switch keeps no per-packet counters of its own (the fabric and the NICs
+count), the route read is
+one link-version compare plus two indexes, a plain least-congested policy
+over the fabric's own congestion view is applied in place (each candidate
+channel's occupancy read off the channel, no call per candidate), the
+profitability test is one :class:`repro.topology.oracle.DistanceOracle`
+lookup with the current node's distance threaded through
+:class:`repro.routing.base.RouteState`, and the routing-delay event is
+scheduled closure-free. The fault hooks (hop ceiling, packet-fault
+injection, dead-channel reroute) each cost one ``is None``/attribute test
+per packet when no campaign is armed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, TYPE_CHECKING
 
-from repro.engine.stats import Counter
 from repro.network.channel import Channel
 from repro.network.packet import Packet
-from repro.routing.plan import next_hops
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.network.fabric import Fabric
@@ -49,7 +52,6 @@ class Switch:
     """One switch of the direct network, owned by a :class:`Fabric`."""
 
     __slots__ = ("fabric", "node", "routing_delay", "outputs",
-                 "n_injected", "n_received", "n_forwarded", "n_filtered",
                  "_process_buffered_cb")
 
     def __init__(self, fabric: "Fabric", node: int, routing_delay: float):
@@ -58,24 +60,7 @@ class Switch:
         self.routing_delay = routing_delay
         #: next-hop node -> output Channel, wired by the fabric
         self.outputs: Dict[int, Channel] = {}
-        # Hot-loop counters as integer slots; see the `counters` property.
-        self.n_injected = 0
-        self.n_received = 0
-        self.n_forwarded = 0
-        self.n_filtered = 0
         self._process_buffered_cb = self._process_buffered
-
-    @property
-    def counters(self) -> Counter:
-        """String-keyed view of the integer slot counters (built on access)."""
-        view = Counter()
-        for name, value in (("injected", self.n_injected),
-                            ("received", self.n_received),
-                            ("forwarded", self.n_forwarded),
-                            ("filtered", self.n_filtered)):
-            if value:
-                view.incr(name, value)
-        return view
 
     # ------------------------------------------------------------------
     # Entry points
@@ -89,22 +74,19 @@ class Switch:
         """
         filter_fn = self.fabric.injection_filter
         if filter_fn is not None and not filter_fn(packet, self.node):
-            self.n_filtered += 1
             self.fabric.drop(packet, self.node, "filtered_at_source")
             return
         scheme = self.fabric.marking
         if scheme is not None:
             scheme.on_inject(packet, self.node)
-        self.n_injected += 1
         self._dispatch(packet)
 
     def accept_from_channel(self, packet: Packet, channel: Channel) -> None:
         """A packet arriving over channel ``channel`` (input buffer holds it)."""
-        self.n_received += 1
         if self.routing_delay > 0:
-            self.fabric.sim.schedule_call(
-                self.routing_delay, self._process_buffered_cb, packet, channel,
-                label="switch-route",
+            self.fabric.sim.schedule_args(
+                self.routing_delay, self._process_buffered_cb, (packet, channel),
+                "switch-route",
             )
         else:
             self._process_buffered(packet, channel)
@@ -157,26 +139,50 @@ class Switch:
             fabric.drop(packet, node, "ttl_expired")
             return
 
+        # The fabric holds the route table under the link version it read
+        # it at; a bump (a failure through the fabric or straight through
+        # the topology) re-reads it here.
+        if fabric._routes_version != fabric.topology.links.version:
+            fabric._read_routes()
         state = packet.route_state
-        candidates = next_hops(fabric.router, fabric.topology, node, state)
+        routes = fabric._routes
+        if routes is None:
+            candidates = fabric.router.candidates(fabric.topology, node, state)
+        else:
+            candidates = routes[dst][node]
         if not candidates:
             fabric.drop(packet, node, "unroutable")
             return
 
-        next_node = fabric.selection.choose(candidates, node)
-        channel = self.outputs[next_node]
+        outputs = self.outputs
+        if not fabric._least_congested:
+            next_node = fabric._selection.choose(candidates, node)
+        else:
+            # LeastCongestedPolicy.choose over the fabric's own congestion
+            # view, with each channel's occupancy read in place: the same
+            # first-minimum ties in candidate order, the same tie draw.
+            ties = []
+            for v in candidates:
+                out = outputs[v]
+                load = len(out.queue) + out.buffer_capacity - out.credits
+                if not ties or load < best:
+                    best = load
+                    ties = [v]
+                elif load == best:
+                    ties.append(v)
+            next_node = ties[0] if len(ties) == 1 else fabric._selection.pick(ties)
+        channel = outputs[next_node]
         if channel.failed:
             # Defense in depth for links failed behind the router's back
             # (e.g. a campaign that raced a memoized decision): steer to a
             # live alternative or degrade to a counted drop — never raise.
-            live = tuple(c for c in candidates
-                         if not self.outputs[c].failed)
+            live = tuple(c for c in candidates if not outputs[c].failed)
             if not live:
                 fabric.drop(packet, node, "link_failed")
                 return
             fabric.n_rerouted += 1
-            next_node = live[0] if len(live) == 1 else fabric.select(live, node)
-            channel = self.outputs[next_node]
+            next_node = live[0] if len(live) == 1 else fabric.selection.choose(live, node)
+            channel = outputs[next_node]
 
         # Profitability: one oracle lookup for the chosen hop; this node's
         # own distance was threaded through RouteState by the previous hop
@@ -204,5 +210,8 @@ class Switch:
         if hook is not None and not hook(packet, node, next_node):
             return  # the fault hook consumed (dropped and counted) it
 
-        self.n_forwarded += 1
-        channel.enqueue(packet)
+        # Channel.enqueue minus its dead-link guard, which the check above
+        # already made (the fault hook drops, clones or flips bits; it
+        # fails no link).
+        channel.queue.append(packet)
+        channel.kick()

@@ -12,9 +12,14 @@ Each router declares that map beside its ``candidates`` as a
 moves plus a gate — and :class:`RouteTable` evaluates it for many rows at
 once over per-move step tables, with failed links masked out. Two reads:
 
-* :meth:`RouteTable.candidates` — the scalar read. The exact engine's
-  switches and :func:`~repro.routing.base.walk_route` call it per hop; it
-  keeps one tuple per node for every destination column asked about.
+* the table itself — the scalar read, a dict from destination to one
+  candidate tuple per node, each column built on its first read from a
+  cache of the (node, class) rows earlier columns touched, so columns
+  share their tuples and a column fills at most n new rows (a hypercube's
+  n² rows are never built whole). The exact engine's switches index it
+  per hop (:class:`~repro.network.fabric.Fabric` holds it under the link
+  version it was read at); :meth:`RouteTable.candidates` and
+  :func:`~repro.routing.base.walk_route` read it too.
 * :meth:`RouteTable.lookup` — the columnar read. The cohort engines call it
   per round; it takes each row's sign class from
   :meth:`~repro.topology.base.Topology.offset_array` and indexes the
@@ -64,13 +69,16 @@ def next_hops(router: Router, topology: Topology, current: int,
     return table.candidates(current, state.destination)
 
 
-class RouteTable:
+class RouteTable(dict):
     """Candidate next hops of one table-driven router on one link state.
 
+    The table is its own scalar read: a dict from destination to column,
+    one candidate tuple per node, each column built on its first read.
     Build it through :func:`route_table`, which keys it by link version.
     """
 
     def __init__(self, router: Router, topology: Topology):
+        super().__init__()
         self.topology = topology
         self.n = n = topology.num_nodes
         #: candidate-matrix columns (and the cohort engines' ports per node)
@@ -103,25 +111,30 @@ class RouteTable:
         else:
             shifted %= dims[axis]
             exists = np.broadcast_to(dims[axis] > 1, shifted.shape)
-        nodes = np.arange(n, dtype=np.int64)[:, None]
+        self._nodes = nodes = np.arange(n, dtype=np.int64)
         self._target = np.where(
-            exists, nodes + (shifted - coords[:, axis]) * strides[axis], -1)
+            exists, nodes[:, None] + (shifted - coords[:, axis]) * strides[axis], -1)
         # Directed (node * n + neighbor) keys of every failed link.
         failed = np.array(sorted(topology.links.failed_links),
                           dtype=np.int64).reshape(-1, 2)
         down = np.concatenate([failed @ [n, 1], failed @ [1, n]])
-        self._up = exists & ~np.isin(nodes * n + self._target, down)
+        self._up = exists & ~np.isin(nodes[:, None] * n + self._target, down)
 
-        # Scalar read: destination -> one candidate tuple per node.
-        self._columns: Dict[int, List[Tuple[int, ...]]] = {}
+        # Each node's first row; row = node * classes + sign class.
+        self._row0 = nodes * self._classes
+        # The (node, class) rows scalar reads have touched, as tuples: a
+        # column shares them instead of building one per node. Offset zero
+        # (the packet is at its destination) has no candidates on any node.
+        self._rows: Dict[int, Tuple[int, ...]] = dict.fromkeys(
+            (self._row0 + self._shift).tolist(), ())
         # Columnar read: the (node, class) candidates and degrees, filled
         # by the first lookup.
         self._cand = self._deg = None
 
-    def _fill(self, nodes: np.ndarray,
-              classes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate rows (padded with -1) and their degrees for the
-        (``nodes``, sign ``classes``) rows: the closed form, evaluated."""
+    def _fill(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidates (padded with -1) and degrees of the (node, sign class)
+        ``rows``, row = node * classes + class: the closed form, evaluated."""
+        nodes, classes = np.divmod(rows, self._classes)
         profitable = self._profitable[classes]
         live = profitable & self._up[nodes]
         gated = live if self._gate_live else profitable
@@ -144,25 +157,29 @@ class RouteTable:
         return np.sign(offsets) @ self._weights + self._shift
 
     def candidates(self, current: int, destination: int) -> Tuple[int, ...]:
-        """Legal next hops from ``current`` toward ``destination``.
+        """Legal next hops from ``current`` toward ``destination``."""
+        return self[destination][current]
 
-        The first read of a destination evaluates its whole column.
-        """
-        column = self._columns.get(destination)
-        if column is None:
-            nodes = np.arange(self.n, dtype=np.int64)
-            cand, deg = self._fill(nodes, self._sign_class(
-                nodes, np.full(self.n, destination, dtype=np.int64)))
-            column = self._columns[destination] = [
-                tuple(row[:d]) for row, d in zip(cand.tolist(), deg.tolist())]
-        return column[current]
+    def __missing__(self, destination: int) -> List[Tuple[int, ...]]:
+        """Every node's candidates toward ``destination``: one row per node,
+        filled only where no earlier column touched it."""
+        rows = (self._row0 + self._sign_class(
+            self._nodes, np.full(self.n, destination, dtype=np.int64))).tolist()
+        cache = self._rows
+        # One row per node, so a column never names a row twice.
+        missing = [row for row in rows if row not in cache]
+        if missing:
+            cand, deg = self._fill(np.array(missing, dtype=np.int64))
+            cache.update(zip(missing, (tuple(row[:d]) for row, d in
+                                       zip(cand.tolist(), deg.tolist()))))
+        column = self[destination] = list(map(cache.__getitem__, rows))
+        return column
 
     def lookup(self, pos: np.ndarray,
                dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (candidate matrix, degree) for a cohort's positions."""
         if self._cand is None:
-            rows = np.arange(self.n * self._classes, dtype=np.int64)
-            self._cand, self._deg = self._fill(rows // self._classes,
-                                               rows % self._classes)
+            self._cand, self._deg = self._fill(
+                np.arange(self.n * self._classes, dtype=np.int64))
         rows = pos * self._classes + self._sign_class(pos, dst)
         return self._cand.take(rows, axis=0), self._deg.take(rows)

@@ -94,23 +94,15 @@ class LeastCongestedPolicy(SelectionPolicy):
 
     def choose(self, candidates: Sequence[int], current: int) -> int:
         self._check(candidates)
-        if len(candidates) == 1:
-            return candidates[0]
-        # Single pass: track the running minimum and its ties (equivalent to
-        # min()-then-filter, but one congestion query and no intermediate
-        # lists per candidate — this runs once per routed packet).
-        congestion = self.congestion
-        iterator = iter(candidates)
-        first = next(iterator)
-        best = congestion(current, first)
-        ties = [first]
-        for v in iterator:
-            load = congestion(current, v)
-            if load < best:
-                best = load
-                ties = [v]
-            elif load == best:
-                ties.append(v)
+        # The exact engine's switches apply a policy bound to their fabric's
+        # own congestion view in place (repro.network.switch), single pass.
+        loads = [self.congestion(current, v) for v in candidates]
+        best = min(loads)
+        return self.pick([v for v, load in zip(candidates, loads) if load == best])
+
+    def pick(self, ties: Sequence[int]) -> int:
+        """One of the equally least-loaded candidates ``ties``: the first,
+        or a uniform draw among them when the policy has a generator."""
         if len(ties) == 1 or self.rng is None:
             return ties[0]
         return ties[int(self.rng.integers(len(ties)))]

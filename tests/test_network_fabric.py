@@ -162,6 +162,73 @@ class TestAdaptiveCongestion:
         assert len(paths) > 1  # adaptivity is live
 
 
+class _Recording(LeastCongestedPolicy):
+    """The policy through its generic ``choose``: a subclass is not read in
+    place, so every decision goes through ``congestion``."""
+
+    def __init__(self, congestion, rng):
+        super().__init__(congestion, rng)
+        self.choices = []
+
+    def choose(self, candidates, current):
+        choice = super().choose(candidates, current)
+        self.choices.append(choice)
+        return choice
+
+
+class TestInPlaceLeastCongested:
+    """The switches read a plain least-congested policy's occupancies in
+    place; decisions and tie draws must equal ``LeastCongestedPolicy.choose``."""
+
+    @staticmethod
+    def _run(policy_for):
+        fab = Fabric(Torus((4, 4)), MinimalAdaptiveRouter(),
+                     config=FabricConfig(trace_packets=True))
+        fab.selection = policy = policy_for(fab)
+        traces = []
+        for node in fab.topology.nodes():
+            fab.add_delivery_handler(node, lambda ev: traces.append(
+                (ev.packet.seq, tuple(ev.packet.trace))))
+        rng = np.random.default_rng(3)
+        for i in range(300):
+            src, dst = rng.choice(16, size=2, replace=False).tolist()
+            fab.inject(fab.make_packet(src, dst, seq=i), delay=i * 0.002)
+        fab.run()
+        return fab, policy, sorted(traces)
+
+    @pytest.mark.parametrize("generic", [
+        lambda fab: _Recording(fab.congestion, np.random.default_rng(7)),
+        lambda fab: LeastCongestedPolicy(
+            lambda u, v: fab.congestion(u, v), np.random.default_rng(7)),
+    ], ids=["subclass", "custom-congestion"])
+    def test_same_choices_and_tie_draws_as_choose(self, generic):
+        fab, policy, traces = self._run(
+            lambda fab: LeastCongestedPolicy(fab.congestion,
+                                             np.random.default_rng(7)))
+        assert fab._least_congested
+        ref_fab, ref_policy, ref_traces = self._run(generic)
+        assert not ref_fab._least_congested
+        assert traces == ref_traces
+        assert policy.rng.bit_generator.state == ref_policy.rng.bit_generator.state
+        # The load was high enough for ties to draw from the generator.
+        assert policy.rng.bit_generator.state != \
+            np.random.default_rng(7).bit_generator.state
+
+    def test_selection_reassigned_after_build_is_honoured(self):
+        fab = Fabric(Torus((4, 4)), MinimalAdaptiveRouter())
+        fab.selection = LeastCongestedPolicy(fab.congestion,
+                                             np.random.default_rng(0))
+        assert fab._least_congested
+        recording = _Recording(fab.congestion, np.random.default_rng(0))
+        fab.selection = recording
+        assert fab.selection is recording and not fab._least_congested
+        for i in range(20):
+            fab.inject(fab.make_packet(0, 10), delay=i * 0.001)
+        fab.run()
+        assert fab.n_delivered == 20
+        assert len(recording.choices) == 20 * fab.topology.min_hops(0, 10)
+
+
 class TestValidation:
     def test_bad_nodes_rejected(self):
         fab = build()

@@ -152,3 +152,84 @@ def test_n_rows_match_n_scalar_hops(name, kind, seed, rows):
                                 for column in (words, src, dst, ttls)),
                               np.random.default_rng(seed))
     assert out.tolist() == expected
+
+
+#: PPM schemes whose scalar hop reads the word memos the array hop keeps
+MEMOIZED_PPM = ("ppm-full", "ppm-xor", "ppm-bitdiff", "ppm-advanced")
+
+
+def _reference_ppm_hop(scheme, word, node, coin):
+    """One PPM hop encoded afresh, no memo: the encoder's own start
+    and continue writes (the advanced scheme's layout, for ppm-advanced)."""
+    mark = coin < scheme.probability
+    encoder = getattr(scheme, "encoder", None)
+    if encoder is not None:
+        return (encoder.write_start(word, node) if mark
+                else encoder.write_continue(word, node))
+    values = scheme.layout.unpack(word)
+    if mark:
+        values["edge"], values["distance"] = scheme.node_hash(node), 0
+    else:
+        if values["distance"] == 0:
+            values["edge"] ^= scheme.node_hash(node)
+        values["distance"] = min(values["distance"] + 1, scheme.max_distance)
+    return scheme.layout.pack(values)
+
+
+@pytest.mark.parametrize("name", MEMOIZED_PPM)
+@pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+@SETTINGS
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 12))
+def test_ppm_scalar_hops_equal_the_array_and_the_encoder(name, kind, seed,
+                                                         rows):
+    """n scalar hops on one coin sequence ≡ one n-row array hop on the
+    same sequence ≡ the encoder run per hop."""
+    scheme, topology = _attached(name, kind, seed)
+    rng = np.random.default_rng(seed)
+    packets, src, dst = [], [], []
+    for _ in range(rows):
+        packet, node = _walk(scheme, topology, rng, int(rng.integers(0, 13)))
+        packets.append(packet)
+        src.append(node)
+        dst.append(_next_hop(topology, node, rng))
+    words = [packet.header.identification for packet in packets]
+    coins = np.random.default_rng(seed + 1).random(rows).tolist()
+    expected = [_reference_ppm_hop(scheme, word, node, coin)
+                for word, node, coin in zip(words, src, coins)]
+
+    scheme.rng = np.random.default_rng(seed + 1)
+    for packet, u, v in zip(packets, src, dst):
+        scheme.on_hop(packet, u, v)
+    assert [packet.header.identification for packet in packets] == expected
+    out = scheme.on_hop_array(
+        *(np.array(column, dtype=np.int64)
+          for column in (words, src, dst, [0] * rows)),
+        np.random.default_rng(seed + 1))
+    assert out.tolist() == expected
+
+
+@pytest.mark.parametrize("name", MEMOIZED_PPM[:3])
+def test_reattached_ppm_marks_from_fresh_words(name):
+    """Memos are functions of the topology: after a re-attach the next
+    scalar hop encodes for the new one, not from the old one's memo.
+    (ppm-advanced's words, a node hash and a fixed-width distance, do not
+    depend on the topology.)"""
+    scheme = MARKING.create(name, np.random.default_rng(0), Mesh((4, 4)), 0.5)
+    scheme.attach(Mesh((4, 4)))
+    hops = [(0, 5, 1), (0, 6, 2), (1, 9, 13), (0, 10, 11)]  # (p, word, node)
+
+    def marked(scheme):
+        out = []
+        for probability, word, node in hops:
+            scheme.probability = probability
+            packet = Packet(IPHeader(node, 0), node, 0)
+            packet.header.identification = word
+            scheme.on_hop(packet, node, node + 1)
+            out.append(packet.header.identification)
+        return out
+
+    old = marked(scheme)
+    scheme.attach(Mesh((8, 8)))
+    fresh = MARKING.create(name, np.random.default_rng(0), Mesh((8, 8)), 0.5)
+    fresh.attach(Mesh((8, 8)))
+    assert marked(scheme) == marked(fresh) != old

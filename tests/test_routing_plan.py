@@ -38,6 +38,9 @@ TOPOLOGIES = {
     # Three axes: negative-first's phases and 3-axis dimension order.
     "3d-mesh": lambda: Mesh((3, 2, 3)),
     "hypercube": lambda: Hypercube(4),
+    # 2^6 sign classes per node: the scalar read's row cache is n² rows
+    # here, filled only where a column reads it.
+    "hypercube-6": lambda: Hypercube(6),
 }
 
 SETTINGS = settings(max_examples=30, deadline=None,
@@ -184,6 +187,27 @@ def test_table_is_rebuilt_when_the_link_version_changes():
     assert next_hops(router, topology, 0, RouteState(15)) == (1,)
 
 
+def test_scalar_reads_fill_only_the_rows_they_touch():
+    """A hypercube has n·2^d = n² (node, sign class) rows. Scalar reads
+    over every destination fill at most n rows per column and never build
+    the columnar table (at Hypercube(14) that would be 2^28 rows)."""
+    topology = Hypercube(10)
+    router = MinimalAdaptiveRouter()
+    table = route_table(router, topology)
+    n = topology.num_nodes
+    seeded = len(table._rows)
+    for dst in range(n):
+        column = table[dst]
+        assert len(column) == n and column[dst] == ()
+        assert column[dst ^ 1] == (dst,)
+        assert len(table._rows) - seeded <= n
+        # Keep memory flat: forget this column and the rows it filled.
+        table.clear()
+        for row in list(table._rows)[seeded:]:
+            del table._rows[row]
+    assert table._cand is None
+
+
 class TestExactEngineInvalidation:
     """A warm table must not outlive a link failure on the exact engine.
 
@@ -221,3 +245,24 @@ class TestExactEngineInvalidation:
         assert third == first
         assert fabric.n_rerouted == rerouted
         assert fabric.n_delivered == 3
+
+    def test_topology_failure_between_packets_reaches_the_next_packet(self):
+        """A link failed on the topology itself leaves the channel up, so
+        only the held column's link version can steer the next packet."""
+        fabric = Fabric(Mesh((4, 4)), MinimalAdaptiveRouter(),
+                        selection=FirstCandidatePolicy())
+        paths = []
+        for node in fabric.topology.nodes():
+            fabric.add_transit_observer(
+                node, lambda packet, at, now: paths[-1].append(at))
+
+        first = self._send(fabric, paths)
+        assert first[:2] == [0, 4]
+        rerouted = fabric.n_rerouted
+        fabric.topology.fail_link(0, 4)
+        assert not fabric.channels[(0, 4)].failed
+
+        second = self._send(fabric, paths)
+        assert second[:2] == [0, 1]
+        assert fabric._routes_version == fabric.topology.links.version
+        assert fabric.n_rerouted == rerouted
