@@ -113,13 +113,12 @@ class WormOutbreak:
         self.curve.add(max(at_time, self.fabric.sim.now), len(self.infected))
         self.fabric.sim.schedule_at(
             max(at_time + self.incubation, self.fabric.sim.now),
-            lambda n=node: self._schedule_next_scan(n),
-            label="worm-incubate",
+            self._schedule_next_scan, node, label="worm-incubate",
         )
         if self.recovery_rate > 0:
             delay = float(self.rng.exponential(1.0 / self.recovery_rate))
-            self.fabric.sim.schedule(delay, lambda n=node: self._recover(n),
-                                     label="worm-recover")
+            self.fabric.sim.schedule_call(delay, self._recover, node,
+                                          label="worm-recover")
 
     def _recover(self, node: int) -> None:
         if node in self.infected:
@@ -133,8 +132,8 @@ class WormOutbreak:
         when = self.fabric.sim.now + delay
         if when > self.horizon:
             return
-        self.fabric.sim.schedule(delay, lambda n=node: self._do_scan(n),
-                                 label="worm-scan")
+        self.fabric.sim.schedule_call(delay, self._do_scan, node,
+                                      label="worm-scan")
 
     def _do_scan(self, node: int) -> None:
         if node not in self.infected:

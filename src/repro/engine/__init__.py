@@ -1,12 +1,12 @@
 """Discrete-event simulation kernel.
 
-A deliberately small event-driven core: a priority-queue scheduler
-(:class:`Simulator`), deterministic per-component random streams
-(:class:`RngRegistry`), and lightweight statistics collectors. The network
-fabric (:mod:`repro.network`) is built entirely on these primitives.
+A deliberately small event-driven core: a binary-heap scheduler whose
+events run in ``(time, seq)`` order (:class:`Simulator`), deterministic
+per-component random streams (:class:`RngRegistry`), and lightweight
+statistics collectors. The network fabric (:mod:`repro.network`) is built
+entirely on these primitives.
 """
 
-from repro.engine.events import Event, EventQueue
 from repro.engine.profile import EventProfiler, ProfileEntry
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
@@ -14,8 +14,6 @@ from repro.engine.stats import Counter, Histogram, TimeSeries, WelfordAccumulato
 from repro.engine.watchdog import Watchdog, WatchdogReport
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "EventProfiler",
     "ProfileEntry",
     "Simulator",

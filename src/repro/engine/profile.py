@@ -15,12 +15,9 @@ without one pays a single ``is None`` check per event.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from repro.util.tables import TextTable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.events import Event
 
 __all__ = ["EventProfiler", "ProfileEntry"]
 
@@ -42,7 +39,7 @@ class ProfileEntry(NamedTuple):
 class EventProfiler:
     """Accumulates per-event wall-clock timings, bucketed by label + callsite.
 
-    ``record_call`` is invoked by the simulator's run loop *instead of* the
+    ``record`` is invoked by the simulator's run loop *instead of* the
     raw callback invocation, so the two timestamps bracket exactly the
     event's own work (including any events it schedules, but not their
     execution).
@@ -97,10 +94,6 @@ class EventProfiler:
             bucket[0] += 1.0
             bucket[1] += elapsed
         self.events_recorded += 1
-
-    def record_call(self, event: "Event") -> None:
-        """Execute an :class:`~repro.engine.events.Event` and record its cost."""
-        self.record(event.callback, event.args, event.label)
 
     def record_batch_flush(self, label: str, rows: int,
                            fn: Callable[..., Any], *args: Any) -> None:

@@ -16,7 +16,7 @@ Checked invariants
 * **Credit conservation** — once the event queue drains, every live channel
   must have all its receiver credits back (kind ``"credit-leak"``).
 * **Event-heap ordering** — the scheduler's heap must satisfy the heap
-  property on (time, priority, sequence) and never hold an event earlier
+  property on (time, sequence) and never hold an event earlier
   than the clock (kind ``"heap-order"``).
 
 Sanitizing never perturbs simulation results: the RNG guards delegate every
@@ -273,7 +273,7 @@ class SimSanitizer:
     def check_heap(self, heap: List[Any], now: float) -> None:
         """O(n) heap-property check over the scheduler's raw heap.
 
-        Entries order by their (time, priority, sequence) prefix; a parent
+        Entries order by their (time, sequence) prefix; a parent
         sorting after its child, or any entry timed before the clock, means
         someone mutated an entry in place or bypassed ``heapq``.
         """
@@ -287,11 +287,11 @@ class SimSanitizer:
                     subject=str(entry[0]),
                 )
             for child_index in (2 * index + 1, 2 * index + 2):
-                if child_index < size and entry[:3] > heap[child_index][:3]:
+                if child_index < size and entry[:2] > heap[child_index][:2]:
                     self._raise(
                         "heap-order",
                         f"heap property violated at index {index}: "
-                        f"{entry[:3]!r} sorts after child {heap[child_index][:3]!r}",
+                        f"{entry[:2]!r} sorts after child {heap[child_index][:2]!r}",
                         subject=str(index),
                     )
 

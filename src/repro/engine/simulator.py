@@ -1,22 +1,25 @@
 """The discrete-event simulator loop.
 
-:class:`Simulator` owns the clock, the event queue, and the RNG registry.
-Components schedule work with :meth:`Simulator.schedule` /
-:meth:`Simulator.schedule_at` / :meth:`Simulator.schedule_call` and the
+:class:`Simulator` owns the clock, the event heap, and the RNG registry.
+Components schedule work with :meth:`Simulator.schedule_call` /
+:meth:`Simulator.schedule_args` / :meth:`Simulator.schedule_at` and the
 driver advances the world with :meth:`run_until` / :meth:`run` / :meth:`step`.
 
 Hot-path notes
 --------------
-``schedule_call(delay, fn, *args)`` is the zero-closure fast path: the bound
-method and its arguments ride in the heap entry itself (no lambda, no cell
-objects, no Event allocation) and no handle is returned;
-``schedule_args(delay, fn, args, label)`` is the same call with the
+Every event is one heap tuple ``(time, seq, callback, args, label)``: the
+bound method and its arguments ride in the entry itself (no lambda, no
+cell objects) and no handle is returned, so an event cannot be
+cancelled. ``seq`` comes from one counter and is unique, so events at
+equal times run in insertion order and every comparison is decided by
+``(time, seq)`` inside the C tuple-comparison loop.
+``schedule_args(delay, fn, args, label)`` is ``schedule_call`` with the
 arguments as one tuple, which the per-hop callers use. ``run_until``
-inlines the peek/pop/execute cycle over the raw heap — one heap operation
-and zero method calls of queue bookkeeping per event.
+runs the peek/pop/execute cycle over the raw heap — one heap operation
+and one dispatch per event.
 
 An event that usually has nothing to do can skip the heap: ``defer``
-reserves its ``(time, 0, seq)`` slot and ``commit`` pushes it into that
+reserves its ``(time, seq)`` slot and ``commit`` pushes it into that
 slot only if it gets work before ``frontier`` (the executing event's key)
 passes it. ``events_executed`` counts it either way and is exact at every
 ``run_until`` boundary; ``heap_events`` counts heap pops (DESIGN.md §7).
@@ -30,11 +33,11 @@ check per event.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import os
 from typing import Any, Callable, Dict, Optional, TYPE_CHECKING
 
-from repro.engine.events import Event, EventQueue
 from repro.engine.rng import RngRegistry
 from repro.errors import SimulationError
 
@@ -48,6 +51,9 @@ __all__ = ["Simulator"]
 
 class Simulator:
     """Event-driven simulation kernel with a monotonically advancing clock.
+
+    ``queue`` is the raw event heap of ``(time, seq, callback, args,
+    label)`` tuples; ``len(sim.queue)`` is the number of pending events.
 
     Parameters
     ----------
@@ -80,7 +86,8 @@ class Simulator:
                  watchdog: Optional["Watchdog"] = None,
                  sanitize: Optional[bool] = None):
         self.now: float = 0.0
-        self.queue = EventQueue()
+        self.queue: list = []
+        self._seq = itertools.count()
         if sanitize is None:
             sanitize = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
         self.sanitizer: Optional["SimSanitizer"] = None
@@ -109,21 +116,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, callback: Callable[[], Any],
-                 priority: int = 0, label: str = "") -> Event:
-        """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0 or delay != delay:  # delay != delay <=> NaN
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.queue.push(self.now + delay, callback, priority, label)
-
     def schedule_call(self, delay: float, callback: Callable[..., Any],
                       *args: Any, label: str = "") -> None:
-        """Zero-closure fast-path scheduling: fire ``callback(*args)`` after ``delay``.
+        """Fire ``callback(*args)`` ``delay`` time units from now.
 
         The callable and arguments ride in the heap entry itself, so hot
-        paths schedule without building a lambda — or even an Event — per
-        hop. No handle is returned; an event scheduled this way cannot be
-        cancelled. Use :meth:`schedule` when you need the handle.
+        paths schedule without building a lambda per hop. No handle is
+        returned: an event, once scheduled, runs.
         """
         self.schedule_args(delay, callback, args, label)
 
@@ -137,72 +136,60 @@ class Simulator:
         """
         if not delay >= 0:  # negative or NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        queue = self.queue
-        heapq.heappush(
-            queue._heap,
-            (self.now + delay, 0, next(queue._counter), None, callback, args, label),
-        )
-        queue._live += 1
+        heapq.heappush(self.queue, (self.now + delay, next(self._seq),
+                                    callback, args, label))
 
-    def schedule_at(self, time: float, callback: Callable[[], Any],
-                    priority: int = 0, label: str = "") -> Event:
-        """Schedule ``callback`` at absolute simulated ``time`` (>= now)."""
-        if time < self.now or math.isnan(time):
+    def schedule_at(self, time: float, callback: Callable[..., Any],
+                    *args: Any, label: str = "") -> None:
+        """:meth:`schedule_call` at absolute simulated ``time`` (>= now)."""
+        if not time >= self.now:  # in the past or NaN
             raise SimulationError(f"cannot schedule at {time} before now={self.now}")
-        return self.queue.push(time, callback, priority, label)
+        heapq.heappush(self.queue, (time, next(self._seq), callback, args, label))
 
     def defer(self, owner: Any, time: float, callback: Callable[[], Any],
               label: str = "") -> tuple:
         """Reserve the heap slot of ``callback()`` at ``time``; return its key.
 
-        The key is ``(time, 0, seq)``; compare only keys with :attr:`frontier`.
+        The key is ``(time, seq)``; compare only keys with :attr:`frontier`.
         Unless :meth:`commit` pushes it first, the event counts as run, doing
         nothing, once :attr:`frontier` passes it. One per ``owner`` at a time.
         """
-        entry = (time, 0, next(self.queue._counter), None, callback, (), label)
+        entry = (time, next(self._seq), callback, (), label)
         self._deferred[owner] = entry
         self.events_executed += 1
-        return entry[:3]
+        return entry[:2]
 
     def commit(self, owner: Any) -> None:
         """Push ``owner``'s deferred event into its slot, if it is still ahead."""
         entry = self._deferred.pop(owner, ())
-        if entry[:3] > self.frontier:
+        if entry[:2] > self.frontier:
             self.events_executed -= 1
-            queue = self.queue
-            heapq.heappush(queue._heap, entry)  # the reserved entry, as is
-            queue._live += 1
+            heapq.heappush(self.queue, entry)  # the reserved entry, as is
 
     def _count(self, heap_events: int) -> None:
         self.events_executed += heap_events - self.heap_events
         self.heap_events = heap_events
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
-        if not event.cancelled:
-            event.cancel()
-            self.queue.note_cancelled()
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
+        """Execute the next event. Returns False when the heap is empty."""
         if not self.queue:
             return False
-        event = self.queue.pop()
-        if event.time < self.now:
+        entry = heapq.heappop(self.queue)
+        time = entry[0]
+        if time < self.now:
             raise SimulationError(
-                f"event time {event.time} precedes clock {self.now} (queue corrupt)"
+                f"event time {time} precedes clock {self.now} (queue corrupt)"
             )
-        self.now = event.time
-        self.frontier = (event.time, event.priority, event.seq)
+        self.now = time
+        self.frontier = entry
         self._count(self.heap_events + 1)
-        profile = self.profile
-        if profile is None:
-            event.callback(*event.args)
+        if self.profile is None:
+            entry[2](*entry[3])
         else:
-            profile.record_call(event)
+            self.profile.record(entry[2], entry[3], entry[4])
         return True
 
     def run(self) -> float:
@@ -223,15 +210,14 @@ class Simulator:
         if sanitizer is not None:
             # Boundary checks only: the heap validation is O(n), so it runs
             # outside the hot loop, on entry and on clean exit.
-            sanitizer.check_heap(self.queue._heap, self.now)
+            sanitizer.check_heap(self.queue, self.now)
         # The loop below is the single hottest code in the repository: it
-        # inlines EventQueue.peek_time/pop over the raw heap so each event
-        # costs one heappop plus the callback, with no per-event method
-        # calls. Semantics match step(): lazy deletion of cancelled events,
-        # max_events safety valve, monotonic clock enforcement. `executed`
-        # counts heap events; _count() folds it into events_executed.
-        queue = self.queue
-        heap = queue._heap
+        # peeks and pops the raw heap inline, so each event costs one
+        # heappop plus the callback, with no per-event method calls.
+        # Semantics match step(): max_events safety valve, monotonic clock
+        # enforcement. `executed` counts heap events; _count() folds it
+        # into events_executed.
+        heap = self.queue
         heappop = heapq.heappop
         max_events = self.max_events
         profile = self.profile
@@ -245,10 +231,6 @@ class Simulator:
         try:
             while heap:
                 entry = heap[0]
-                event = entry[3]
-                if event is not None and event.cancelled:
-                    heappop(heap)
-                    continue
                 time = entry[0]
                 if time > end_time:
                     break
@@ -262,20 +244,13 @@ class Simulator:
                         f"event time {time} precedes clock {self.now} (queue corrupt)"
                     )
                 heappop(heap)
-                queue._live -= 1
                 self.now = time
                 self.frontier = entry
                 executed += 1
-                if event is None:
-                    # Fast-path entry: (..., None, callback, args, label).
-                    if profile is None:
-                        entry[4](*entry[5])
-                    else:
-                        profile.record(entry[4], entry[5], entry[6])
-                elif profile is None:
-                    event.callback(*event.args)
+                if profile is None:
+                    entry[2](*entry[3])
                 else:
-                    profile.record_call(event)
+                    profile.record(entry[2], entry[3], entry[4])
                 if wd_next_check is not None and executed >= wd_next_check:
                     self._count(executed)
                     watchdog.check_stall(self)

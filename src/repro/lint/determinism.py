@@ -225,12 +225,10 @@ class NoGlobalRng(Rule):
 
 
 # ----------------------------------------------------------------------
-#: call names that schedule simulator events.
-_SCHEDULING_CALLS = frozenset({"schedule", "schedule_call", "schedule_args",
-                               "schedule_at"})
-#: the zero-closure fast path: callback in slot 1, then its arguments
-#: (``schedule_args`` takes them as one tuple).
-_FAST_SCHEDULING_CALLS = frozenset({"schedule_call", "schedule_args"})
+#: call names that schedule simulator events: each takes its callback in
+#: slot 1, then the callback's arguments (``schedule_args`` takes them as
+#: one tuple), and none takes a closure.
+_SCHEDULING_CALLS = frozenset({"schedule_call", "schedule_args", "schedule_at"})
 #: wrappers that preserve their argument's iteration order.
 _ORDER_PRESERVING = frozenset({"list", "tuple", "iter", "enumerate", "reversed"})
 #: Generator methods that are stream bookkeeping, not draws.
@@ -412,10 +410,11 @@ class NoClosureScheduling(ProgramRule):
     """H1: the allocation-free fast path takes no lambdas or nested defs.
 
     Two layers: the syntactic check (a lambda or nested def passed straight
-    to ``schedule_call``) and an interprocedural one — a function that
-    forwards one of its parameters into ``schedule_call``'s callback slot
-    is a *scheduling forwarder*, and passing a lambda to the forwarder is
-    the same violation one call further from the heap.
+    to ``schedule_call``, ``schedule_args`` or ``schedule_at``) and an
+    interprocedural one — a function that forwards one of its parameters
+    into a scheduling call's callback slot is a *scheduling forwarder*, and
+    passing a lambda to the forwarder is the same violation one call
+    further from the heap.
     """
 
     rule_id = "H1"
@@ -438,7 +437,7 @@ class NoClosureScheduling(ProgramRule):
                     continue
                 chain = _attribute_chain(node.func)
                 if chain is not None and len(chain) > 1 \
-                        and chain[-1] in _FAST_SCHEDULING_CALLS:
+                        and chain[-1] in _SCHEDULING_CALLS:
                     args = list(node.args) + [kw.value for kw in node.keywords]
                     for arg in args + [element for arg in args
                                        if isinstance(arg, ast.Tuple)
@@ -453,7 +452,7 @@ class NoClosureScheduling(ProgramRule):
                             continue
                         site["callee"] = chain[-1]
                         direct.append(site)
-                if chain is not None and chain[-1] not in _FAST_SCHEDULING_CALLS:
+                if chain is not None and chain[-1] not in _SCHEDULING_CALLS:
                     indices = [index for index, arg in enumerate(node.args)
                                if isinstance(arg, ast.Lambda)]
                     if indices:
@@ -488,7 +487,7 @@ class NoClosureScheduling(ProgramRule):
                 continue
             chain = _attribute_chain(node.func)
             if chain is None or len(chain) < 2 \
-                    or chain[-1] not in _FAST_SCHEDULING_CALLS:
+                    or chain[-1] not in _SCHEDULING_CALLS:
                 continue
             if len(node.args) < 2 or not isinstance(node.args[1], ast.Name):
                 continue
@@ -513,9 +512,9 @@ class NoClosureScheduling(ProgramRule):
                 forwarder_indices.setdefault(name, set()).add(
                     forwarder["arg_index"])
         # Call resolution is name-based, so only a name whose EVERY
-        # definition forwards is flagged at call sites — Simulator.schedule
-        # (handle-returning, closures sanctioned) must not taint an
-        # unrelated forwarder that happens to share its name.
+        # definition forwards is flagged at call sites — a method that
+        # stores or calls its callback without scheduling it must not
+        # taint an unrelated forwarder that happens to share its name.
         forwarders: Dict[str, Set[int]] = {}
         for name, quals in forwarder_quals.items():
             if set(program.callgraph.quals_named(name)) <= quals:

@@ -17,7 +17,7 @@ class TestRecording:
         hits = []
         sim.schedule_call(1.0, hits.append, "a", label="tick")
         sim.schedule_call(2.0, hits.append, "b", label="tick")
-        sim.schedule(3.0, lambda: hits.append("c"), label="other")
+        sim.schedule_at(3.0, hits.append, "c", label="other")
         sim.run()
         assert hits == ["a", "b", "c"]
         assert profiler.events_recorded == 3 == sim.events_executed

@@ -171,10 +171,10 @@ class TestD5WallclockTaintEscape:
 
     def test_stores_and_statement_calls_are_clean(self):
         report = run_lint(
-            (ENGINE, "def f(sim, event):\n"
+            (ENGINE, "def f(sim, fn):\n"
                      "    sim.profile.sim = sim\n"
                      "    sim.watchdog.livelocked_packets += 1\n"
-                     "    sim.profile.record_call(event)\n"
+                     "    sim.profile.record(fn, (), '')\n"
                      "    if sim.profile is not None:\n"
                      "        sim.watchdog.check_stall(sim)\n"),
             select=["D1"],

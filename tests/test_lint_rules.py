@@ -154,12 +154,14 @@ class TestH1NoClosureScheduling:
         assert report.ok
 
     @pytest.mark.parametrize("call", ["sim.schedule_args(1.0, lambda: None, ())",
-                                      "sim.schedule_args(1.0, obj.visit, (lambda: 1,))"],
-                             ids=["callback", "in-args-tuple"])
+                                      "sim.schedule_args(1.0, obj.visit, (lambda: 1,))",
+                                      "sim.schedule_at(2.0, lambda: None)"],
+                             ids=["callback", "in-args-tuple", "schedule-at"])
     def test_flags_lambda_in_schedule_args(self, call):
+        callee = call.split("(")[0].split(".")[-1]
         report = run_lint(ENGINE, f"def f(sim, obj):\n    {call}\n")
         assert [(v.rule, v.message) for v in report.violations] == [
-            ("H1", "lambda passed to schedule_args()")]
+            ("H1", f"lambda passed to {callee}()")]
 
     def test_module_level_function_argument_is_clean(self):
         source = ("def cb():\n"
@@ -188,13 +190,13 @@ class TestH1NoClosureScheduling:
         assert [(v.rule, v.line) for v in report.violations] == [("H1", 6)]
 
     def test_forwarder_sharing_a_name_with_a_non_forwarder_is_clean(self):
-        # Calls resolve by name: Simulator.schedule takes closures by design
-        # and does not forward, so a lambda passed to any `schedule` stays
-        # clean even though FaultInjector.schedule forwards.
-        simulator = ("src/repro/engine/simulator.py",
-                     "class Simulator:\n"
-                     "    def schedule(self, delay, callback):\n"
-                     "        return self.queue.push(self.now + delay, callback)\n")
+        # Calls resolve by name: Calendar.schedule stores its callback and
+        # does not forward it to the simulator, so a lambda passed to any
+        # `schedule` stays clean even though FaultInjector.schedule forwards.
+        calendar = ("src/repro/analysis/calendar.py",
+                    "class Calendar:\n"
+                    "    def schedule(self, delay, callback):\n"
+                    "        self.entries.append((delay, callback))\n")
         injector = ("src/repro/faults/injector.py",
                     "class FaultInjector:\n"
                     "    def schedule(self, at_time, fn, *args):\n"
@@ -202,7 +204,7 @@ class TestH1NoClosureScheduling:
                     "\n"
                     "def arm(injector):\n"
                     "    injector.schedule(1.0, lambda: None)\n")
-        report = lint_sources([simulator, injector], select=["H1"])
+        report = lint_sources([calendar, injector], select=["H1"])
         assert report.ok
 
 

@@ -14,6 +14,22 @@ def make_packet(payload=80):
     return Packet(IPHeader(1, 2, total_length=20 + payload), 0, 1)
 
 
+def _noop():
+    """Inert event callback (module-level: schedule_call takes no closures)."""
+
+
+def _enqueue_at_t_s(sim, chan, log, packet):
+    log.append(("event", sim.now, chan.busy))
+    chan.enqueue(packet)
+    log.append(("event-done", sim.now))
+
+
+def _restore_and_send(chan, packet):
+    chan.failed = False
+    chan.enqueue(packet)
+    chan.kick()
+
+
 def make_channel(sim, arrivals, *, latency=1.0, bandwidth=100.0, capacity=2):
     return Channel(sim, StoreAndForward(), 0, 1, latency=latency,
                    bandwidth=bandwidth, buffer_capacity=capacity,
@@ -126,17 +142,11 @@ class TestCompletionTieBreaks:
     def _enqueue_at_completion(self, *, before):
         sim, chan, log = self._setup()
         a, b = make_packet(), make_packet()
-
-        def at_t_s():
-            log.append(("event", sim.now, chan.busy))
-            chan.enqueue(b)
-            log.append(("event-done", sim.now))
-
         if before:  # drawn before the send's completion: ordered first
-            sim.schedule(1.0, at_t_s)
+            sim.schedule_call(1.0, _enqueue_at_t_s, sim, chan, log, b)
         chan.enqueue(a)
         if not before:
-            sim.schedule(1.0, at_t_s)
+            sim.schedule_call(1.0, _enqueue_at_t_s, sim, chan, log, b)
         sim.run()
         return sim, log, a, b
 
@@ -186,18 +196,9 @@ class TestCompletionTieBreaks:
     def test_link_fails_mid_serialization_then_restored(self):
         sim, chan, log = self._setup()
         a, b = make_packet(), make_packet()
-
-        def fail():
-            chan.failed = True
-
-        def restore():
-            chan.failed = False
-            chan.enqueue(b)
-            chan.kick()
-
         chan.enqueue(a)
-        sim.schedule(0.5, fail)
-        sim.schedule(2.5, restore)
+        sim.schedule_call(0.5, setattr, chan, "failed", True)
+        sim.schedule_call(2.5, _restore_and_send, chan, b)
         sim.run_until(2.0)
         # a was on the wire when the link died: lost at its arrival, and its
         # receiver credit came back with it.
@@ -223,9 +224,9 @@ class TestCompletionTieBreaks:
 
     def test_step_exposes_the_executing_key(self):
         sim, chan, _ = self._setup()
-        sim.schedule(1.0, lambda: None)  # ordered before a's completion
+        sim.schedule_call(1.0, _noop)  # ordered before a's completion
         chan.enqueue(make_packet())
-        sim.schedule(1.0, lambda: None)  # ordered after it
+        sim.schedule_call(1.0, _noop)  # ordered after it
         sim.step()
         assert (sim.now, chan.busy) == (1.0, True)
         sim.step()

@@ -143,7 +143,7 @@ class TestHeapOrdering:
         sim = Simulator(sanitize=True)
         for delay in (1.0, 2.0, 3.0, 4.0, 5.0):
             sim.schedule_call(delay, _noop)
-        sim.queue._heap.reverse()  # break the heap property in place
+        sim.queue.reverse()  # break the heap property in place
         with pytest.raises(SanitizerError) as excinfo:
             sim.run()
         assert excinfo.value.report.kind == "heap-order"
