@@ -1,79 +1,61 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the simulator's event queue, the heap ``Simulator.queue``."""
 
-import pytest
+import heapq
 
-from repro.engine.events import EventQueue
-from repro.errors import SimulationError
+from repro.engine.simulator import Simulator
+
+
+def _noop():
+    """Inert event callback (module-level: schedule_call takes no closures)."""
 
 
 class TestEventQueue:
     def test_pops_in_time_order(self):
-        q = EventQueue()
+        # Entries are (time, seq, callback, args, label) tuples; popping the
+        # heap yields them by time whichever entry point pushed them.
+        sim = Simulator()
         fired = []
-        q.push(3.0, lambda: fired.append(3))
-        q.push(1.0, lambda: fired.append(1))
-        q.push(2.0, lambda: fired.append(2))
-        while q:
-            q.pop().callback()
+        sim.schedule_at(3.0, fired.append, 3)
+        sim.schedule_call(1.0, fired.append, 1)
+        sim.schedule_at(2.0, fired.append, 2)
+        times = []
+        while sim.queue:
+            time, _seq, callback, args, _label = heapq.heappop(sim.queue)
+            times.append(time)
+            callback(*args)
+        assert times == [1.0, 2.0, 3.0]
         assert fired == [1, 2, 3]
 
-    def test_priority_breaks_time_ties(self):
-        q = EventQueue()
-        fired = []
-        q.push(1.0, lambda: fired.append("low"), priority=5)
-        q.push(1.0, lambda: fired.append("high"), priority=0)
-        q.pop().callback()
-        assert fired == ["high"]
-
     def test_insertion_order_breaks_full_ties(self):
-        q = EventQueue()
+        # Both entry points draw from one counter, so equal-time events
+        # run in the order they were scheduled, whichever call made them.
+        sim = Simulator()
         fired = []
-        for i in range(5):
-            q.push(1.0, lambda i=i: fired.append(i))
-        while q:
-            q.pop().callback()
-        assert fired == [0, 1, 2, 3, 4]
-
-    def test_cancelled_events_skipped(self):
-        q = EventQueue()
-        fired = []
-        ev = q.push(1.0, lambda: fired.append("cancelled"))
-        q.push(2.0, lambda: fired.append("kept"))
-        ev.cancel()
-        q.note_cancelled()
-        assert len(q) == 1
-        q.pop().callback()
-        assert fired == ["kept"]
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(7.0, lambda: None)
-        assert q.peek_time() == 7.0
-
-    def test_peek_skips_cancelled(self):
-        q = EventQueue()
-        ev = q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        ev.cancel()
-        q.note_cancelled()
-        assert q.peek_time() == 2.0
+        for i in range(6):
+            if i % 2:
+                sim.schedule_at(1.0, fired.append, i)
+            else:
+                sim.schedule_call(1.0, fired.append, i)
+        sim.run()
+        assert fired == [0, 1, 2, 3, 4, 5]
 
     def test_clear(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.clear()
-        assert not q
-        assert q.peek_time() is None
+        # Simulator.reset drops every pending event.
+        sim = Simulator()
+        fired = []
+        sim.schedule_call(1.0, fired.append, 1)
+        sim.reset()
+        assert not sim.queue
+        assert sim.step() is False
+        sim.run()
+        assert fired == []
 
     def test_len_tracks_live_events(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(4)]
-        assert len(q) == 4
-        events[0].cancel()
-        q.note_cancelled()
-        assert len(q) == 3
+        sim = Simulator()
+        for i in range(4):
+            sim.schedule_call(float(i), _noop)
+        assert len(sim.queue) == 4
+        sim.step()
+        assert len(sim.queue) == 3
+        sim.run()
+        assert len(sim.queue) == 0

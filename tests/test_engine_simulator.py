@@ -70,41 +70,6 @@ class TestScheduling:
         assert not sim.queue
 
 
-class TestHeapOrder:
-    def test_insertion_order_breaks_full_ties(self):
-        # Both entry points draw from one counter, so equal-time events
-        # run in the order they were scheduled, whichever call made them.
-        sim = Simulator()
-        fired = []
-        for i in range(6):
-            if i % 2:
-                sim.schedule_at(1.0, fired.append, i)
-            else:
-                sim.schedule_call(1.0, fired.append, i)
-        sim.run()
-        assert fired == [0, 1, 2, 3, 4, 5]
-
-    def test_len_tracks_pending_events(self):
-        sim = Simulator()
-        for i in range(4):
-            sim.schedule_call(float(i), _noop)
-        assert len(sim.queue) == 4
-        sim.step()
-        assert len(sim.queue) == 3
-        sim.run()
-        assert len(sim.queue) == 0
-
-    def test_reset_drops_pending_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_call(1.0, fired.append, 1)
-        sim.reset()
-        assert not sim.queue
-        assert sim.step() is False
-        sim.run()
-        assert fired == []
-
-
 class TestExecution:
     def test_events_fire_in_order_and_advance_clock(self):
         sim = Simulator()
