@@ -17,21 +17,33 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    changed since the round that routed them;
 3. **route** — next-hop candidates come from the router's
    :class:`~repro.routing.plan.RouteTable`, the one table the exact engine
-   reads too: one padded candidate row per (node, sign class of the minimal
-   offset), the router's closed form evaluated once, indexed per round;
+   reads too: one padded row of candidate *channels* per (node, sign class
+   of the minimal offset), the router's closed form evaluated once,
+   indexed per round; ``RouteTable.channel_target`` names each channel's
+   far end;
 4. **select** — vectorized selection-policy twins; congestion and random
    tie-breaks draw from one dedicated per-cohort RNG stream
    (``"batched-cohort"``), so runs are deterministic per seed;
-5. **admit** — the freshly routed keys merge into the sorted parked keys
-   (``searchsorted`` + ``insert``); the first ``buffer_capacity`` keys of
-   each channel — the lowest ranks, so waiting rows outrank newcomers —
-   enter the channel. The rest stay parked, pay the round's deferred
-   time, and feed the congestion signal. Cost per round: O(moved) fancy
-   indexing plus O(parked) contiguous array passes;
+5. **admit** — the freshly routed keys, sorted, are concatenated to the
+   sorted parked keys and one stable sort merges the two runs; the first
+   ``buffer_capacity`` keys of each channel — the lowest ranks, so
+   waiting rows outrank newcomers — enter the channel. The rest stay
+   parked, pay the round's deferred time (one add over the slot window
+   they span) and feed the congestion signal;
 6. **advance** — admitted rows, in rank order, decrement TTL, pass
    through the scheme's own columnar hop (``MarkingScheme.on_hop_array``,
    drawing from the ``"batched-marking"`` stream), step to the next node,
-   and form the next round's moving set.
+   and form the next round's moving set. Their time is rewritten from its
+   value before the wait charge.
+
+Cost per round: O(moved) fancy indexing for steps 1-4 and 6, plus about
+ten contiguous passes over the parked keys and one over the time
+window the waiting rows span (step 5). A delivery keeps only its slots,
+its times and the round's latency fold; per-node, hop and sink tallies
+are built once per flush. Under the paper's flood the parked passes still
+dominate: on the 16x16 hotspot about 57 rows move per round against
+~7,900 parked, so a round costs what waits, in fast passes, not what
+moves (DESIGN.md §12 has the section times).
 
 Determinism contract (DESIGN.md §12): same seed, same config => identical
 results, independent of host or run count. Equivalence contract: identical
@@ -134,28 +146,21 @@ class CohortEngine:
         self._moving = np.empty(0, dtype=np.int64)
         self._parked = np.empty(0, dtype=np.int64)
 
-        # Physical channel ids: chan = node * width + port, where port is
-        # the neighbor's index in topology.neighbors(node). Candidate-table
-        # columns are destination-relative and would conflate channels.
-        # ``_next_hop`` inverts the map: channel -> the node it leads to.
-        self.width = routes.width
-        self._port = np.full(self.n * self.n, -1, dtype=np.int8)
-        self._next_hop = np.full(self.n * self.width, -1, dtype=np.int64)
-        for node in topology.nodes():  # per-(node, port), once at build
-            for port, neighbor in enumerate(topology.neighbors(node)):
-                self._port[node * self.n + neighbor] = port
-                self._next_hop[node * self.width + port] = neighbor
+        # Per-round congestion signal: rows deferred last round, per
+        # channel (the route table's: ``lookup`` hands out each candidate's
+        # channel, ``channel_target`` the node a channel leads to).
+        self._backlog = np.zeros(routes.channels, dtype=np.float64)
 
-        # Per-round congestion signal: rows deferred last round, per channel.
-        self._backlog = np.zeros(self.n * self.width, dtype=np.float64)
-
-        # Segment accumulators, flushed at each advance() boundary (once per
-        # run for the classic drain-to-completion call).
-        self._delivered_counts = np.zeros(self.n, dtype=np.int64)
-        self._hop_counts = np.zeros(64, dtype=np.int64)
+        # Deliveries since the last flush: each round's slots and times
+        # (a wait charge may later touch a retired slot's time) and the
+        # round. _tally folds them into per-node, hop and sink columns once
+        # per advance() boundary (once per run for the classic
+        # drain-to-completion call).
+        self._delivered_slots: List[np.ndarray] = []
+        self._delivered_times: List[np.ndarray] = []
+        self._delivered_rounds: List[int] = []
         self._sink_mask = np.zeros(self.n, dtype=bool)
         self._refresh_sinks()
-        self._sink_rows: List[Tuple[np.ndarray, ...]] = []
         self._max_time = self.sim.now
         self._progressed = False
         self.rounds = 0
@@ -375,19 +380,37 @@ class CohortEngine:
             self._progressed = True
 
     def _deliver(self, slots: np.ndarray) -> None:
-        nodes = self.pos[slots]
+        # The latency fold stays per round: its merge order is in the
+        # result. Everything else is tallied once per flush.
         times = self.time[slots]
         self._stats.n_delivered += slots.size
-        self._delivered_counts += np.bincount(nodes, minlength=self.n)
         self._stats.latency.add_array(times - self.t0[slots])
+        self._delivered_slots.append(slots)
+        self._delivered_times.append(times)
+        self._delivered_rounds.append(self.rounds)
+
+    def _tally(self) -> Tuple[np.ndarray, np.ndarray,
+                              Optional[Tuple[np.ndarray, ...]]]:
+        """Fold the deliveries since the last tally, in delivery order:
+        per-node delivered counts, per-hop-count counts and the sink rows'
+        columns (None when no row reached a sink); raises ``_max_time``.
+
+        A delivered slot's position, word, TTL and hops are never written
+        again, so they are read here; its time was kept at delivery.
+        """
+        slots = np.concatenate(self._delivered_slots
+                               or [np.empty(0, dtype=np.int64)])
+        times = np.concatenate(self._delivered_times
+                               or [np.empty(0, dtype=np.float64)])
+        rounds = np.repeat(np.array(self._delivered_rounds, dtype=np.int64),
+                           [part.size for part in self._delivered_slots])
+        self._delivered_slots, self._delivered_times = [], []
+        self._delivered_rounds = []
+        nodes = self.pos[slots]
         hops = self.hops[slots]
-        counts = np.bincount(hops, minlength=self._hop_counts.size)
-        if counts.size > self._hop_counts.size:
-            counts[:self._hop_counts.size] += self._hop_counts
-            self._hop_counts = counts
-        else:
-            self._hop_counts += counts
-        self._max_time = max(self._max_time, float(times.max()))
+        if times.size:
+            self._max_time = max(self._max_time, float(times.max()))
+        sink = None
         sunk = self._sink_mask[nodes]
         if sunk.any():
             rows = slots[sunk]
@@ -395,11 +418,10 @@ class CohortEngine:
             # single-process flush ignores it, the sharded driver lexsorts
             # on (time, round, slot) to reproduce this engine's
             # accumulation order across shards.
-            self._sink_rows.append(
-                (nodes[sunk], times[sunk], self.src_ip[rows],
-                 self.dst_ip[rows], self.words[rows], self.ttls[rows],
-                 hops[sunk], self.ids[rows], rows,
-                 np.full(rows.size, self.rounds, dtype=np.int64)))
+            sink = (nodes[sunk], times[sunk], self.src_ip[rows],
+                    self.dst_ip[rows], self.words[rows], self.ttls[rows],
+                    hops[sunk], self.ids[rows], rows, rounds[sunk])
+        return np.bincount(nodes, minlength=self.n), np.bincount(hops), sink
 
     def _drop(self, count: int, reason: str) -> None:
         stats = self._stats
@@ -413,27 +435,26 @@ class CohortEngine:
         # channel across rounds, like a queued packet holding its output in
         # the exact engine.
         moving = self._moving
+        parked = self._parked
         if moving.size:
-            pos = self.pos[moving]
-            candidates, degrees = self.routes.lookup(pos, self.dst[moving])
+            channels, degrees = self.routes.lookup(self.pos[moving],
+                                                   self.dst[moving])
             blocked = degrees == 0
             if blocked.any():
                 self._drop(int(np.count_nonzero(blocked)), "unroutable")
                 self._progressed = True
                 routable = ~blocked
                 moving = moving[routable]
-                pos = pos[routable]
-                candidates = candidates[routable]
+                channels = channels[routable]
                 degrees = degrees[routable]
             if moving.size:
-                cols = self._choose(pos, candidates, degrees)
-                nxt = candidates[np.arange(moving.size), cols]
-                chan = pos * self.width + self._port[pos * self.n + nxt]
-                keys = np.sort((chan << 32) | moving)
-                parked = self._parked
-                self._parked = np.insert(
-                    parked, np.searchsorted(parked, keys), keys)
-        parked = self._parked
+                cols = self._choose(channels, degrees)
+                chan = channels[np.arange(moving.size), cols]
+                # Two sorted runs, the parked keys and the fresh ones: the
+                # stable sort (a merge sort) merges them in one pass.
+                parked = np.concatenate([parked,
+                                         np.sort((chan << 32) | moving)])
+                parked.sort(kind="stable")
         if not parked.size:  # every moving row was unroutable
             self._moving = moving
             return
@@ -441,26 +462,32 @@ class CohortEngine:
         # Credit-based admission: buffer_capacity rows per directed channel
         # per round, lowest rank first — waiting rows outrank newcomers. A
         # key is among the first ``quota`` of its channel group iff the key
-        # ``quota`` places earlier belongs to another channel.
+        # ``quota`` places earlier belongs to another channel: their XOR
+        # reaches the channel bits.
         quota = self.quota
-        chan = parked >> 32
-        admit = np.ones(parked.size, dtype=bool)
-        if parked.size > quota:
-            np.not_equal(chan[quota:], chan[:-quota], out=admit[quota:])
-        moved = parked[admit]
-        self._parked = waiting = parked[~admit]
-        # The rest wait a round — eagerly charged, so float sums match a
-        # row-by-row schedule — and become the congestion signal.
-        if waiting.size:
-            self.time[waiting & _SLOT_MASK] += self.round_delta
-        if self.mode == "congestion":
-            self._backlog = np.bincount(
-                chan[~admit], minlength=self._backlog.size).astype(np.float64)
+        head = parked[:quota]
+        tail = parked[quota:]
+        admit = (tail ^ parked[:-quota]) >= 1 << 32
+        moved = np.concatenate([head, tail[admit]])
+        self._parked = waiting = tail[~admit]
 
         # Admitted rows hop in rank order (the marking draws follow it).
         flipped = np.sort(((moved & _SLOT_MASK) << 32) | (moved >> 32))
         slots = flipped >> 32
-        nxt = self._next_hop[flipped & _SLOT_MASK]
+        before = self.time[slots]
+        # The rest wait a round — eagerly charged, so float sums match a
+        # row-by-row schedule — and become the congestion signal. One add
+        # over the slot window the waiting rows span: the admitted rows in
+        # it are rewritten below, and no other live row lies in it.
+        if waiting.size:
+            waiting_slots = waiting & _SLOT_MASK
+            self.time[waiting_slots.min():waiting_slots.max() + 1] += \
+                self.round_delta
+        if self.mode == "congestion":
+            self._backlog = np.bincount(
+                waiting >> 32, minlength=self._backlog.size).astype(np.float64)
+
+        nxt = self.routes.channel_target[flipped & _SLOT_MASK]
         ttls = self.ttls[slots] - 1
         self.ttls[slots] = ttls
         if self.marking is not None:
@@ -469,28 +496,25 @@ class CohortEngine:
                 self.marking_rng)
         self.hops[slots] += 1
         cfg = self.fabric.config
-        self.time[slots] += (cfg.routing_delay + self.hold[slots]
-                             + cfg.link_latency)
+        self.time[slots] = before + (cfg.routing_delay + self.hold[slots]
+                                     + cfg.link_latency)
         self.pos[slots] = nxt
         self._moving = slots
         self._progressed = True
 
-    def _choose(self, sub_pos: np.ndarray, candidates: np.ndarray,
+    def _choose(self, channels: np.ndarray,
                 degrees: np.ndarray) -> np.ndarray:
         """Column index of the chosen candidate, per fresh row."""
         m = degrees.size
-        if self.mode == "first" or candidates.shape[1] == 1:
+        if self.mode == "first" or channels.shape[1] == 1:
             return np.zeros(m, dtype=np.int64)
         if self.mode == "random":
             return (self.rng.random(m) * degrees).astype(np.int64)
         # Least-congested: last round's deferred-row backlog per candidate
         # channel, tie-broken by a sub-1.0 jitter draw (the vectorized twin
         # of LeastCongestedPolicy's seeded random tie-break).
-        width = candidates.shape[1]
-        ports = self._port[sub_pos[:, None] * self.n + candidates]
-        score = self._backlog[sub_pos[:, None] * self.width + ports] \
-            + self.rng.random((m, width))
-        score[candidates < 0] = np.inf
+        score = self._backlog[channels] + self.rng.random(channels.shape)
+        score[channels < 0] = np.inf
         return np.argmin(score, axis=1)
 
     # ------------------------------------------------------------------
@@ -513,26 +537,19 @@ class CohortEngine:
             for node in np.flatnonzero(injected).tolist():  # per-node, once per segment  # repro-lint: disable=H3
                 nics[node].n_injected += int(injected[node])
             self._flushed_next = self._next
-        if self._delivered_counts.any():
-            for node in np.flatnonzero(self._delivered_counts).tolist():  # per-node, once per segment  # repro-lint: disable=H3
-                nics[node].n_delivered += int(self._delivered_counts[node])
-            self._delivered_counts[:] = 0
-        if self._hop_counts.any():
-            for value in np.flatnonzero(self._hop_counts).tolist():  # per-value, once per segment  # repro-lint: disable=H3
-                fabric.hop_histogram.add(int(value),
-                                         int(self._hop_counts[value]))
-            self._hop_counts[:] = 0
-        if self._sink_rows:
-            columns = [np.concatenate(parts)
-                       for parts in zip(*self._sink_rows)]
-            nodes, times = columns[0], columns[1]
+        delivered, hop_counts, sink = self._tally()
+        for node in np.flatnonzero(delivered).tolist():  # per-node, once per segment  # repro-lint: disable=H3
+            nics[node].n_delivered += int(delivered[node])
+        for value in np.flatnonzero(hop_counts).tolist():  # per-value, once per segment  # repro-lint: disable=H3
+            fabric.hop_histogram.add(int(value), int(hop_counts[value]))
+        if sink is not None:
+            nodes, times = sink[0], sink[1]
             for ring in fabric._delivery_sinks:  # per-sink, once per segment  # repro-lint: disable=H3
                 rows = np.flatnonzero(nodes == ring.node)
                 rows = rows[np.argsort(times[rows], kind="stable")]
-                ring.extend(times[rows], columns[2][rows], columns[3][rows],
-                            columns[4][rows], columns[5][rows],
-                            columns[6][rows], columns[7][rows])
-            self._sink_rows = []
+                ring.extend(times[rows], sink[2][rows], sink[3][rows],
+                            sink[4][rows], sink[5][rows], sink[6][rows],
+                            sink[7][rows])
         if until is None:
             sim.now = max(sim.now, self._max_time, self.frontier)
         else:

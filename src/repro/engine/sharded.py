@@ -181,10 +181,7 @@ class _ShardCohortEngine(CohortEngine):
         """Ship every accumulator home for the driver's merge."""
         stats = self._stats
         latency = stats.latency
-        sink: Optional[Tuple[np.ndarray, ...]] = None
-        if self._sink_rows:
-            sink = tuple(np.concatenate(parts)
-                         for parts in zip(*self._sink_rows))
+        delivered, hop_counts, sink = self._tally()
         consumed = self._pending["nodes"][self._slots[:self._next]]
         return {
             "n_injected": stats.n_injected,
@@ -192,8 +189,8 @@ class _ShardCohortEngine(CohortEngine):
             "n_dropped": stats.n_dropped,
             "drop_reasons": dict(stats._drop_reasons),
             "injected_counts": np.bincount(consumed, minlength=self.n),
-            "delivered_counts": self._delivered_counts,
-            "hop_counts": self._hop_counts,
+            "delivered_counts": delivered,
+            "hop_counts": hop_counts,
             "latency": (latency.count, latency._mean, latency._m2,
                         latency.min, latency.max),
             "sink": sink,

@@ -91,7 +91,9 @@ class WelfordAccumulator:
         n = int(column.size)
         if n == 0:
             return
-        b_mean = float(column.mean())
+        # Bit for bit column.mean(), numpy's pairwise sum over the count,
+        # without that call's Python-level overhead.
+        b_mean = float(column.sum()) / n
         b_m2 = float(((column - b_mean) ** 2).sum())
         b_min = float(column.min())
         b_max = float(column.max())

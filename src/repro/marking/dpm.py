@@ -52,8 +52,9 @@ class DpmScheme(MarkingScheme):
             raise ConfigurationError(f"mf_bits must be >= 1, got {mf_bits}")
         self.mf_bits = mf_bits
         # node -> hash bit, filled for the whole topology on attach so the
-        # per-hop path never recomputes the hash; the array is the same
-        # table indexed by node, for the columnar hop.
+        # per-hop path never recomputes the hash (and, empty until then, an
+        # unattached scheme's hop misses it and raises); the array is the
+        # same table indexed by node, for the columnar hop.
         self._node_bits: Dict[int, int] = {}
         self._bit_array = np.zeros(0, dtype=np.int64)
 
@@ -65,10 +66,7 @@ class DpmScheme(MarkingScheme):
     def node_bit(self, node: int) -> int:
         """The single bit this switch stamps: low bit of its index hash."""
         bit = self._node_bits.get(node)
-        if bit is None:
-            bit = hash_bits(node, 1)
-            self._node_bits[node] = bit
-        return bit
+        return hash_bits(node, 1) if bit is None else bit
 
     # -- switch side -------------------------------------------------------
     def on_hop(self, packet: Packet, from_node: int, to_node: int) -> None:
@@ -78,9 +76,11 @@ class DpmScheme(MarkingScheme):
         already reflects this hop — consecutive switches hit consecutive
         (mod 16) positions.
         """
-        self._require_attached()
+        bit = self._node_bits.get(from_node)
+        if bit is None:
+            self._require_attached()
+            bit = self.node_bit(from_node)
         position = packet.header.ttl % self.mf_bits
-        bit = self.node_bit(from_node)
         word = packet.header.identification
         word = (word & ~(1 << position)) | (bit << position)
         packet.header.identification = word

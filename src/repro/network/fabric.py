@@ -44,7 +44,8 @@ from repro.network.packet import Packet, PacketKind
 from repro.network.switch import Switch
 from repro.routing.base import Router
 from repro.routing.plan import route_table
-from repro.routing.selection import FirstCandidatePolicy, LeastCongestedPolicy, SelectionPolicy
+from repro.routing.selection import (FirstCandidatePolicy, LeastCongestedPolicy,
+                                     RandomPolicy, SelectionPolicy)
 from repro.topology.base import Topology
 
 __all__ = ["Fabric", "FabricConfig", "FabricShell"]
@@ -325,10 +326,18 @@ class Fabric(FabricShell):
     @selection.setter
     def selection(self, policy: SelectionPolicy) -> None:
         self._selection = policy
-        # A plain least-congested policy over this fabric's own congestion
-        # view: the switches read each candidate's occupancy in place.
-        self._least_congested = (type(policy) is LeastCongestedPolicy
-                                 and policy.congestion == self.congestion)
+        # The switches apply a plain first-candidate or random policy, or a
+        # plain least-congested one over this fabric's own congestion view,
+        # in place: the same choice and the same draw as its ``choose``.
+        kind = type(policy)
+        if kind is FirstCandidatePolicy:
+            self._in_place = "first"
+        elif kind is RandomPolicy:
+            self._in_place = "random"
+        elif kind is LeastCongestedPolicy and policy.congestion == self.congestion:
+            self._in_place = "least-congested"
+        else:
+            self._in_place = None
 
     def _on_channel_transmit(self, packet: Packet, channel: Channel) -> None:
         # The hop becomes real the moment the packet starts crossing: hop

@@ -24,9 +24,10 @@ never marked.
 This is the per-packet hot loop, so the bookkeeping is deliberately lean:
 the switch keeps no per-packet counters of its own (the fabric and the NICs
 count), the route read is
-one link-version compare plus two indexes, a plain least-congested policy
-over the fabric's own congestion view is applied in place (each candidate
-channel's occupancy read off the channel, no call per candidate), the
+one link-version compare plus two indexes, a plain first-candidate, random
+or least-congested policy (the last over the fabric's own congestion view,
+each candidate channel's occupancy read off the channel) is applied in
+place with no call per hop, the
 profitability test is one :class:`repro.topology.oracle.DistanceOracle`
 lookup with the current node's distance threaded through
 :class:`repro.routing.base.RouteState`, and the routing-delay event is
@@ -155,8 +156,15 @@ class Switch:
             return
 
         outputs = self.outputs
-        if not fabric._least_congested:
+        in_place = fabric._in_place
+        if in_place is None:
             next_node = fabric._selection.choose(candidates, node)
+        elif len(candidates) == 1 or in_place == "first":
+            # Each plain policy takes a lone candidate without a draw.
+            next_node = candidates[0]
+        elif in_place == "random":
+            # RandomPolicy.choose without re-checking the candidates.
+            next_node = fabric._selection.pick(candidates)
         else:
             # LeastCongestedPolicy.choose over the fabric's own congestion
             # view, with each channel's occupancy read in place: the same

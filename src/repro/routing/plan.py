@@ -23,7 +23,11 @@ once over per-move step tables, with failed links masked out. Two reads:
 * :meth:`RouteTable.lookup` — the columnar read. The cohort engines call it
   per round; it takes each row's sign class from
   :meth:`~repro.topology.base.Topology.offset_array` and indexes the
-  (node, class) table, filled whole by the first lookup.
+  (node, class) table, filled whole by the first lookup. It hands out each
+  candidate's *channel*, ``node * moves + move``, numbered by the first
+  move that reaches that neighbour (a hypercube's two moves along one axis
+  reach the same one); :attr:`RouteTable.channel_target` names the node a
+  channel leads to.
 
 A router without a closed form on the topology's link state — Valiant,
 odd-even, non-minimal west-first, pooled fully-adaptive, fully-adaptive
@@ -114,6 +118,9 @@ class RouteTable(dict):
         self._nodes = nodes = np.arange(n, dtype=np.int64)
         self._target = np.where(
             exists, nodes[:, None] + (shifted - coords[:, axis]) * strides[axis], -1)
+        #: directed channels ``node * moves + move``, and the node each leads to
+        self.channels = self._target.size
+        self.channel_target = self._target.reshape(-1)
         # Directed (node * n + neighbor) keys of every failed link.
         failed = np.array(sorted(topology.links.failed_links),
                           dtype=np.int64).reshape(-1, 2)
@@ -127,13 +134,15 @@ class RouteTable(dict):
         # (the packet is at its destination) has no candidates on any node.
         self._rows: Dict[int, Tuple[int, ...]] = dict.fromkeys(
             (self._row0 + self._shift).tolist(), ())
-        # Columnar read: the (node, class) candidates and degrees, filled
-        # by the first lookup.
-        self._cand = self._deg = None
+        # Columnar read: the (node, class) candidate channels and degrees,
+        # filled by the first lookup.
+        self._chan = self._deg = None
 
-    def _fill(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidates (padded with -1) and degrees of the (node, sign class)
-        ``rows``, row = node * classes + class: the closed form, evaluated."""
+    def _fill(self, rows: np.ndarray,
+              table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``table`` (one entry per node and move) at the candidate moves of
+        the (node, sign class) ``rows``, row = node * classes + class, padded
+        with -1, and the degrees: the closed form, evaluated."""
         nodes, classes = np.divmod(rows, self._classes)
         profitable = self._profitable[classes]
         live = profitable & self._up[nodes]
@@ -147,10 +156,10 @@ class RouteTable(dict):
         # first.
         deg = keep.sum(axis=1)
         row, move = np.nonzero(keep)
-        cand = np.full((keep.shape[0], self.width), -1, dtype=np.int64)
-        cand[row, np.arange(row.size) - (np.cumsum(deg) - deg)[row]] = \
-            self._target[nodes[row], move]
-        return cand, deg
+        out = np.full((keep.shape[0], self.width), -1, dtype=np.int64)
+        out[row, np.arange(row.size) - (np.cumsum(deg) - deg)[row]] = \
+            table[nodes[row], move]
+        return out, deg
 
     def _sign_class(self, pos: np.ndarray, dst: np.ndarray) -> np.ndarray:
         offsets = self.topology.offset_array(pos, dst)
@@ -169,7 +178,8 @@ class RouteTable(dict):
         # One row per node, so a column never names a row twice.
         missing = [row for row in rows if row not in cache]
         if missing:
-            cand, deg = self._fill(np.array(missing, dtype=np.int64))
+            cand, deg = self._fill(np.array(missing, dtype=np.int64),
+                                   self._target)
             cache.update(zip(missing, (tuple(row[:d]) for row, d in
                                        zip(cand.tolist(), deg.tolist()))))
         column = self[destination] = list(map(cache.__getitem__, rows))
@@ -177,9 +187,15 @@ class RouteTable(dict):
 
     def lookup(self, pos: np.ndarray,
                dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-row (candidate matrix, degree) for a cohort's positions."""
-        if self._cand is None:
-            self._cand, self._deg = self._fill(
-                np.arange(self.n * self._classes, dtype=np.int64))
+        """Per-row (candidate channel matrix, degree) for a cohort's
+        positions; ``channel_target`` maps the channels to next hops."""
+        if self._chan is None:
+            # A move's channel is that of the node's first move to the same
+            # neighbour, so moves sharing a link share its channel.
+            target = self._target
+            first = (target[:, :, None] == target[:, None, :]).argmax(axis=2)
+            self._chan, self._deg = self._fill(
+                np.arange(self.n * self._classes, dtype=np.int64),
+                self._nodes[:, None] * target.shape[1] + first)
         rows = pos * self._classes + self._sign_class(pos, dst)
-        return self._cand.take(rows, axis=0), self._deg.take(rows)
+        return self._chan.take(rows, axis=0), self._deg.take(rows)

@@ -68,6 +68,11 @@ class RandomPolicy(SelectionPolicy):
 
     def choose(self, candidates: Sequence[int], current: int) -> int:
         self._check(candidates)
+        return self.pick(candidates)
+
+    def pick(self, candidates: Sequence[int]) -> int:
+        """A uniform draw among the non-empty ``candidates``; a lone
+        candidate is taken without one."""
         if len(candidates) == 1:
             return candidates[0]
         return candidates[int(self.rng.integers(len(candidates)))]

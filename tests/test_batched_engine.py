@@ -4,29 +4,34 @@ The statistical-equivalence matrix lives in
 ``test_properties_batched_equivalence.py``; this file covers the engine's
 mechanics: conservation accounting, the supported-feature guards, config
 round-tripping (and cache-key stability for exact-mode configs), the CLI
-surface, profiler integration, bulk injection, and the fabric seam.
+surface, profiler integration, bulk injection, the fabric seam, and a
+round-by-round differential test against the engine's earlier round.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.cluster import Cluster
 from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
 from repro.core.experiment import run_identification_experiment
+from repro.engine.batched import CohortEngine
 from repro.engine.contract import ENGINES
 from repro.errors import ConfigurationError
 from repro.marking import (AuthenticatedDdpmScheme, DdpmScheme, DpmScheme,
                            HierarchicalDdpmScheme)
 from repro.network.colqueue import BatchedFabric, InjectionLog
 from repro.network.fabric import Fabric, FabricConfig
+from repro.network.flowcontrol import StoreAndForward
 from repro.network.packet import Packet, allocate_packet_ids
 from repro.routing import (DimensionOrderRouter, MinimalAdaptiveRouter,
                            TableRouter)
-from repro.routing.selection import FirstCandidatePolicy
-from repro.topology import ClusterMesh, Mesh, Torus
+from repro.routing.selection import (FirstCandidatePolicy,
+                                     LeastCongestedPolicy, RandomPolicy)
+from repro.topology import ClusterMesh, Hypercube, Mesh, Torus
 
 
 def _noop():
@@ -520,3 +525,287 @@ class TestFabricSeam:
         # The counter does count: the exact backend builds both.
         Fabric(Mesh((2, 2)), DimensionOrderRouter())
         assert built.count("Switch") == 4 and built.count("Channel") == 8
+
+
+def test_no_engine_array_grows_with_node_pairs():
+    """On the 64x64 torus of the flood workload (n = 4,096) no array the
+    engine or its route table holds has n^2 entries: a per-(node, node)
+    port map alone would be 16.8 million."""
+    cluster = Cluster(Torus((64, 64)), MinimalAdaptiveRouter(),
+                      marking=DdpmScheme(), seed=1, engine="batched")
+    cluster.launch_ddos(num_attackers=2, attack_rate_per_node=20.0,
+                        duration=0.2)
+    cluster.run()
+    engine = cluster.fabric._engine
+    assert engine.rounds > 0 and cluster.fabric.n_delivered > 0
+    n = cluster.topology.num_nodes
+    arrays = [value for owner in (engine, engine.routes)
+              for value in vars(owner).values()
+              if isinstance(value, np.ndarray)]
+    assert len(arrays) > 10
+    assert max(array.size for array in arrays) < n * n // 64
+
+
+# ----------------------------------------------------------------------
+# Differential rounds: the engine against its earlier round, step by step
+# ----------------------------------------------------------------------
+_SLOT_MASK = (1 << 32) - 1
+
+
+class _ReferenceRound(CohortEngine):
+    """The cohort round as it stood before the parked store was reworked.
+
+    Fresh keys merge into the parked keys by ``searchsorted`` + ``insert``,
+    the wait is charged to each waiting slot, every delivery is tallied in
+    its own round, and a channel is ``node * width + port``, the port being
+    the neighbour's index in ``topology.neighbors(node)``. Candidates come
+    from the route table's scalar read.
+    """
+
+    def __init__(self, fabric):
+        super().__init__(fabric)
+        self.width = width = self.routes.width
+        self._port = np.full(self.n * self.n, -1, dtype=np.int8)
+        self._next_hop = np.full(self.n * width, -1, dtype=np.int64)
+        for node in fabric.topology.nodes():
+            for port, neighbor in enumerate(fabric.topology.neighbors(node)):
+                self._port[node * self.n + neighbor] = port
+                self._next_hop[node * width + port] = neighbor
+        self._backlog = np.zeros(self.n * width, dtype=np.float64)
+        self._delivered_counts = np.zeros(self.n, dtype=np.int64)
+        self._hop_counts = np.zeros(64, dtype=np.int64)
+        self._sink_rows = []
+
+    def _candidate_matrix(self, pos, dst):
+        rows = [self.routes.candidates(p, d)
+                for p, d in zip(pos.tolist(), dst.tolist())]
+        candidates = np.full((len(rows), self.width), -1, dtype=np.int64)
+        for i, row in enumerate(rows):
+            candidates[i, :len(row)] = row
+        return candidates, np.array([len(row) for row in rows],
+                                    dtype=np.int64)
+
+    def _deliver(self, slots):
+        nodes = self.pos[slots]
+        times = self.time[slots]
+        self._stats.n_delivered += slots.size
+        self._delivered_counts += np.bincount(nodes, minlength=self.n)
+        self._stats.latency.add_array(times - self.t0[slots])
+        hops = self.hops[slots]
+        counts = np.bincount(hops, minlength=self._hop_counts.size)
+        if counts.size > self._hop_counts.size:
+            counts[:self._hop_counts.size] += self._hop_counts
+            self._hop_counts = counts
+        else:
+            self._hop_counts += counts
+        self._max_time = max(self._max_time, float(times.max()))
+        sunk = self._sink_mask[nodes]
+        if sunk.any():
+            rows = slots[sunk]
+            self._sink_rows.append(
+                (nodes[sunk], times[sunk], self.src_ip[rows],
+                 self.dst_ip[rows], self.words[rows], self.ttls[rows],
+                 hops[sunk], self.ids[rows], rows,
+                 np.full(rows.size, self.rounds, dtype=np.int64)))
+
+    def _route_and_advance(self):
+        moving = self._moving
+        if moving.size:
+            pos = self.pos[moving]
+            candidates, degrees = self._candidate_matrix(pos,
+                                                         self.dst[moving])
+            blocked = degrees == 0
+            if blocked.any():
+                self._drop(int(np.count_nonzero(blocked)), "unroutable")
+                self._progressed = True
+                routable = ~blocked
+                moving = moving[routable]
+                pos = pos[routable]
+                candidates = candidates[routable]
+                degrees = degrees[routable]
+            if moving.size:
+                cols = self._reference_choose(pos, candidates, degrees)
+                nxt = candidates[np.arange(moving.size), cols]
+                chan = pos * self.width + self._port[pos * self.n + nxt]
+                keys = np.sort((chan << 32) | moving)
+                parked = self._parked
+                self._parked = np.insert(
+                    parked, np.searchsorted(parked, keys), keys)
+        parked = self._parked
+        if not parked.size:
+            self._moving = moving
+            return
+        quota = self.quota
+        chan = parked >> 32
+        admit = np.ones(parked.size, dtype=bool)
+        if parked.size > quota:
+            np.not_equal(chan[quota:], chan[:-quota], out=admit[quota:])
+        moved = parked[admit]
+        self._parked = waiting = parked[~admit]
+        if waiting.size:
+            self.time[waiting & _SLOT_MASK] += self.round_delta
+        if self.mode == "congestion":
+            self._backlog = np.bincount(
+                chan[~admit], minlength=self._backlog.size).astype(np.float64)
+        flipped = np.sort(((moved & _SLOT_MASK) << 32) | (moved >> 32))
+        slots = flipped >> 32
+        nxt = self._next_hop[flipped & _SLOT_MASK]
+        ttls = self.ttls[slots] - 1
+        self.ttls[slots] = ttls
+        if self.marking is not None:
+            self.words[slots] = self.marking.on_hop_array(
+                self.words[slots], self.pos[slots], nxt, ttls,
+                self.marking_rng)
+        self.hops[slots] += 1
+        cfg = self.fabric.config
+        self.time[slots] += (cfg.routing_delay + self.hold[slots]
+                             + cfg.link_latency)
+        self.pos[slots] = nxt
+        self._moving = slots
+        self._progressed = True
+
+    def _reference_choose(self, sub_pos, candidates, degrees):
+        m = degrees.size
+        if self.mode == "first" or candidates.shape[1] == 1:
+            return np.zeros(m, dtype=np.int64)
+        if self.mode == "random":
+            return (self.rng.random(m) * degrees).astype(np.int64)
+        width = candidates.shape[1]
+        ports = self._port[sub_pos[:, None] * self.n + candidates]
+        score = self._backlog[sub_pos[:, None] * self.width + ports] \
+            + self.rng.random((m, width))
+        score[candidates < 0] = np.inf
+        return np.argmin(score, axis=1)
+
+
+class _AdmissionProbe(CohortEngine):
+    """The engine under test, counting each round's admissions per
+    directed channel (the rows that left a node for a neighbour)."""
+
+    most_admitted = 0
+
+    def _route_and_advance(self):
+        before = self.pos.copy()
+        super()._route_and_advance()
+        admitted = self._moving
+        if admitted.size:
+            channels = before[admitted] * self.n + self.pos[admitted]
+            self.most_admitted = max(self.most_admitted,
+                                     int(np.bincount(channels).max()))
+
+
+_ROUND_TOPOLOGIES = {
+    "mesh4x4": lambda: Mesh((4, 4)),
+    "mesh3x5": lambda: Mesh((3, 5)),
+    "torus4x4": lambda: Torus((4, 4)),
+    "torus3x5": lambda: Torus((3, 5)),
+    # Every axis has size 2: both moves along it reach one neighbour.
+    "hypercube4": lambda: Hypercube(4),
+}
+
+
+def _round_cluster(topology, routing, selection, saf, quota, marking,
+                   seed):
+    scheme = (DpmScheme() if marking == "dpm"
+              else MarkingSpec("ppm-full", probability=0.3).build(
+                  np.random.default_rng(seed), topology))
+    router = (DimensionOrderRouter() if routing == "dor"
+              else MinimalAdaptiveRouter())
+    cluster = Cluster(topology, router, marking=scheme,
+                      config=FabricConfig(buffer_capacity=quota), seed=seed,
+                      engine="batched")
+    fabric = cluster.fabric
+    if saf:
+        fabric.service = StoreAndForward()
+    if selection == "first":
+        fabric.selection = FirstCandidatePolicy()
+    elif selection == "random":
+        fabric.selection = RandomPolicy(cluster.sim.rng.stream("selection"))
+    else:
+        fabric.selection = LeastCongestedPolicy(fabric.congestion)
+    victim = cluster.default_victim()
+    fabric.attach_delivery_sink(victim, lambda batch: None)
+    cluster.launch_ddos(victim=victim, num_attackers=3,
+                        attack_rate_per_node=60.0, duration=0.5,
+                        background_rate=4.0)
+    return fabric
+
+
+def _parked_as_reference_keys(engine, reference):
+    """The engine's parked keys with each channel renumbered the way the
+    reference numbers it: channel numbering enters no result."""
+    keys = engine._parked
+    chan = keys >> 32
+    nodes = engine.pos[keys & _SLOT_MASK]
+    nxt = engine.routes.channel_target[chan]
+    port = reference._port[nodes * engine.n + nxt].astype(np.int64)
+    return np.sort(((nodes * reference.width + port) << 32)
+                   | (keys & _SLOT_MASK))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(topology=st.sampled_from(sorted(_ROUND_TOPOLOGIES)),
+       routing=st.sampled_from(["dor", "minimal-adaptive"]),
+       selection=st.sampled_from(["first", "random", "least-congested"]),
+       saf=st.booleans(), quota=st.integers(1, 4),
+       marking=st.sampled_from(["dpm", "ppm-full"]),
+       seed=st.integers(0, 2**16))
+def test_rounds_equal_the_reference_round(topology, routing, selection, saf,
+                                          quota, marking, seed):
+    """Step the engine and the reference round in lockstep: same parked
+    keys, same live rows, same sink rows, and the admission invariants."""
+    engines = []
+    for cls in (_AdmissionProbe, _ReferenceRound):
+        fabric = _round_cluster(_ROUND_TOPOLOGIES[topology](), routing,
+                                selection, saf, quota, marking, seed)
+        engine = cls(fabric)
+        engine._refresh_pending()
+        engine._refresh_sinks()
+        engine.frontier = float(engine._times[0])
+        engine._started = True
+        engines.append(engine)
+    probe, reference = engines
+    total = probe._times.size
+    waited = False
+    while probe._next < total or probe.live():
+        for engine in engines:
+            engine._round()
+            engine.rounds += 1
+        parked = probe._parked
+        waited = waited or parked.size > 0
+        assert (np.diff(parked) > 0).all()
+        assert np.array_equal(_parked_as_reference_keys(probe, reference),
+                              reference._parked)
+        live = np.sort(np.concatenate([probe._moving,
+                                       parked & _SLOT_MASK]))
+        assert np.array_equal(live, np.sort(np.concatenate(
+            [reference._moving, reference._parked & _SLOT_MASK])))
+        for column in ("pos", "ttls", "time"):
+            assert np.array_equal(getattr(probe, column)[live],
+                                  getattr(reference, column)[live])
+    assert reference.live() == 0 and reference._next == total
+    assert waited and 0 < probe.most_admitted <= quota
+
+    delivered, hop_counts, sink = probe._tally()
+    assert np.array_equal(delivered, reference._delivered_counts)
+    assert np.array_equal(np.trim_zeros(hop_counts, "b"),
+                          np.trim_zeros(reference._hop_counts, "b"))
+    assert probe._max_time == reference._max_time
+    expected = [np.concatenate(parts)
+                for parts in zip(*reference._sink_rows)]
+    assert sink is not None and len(sink) == len(expected)
+    # Packet ids come from a process-wide counter: compare them relative
+    # to each capture's first.
+    sink = list(sink)
+    sink[7] = sink[7] - probe.ids.min()
+    expected[7] = expected[7] - reference.ids.min()
+    for got, want in zip(sink, expected):
+        assert np.array_equal(got, want)
+    def totals(fabric):
+        latency = fabric.latency
+        return (fabric.n_injected, fabric.n_delivered, fabric.n_dropped,
+                latency.count, latency._mean, latency._m2, latency.min,
+                latency.max)
+
+    assert totals(probe.fabric) == totals(reference.fabric)

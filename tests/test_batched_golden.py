@@ -13,7 +13,9 @@ The scenarios cover the congested hotspot workload, 8x8 meshes and tori
 under every batched routing/selection pair and the DDPM, DPM, full-index
 PPM and fragment PPM schemes, each remaining scheme the engine admits
 (advanced, XOR and bit-difference PPM, no marking) once on the 8x8 mesh,
-DDPM on a 6-cube, a ``run_until`` segmented run, and a TTL-expiry run.
+DDPM on a 6-cube, a ``run_until`` segmented run, a TTL-expiry run, and
+the hotspot and one 8x8 least-congested run under store-and-forward, where
+a hop charges a row's whole serialization but a wait only the header's.
 An engine refactor that claims bit-identical results must leave the file
 untouched; regenerate it only for an intended behaviour change, and say
 so.
@@ -38,6 +40,7 @@ from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
 from repro.marking import DdpmScheme
 from repro.network.fabric import FabricConfig
+from repro.network.flowcontrol import StoreAndForward
 from repro.network.packet import allocate_packet_ids
 from repro.routing import DimensionOrderRouter
 from repro.routing.selection import FirstCandidatePolicy
@@ -96,6 +99,14 @@ SCENARIOS: Dict[str, Tuple[ExperimentConfig, Tuple[float, ...]]] = {
 }
 
 
+#: run under store-and-forward instead of the default virtual cut-through
+SAF_SCENARIOS: Dict[str, ExperimentConfig] = {
+    "hotspot-saf": HOTSPOT,
+    "mesh8-minimal-adaptive-least-congested-ppm-full-saf": _grid_config(
+        "mesh", "minimal-adaptive", "least-congested", "ppm-full"),
+}
+
+
 def _flood(config: ExperimentConfig) -> dict:
     return dict(attackers=config.attackers,
                 num_attackers=config.num_attackers,
@@ -149,8 +160,10 @@ def _digest(cluster: Cluster, rows: List[tuple]) -> dict:
 
 
 def run_scenario(config: ExperimentConfig, cuts: Tuple[float, ...] = (),
-                 ) -> dict:
+                 store_and_forward: bool = False) -> dict:
     cluster = Cluster.from_config(config)
+    if store_and_forward:
+        cluster.fabric.service = StoreAndForward()
     rows = _launch(cluster, _flood(config))
     for cut in cuts:
         cluster.run(until=cut)
@@ -174,6 +187,8 @@ def run_ttl_scenario() -> dict:
 def _all_scenarios() -> Dict[str, dict]:
     out = {name: run_scenario(config, cuts)
            for name, (config, cuts) in SCENARIOS.items()}
+    out.update((name, run_scenario(config, store_and_forward=True))
+               for name, config in SAF_SCENARIOS.items())
     out["ttl-expiry"] = run_ttl_scenario()
     return out
 
@@ -201,6 +216,12 @@ def test_batched_golden_ttl_expiry(golden):
     fresh = run_ttl_scenario()
     assert fresh["dropped"] > 0, "TTL scenario no longer expires packets"
     assert fresh == golden["ttl-expiry"]
+
+
+@pytest.mark.parametrize("name", sorted(SAF_SCENARIOS))
+def test_batched_golden_store_and_forward(golden, name):
+    assert run_scenario(SAF_SCENARIOS[name],
+                        store_and_forward=True) == golden[name]
 
 
 def test_segmented_pin_matches_uncut_run(golden):

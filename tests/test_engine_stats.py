@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.stats import Counter, Histogram, TimeSeries, WelfordAccumulator
 
@@ -77,6 +78,18 @@ class TestWelford:
         merged = a.merge(WelfordAccumulator())
         assert merged.count == 1
         assert merged.mean == 1.0
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300))
+    def test_add_array_mean_is_numpy_mean_bitwise(self, values):
+        """add_array takes a column's mean as sum / count: bit for bit
+        numpy's mean, which the batched golden pins were recorded with."""
+        column = np.array(values)
+        acc = WelfordAccumulator()
+        acc.add_array(column)
+        assert acc.count == column.size
+        assert acc._mean == float(column.mean())
 
 
 class TestHistogram:

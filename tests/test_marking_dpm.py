@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.dpm_model import neighbor_bit_collision_rate, signature_table_ambiguity
+from repro.errors import MarkingError
 from repro.marking.dpm import DpmScheme, build_signature_table, path_signature
 from repro.network import Fabric, FabricConfig
 from repro.network.ip import IPHeader
@@ -32,6 +33,17 @@ class TestSwitchSide:
         position = 37 % 16
         expected = scheme.node_bit(5) << position
         assert packet.header.identification == expected
+
+    def test_unattached_hop_raises(self):
+        """The hop reads the attach-time bit table; an unattached scheme
+        misses it and must still refuse, even for a node whose bit the
+        victim side has already asked for."""
+        scheme = DpmScheme()
+        scheme.node_bit(5)
+        packet = Packet(IPHeader(1, 2, ttl=37), 0, 15)
+        with pytest.raises(MarkingError, match="attach"):
+            scheme.on_hop(packet, 5, 6)
+        assert packet.header.identification == 0
 
     def test_consecutive_hops_hit_consecutive_positions(self, mesh44):
         scheme = attached(mesh44)

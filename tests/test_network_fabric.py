@@ -8,6 +8,7 @@ from repro.network import Fabric, FabricConfig, StoreAndForward
 from repro.network.packet import PacketKind
 from repro.routing import (
     DimensionOrderRouter,
+    FirstCandidatePolicy,
     FullyAdaptiveRouter,
     LeastCongestedPolicy,
     MinimalAdaptiveRouter,
@@ -205,9 +206,9 @@ class TestInPlaceLeastCongested:
         fab, policy, traces = self._run(
             lambda fab: LeastCongestedPolicy(fab.congestion,
                                              np.random.default_rng(7)))
-        assert fab._least_congested
+        assert fab._in_place == "least-congested"
         ref_fab, ref_policy, ref_traces = self._run(generic)
-        assert not ref_fab._least_congested
+        assert ref_fab._in_place is None
         assert traces == ref_traces
         assert policy.rng.bit_generator.state == ref_policy.rng.bit_generator.state
         # The load was high enough for ties to draw from the generator.
@@ -218,15 +219,50 @@ class TestInPlaceLeastCongested:
         fab = Fabric(Torus((4, 4)), MinimalAdaptiveRouter())
         fab.selection = LeastCongestedPolicy(fab.congestion,
                                              np.random.default_rng(0))
-        assert fab._least_congested
+        assert fab._in_place == "least-congested"
         recording = _Recording(fab.congestion, np.random.default_rng(0))
         fab.selection = recording
-        assert fab.selection is recording and not fab._least_congested
+        assert fab.selection is recording and fab._in_place is None
         for i in range(20):
             fab.inject(fab.make_packet(0, 10), delay=i * 0.001)
         fab.run()
         assert fab.n_delivered == 20
         assert len(recording.choices) == 20 * fab.topology.min_hops(0, 10)
+
+
+class _GenericFirst(FirstCandidatePolicy):
+    """A subclass: applied through ``choose``, not in place."""
+
+
+class _GenericRandom(RandomPolicy):
+    """A subclass: applied through ``choose``, not in place."""
+
+
+class TestInPlaceFirstAndRandom:
+    """Plain first-candidate and random policies are applied in place too:
+    same paths and the same single draw per multi-candidate hop as
+    ``choose``, which a subclass still goes through."""
+
+    @pytest.mark.parametrize("plain,generic,mode", [
+        (FirstCandidatePolicy, _GenericFirst, "first"),
+        (RandomPolicy, _GenericRandom, "random"),
+    ], ids=["first", "random"])
+    def test_same_paths_and_draws_as_choose(self, plain, generic, mode):
+        def make(cls):
+            return cls() if mode == "first" else cls(np.random.default_rng(7))
+
+        fab, policy, traces = TestInPlaceLeastCongested._run(
+            lambda fab: make(plain))
+        assert fab._in_place == mode
+        ref_fab, ref_policy, ref_traces = TestInPlaceLeastCongested._run(
+            lambda fab: make(generic))
+        assert ref_fab._in_place is None
+        assert traces == ref_traces
+        if mode == "random":
+            assert policy.rng.bit_generator.state == \
+                ref_policy.rng.bit_generator.state
+            assert policy.rng.bit_generator.state != \
+                np.random.default_rng(7).bit_generator.state
 
 
 class TestValidation:

@@ -126,11 +126,17 @@ def test_both_reads_equal_router_candidates(name, kind, data, fail_one):
     pos = np.array([cur for cur, _ in pairs], dtype=np.int64)
     dst = np.array([d for _, d in pairs], dtype=np.int64)
     for _ in range(2):
-        cand, deg = fresh.lookup(pos, dst)
-        assert cand.shape == (len(pairs), table.width)
+        chan, deg = fresh.lookup(pos, dst)
+        assert chan.shape == (len(pairs), table.width)
+        cand = np.where(chan >= 0, fresh.channel_target[chan], -1)
         got = [tuple(row[:d]) for row, d in zip(cand.tolist(), deg.tolist())]
         assert got == expected
-        assert all((row[d:] == -1).all() for row, d in zip(cand, deg))
+        assert all((row[d:] == -1).all() for row, d in zip(chan, deg))
+        # A channel leaves its row's node, one channel per neighbour.
+        moves = fresh.channels // n
+        for row, d, cur in zip(chan.tolist(), deg.tolist(), pos.tolist()):
+            assert [c // moves for c in row[:d]] == [cur] * d
+            assert len(set(row[:d])) == d
 
 
 @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
@@ -166,7 +172,8 @@ def test_columnar_fill_grows_past_its_first_block():
     n = topology.num_nodes
     pos = np.repeat(np.arange(n), n)
     dst = np.tile(np.arange(n), n)
-    cand, deg = table.lookup(pos, dst)
+    chan, deg = table.lookup(pos, dst)
+    cand = np.where(chan >= 0, table.channel_target[chan], -1)
     rng = np.random.default_rng(1)
     for row in rng.integers(n * n, size=200).tolist():
         cur, d = divmod(row, n)
@@ -205,7 +212,26 @@ def test_scalar_reads_fill_only_the_rows_they_touch():
         table.clear()
         for row in list(table._rows)[seeded:]:
             del table._rows[row]
-    assert table._cand is None
+    assert table._chan is None
+
+
+def test_moves_to_one_neighbour_share_a_channel():
+    """A hypercube's minimal form lists both moves along each axis, and on
+    a size-2 axis both reach the same neighbour: they must share its
+    channel (the -1 move's, listed first), or admission would give that
+    link twice the credit."""
+    topology = Hypercube(3)
+    table = RouteTable(MinimalAdaptiveRouter(), topology)
+    n = topology.num_nodes
+    moves = table.channels // n
+    assert moves == 6
+    pos = np.repeat(np.arange(n), n)
+    dst = np.tile(np.arange(n), n)
+    chan, deg = table.lookup(pos, dst)
+    used = chan[chan >= 0]
+    assert used.size == deg.sum() > 0
+    assert (used % moves % 2 == 0).all()
+    assert (table.channel_target[used] == table.channel_target[used + 1]).all()
 
 
 class TestExactEngineInvalidation:
