@@ -256,9 +256,10 @@ class ExperimentConfig:
         if self.attacks is not None:
             out["attacks"] = self.attacks.to_dict()
         # Same omit-when-default rule for the engine: exact-mode configs keep
-        # their pre-batched cache keys byte for byte. Likewise shards: the
-        # sharded engine's results are identical for every shard count, so an
-        # unset count must not perturb cache keys.
+        # their pre-batched cache keys byte for byte. Likewise shards: an
+        # unset count stays out of the key. A set count stays in it, since
+        # shard counts agree only where draws cannot reach outcomes and
+        # only statistically elsewhere.
         if self.engine != "exact":
             out["engine"] = self.engine
         if self.shards is not None:

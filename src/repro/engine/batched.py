@@ -40,7 +40,7 @@ Cost per round: O(moved) fancy indexing for steps 1-4 and 6, plus about
 ten contiguous passes over the parked keys and one over the time
 window the waiting rows span (step 5). A delivery keeps only its slots,
 its times and the round's latency fold; per-node, hop and sink tallies
-are built once per flush. Under the paper's flood the parked passes still
+are built once per run. Under the paper's flood the parked passes still
 dominate: on the 16x16 hotspot about 57 rows move per round against
 ~7,900 parked, so a round costs what waits, in fast passes, not what
 moves (DESIGN.md §12 has the section times).
@@ -54,7 +54,9 @@ offsets make the delivered word a pure function of source and destination);
 statistically equivalent elsewhere (probabilistic marking, adaptive
 tie-breaks, latency timing). What it refuses, and which engine to use
 instead, is :mod:`repro.engine.contract`'s table; ``admit`` checks a
-fabric against it before this engine is built.
+fabric against it before this engine is built. The engine runs its
+capture once, to completion: ``run_until`` and traffic captured after the
+run are refused there too.
 
 Per-row Python work is banned here by lint rule H3
 (``no-per-packet-python-in-batched-path``); the loops below are per-round,
@@ -67,7 +69,7 @@ from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.contract import refuse, selection_mode
+from repro.engine.contract import selection_mode
 from repro.errors import SimulationError
 from repro.network.flowcontrol import VirtualCutThrough
 from repro.network.ip import IPHeader
@@ -151,76 +153,51 @@ class CohortEngine:
         # channel, ``channel_target`` the node a channel leads to).
         self._backlog = np.zeros(routes.channels, dtype=np.float64)
 
-        # Deliveries since the last flush: each round's slots and times
-        # (a wait charge may later touch a retired slot's time) and the
-        # round. _tally folds them into per-node, hop and sink columns once
-        # per advance() boundary (once per run for the classic
-        # drain-to-completion call).
+        # The run's deliveries: each round's slots and times (a wait charge
+        # may later touch a retired slot's time) and the round. _tally folds
+        # them into per-node, hop and sink columns once, at the end.
         self._delivered_slots: List[np.ndarray] = []
         self._delivered_times: List[np.ndarray] = []
         self._delivered_rounds: List[int] = []
+        # The nodes with a delivery ring attached; the engine is built at
+        # the run, after every sink.
         self._sink_mask = np.zeros(self.n, dtype=bool)
-        self._refresh_sinks()
+        self._sink_mask[np.array(
+            [ring.node for ring in fabric._delivery_sinks],
+            dtype=np.int64)] = True
         self._max_time = self.sim.now
         self._progressed = False
         self.rounds = 0
 
-        # Persistent-run state: the engine survives across advance() calls so
-        # run_until can cut a run into segments with live rows carried over.
-        # ``_slots`` lists the slots this engine activates, in activation
-        # order, and ``_times`` their injection times.
+        # The capture, set by _install: ``_slots`` lists the slots this
+        # engine activates, in activation order, ``_times`` their injection
+        # times, and ``_next`` counts the activated ones.
         self._pending: Optional[dict] = None
         self._slots = np.empty(0, dtype=np.int64)
         self._times = np.empty(0, dtype=np.float64)
         self._next = 0
-        self._flushed_next = 0
-        self._started = False
         self.frontier = float(self.sim.now)
 
     # ------------------------------------------------------------------
-    def run(self) -> None:
-        """Drain all captured injections; raises on stalls via the watchdog."""
-        self.advance(None)
-
     def live(self) -> int:
         """Rows in flight: moving plus parked."""
         return int(self._moving.size + self._parked.size)
 
-    def advance(self, until: Optional[float]) -> None:
-        """Advance cohorts through every round whose frontier is <= ``until``
-        (``None`` = to completion), then flush a clean segment boundary.
-
-        The cut is clean because under virtual cut-through every live row's
-        lag behind the frontier is fixed at activation and stays in
-        ``[0, round_delta)``: deliveries flushed before the cut all carry
-        times <= the last frontier run, deliveries after it strictly greater,
-        so concatenating per-segment flushes reproduces the single-run stream
-        bit for bit (the DeliveryRing/MarkBatch prefix-composability
-        contract). Store-and-forward holds vary per row, the lag drifts, and
-        the argument breaks — refused below.
-        """
-        if until is not None and not self._vct:
-            refuse(self.fabric.engine_name, "run-until",
-                   "run_until under store-and-forward")
+    def run(self) -> None:
+        """Install the fabric's capture and drain it, one round per
+        iteration; raises on stalls via the watchdog."""
         sim = self.sim
         watchdog = sim.watchdog
         if watchdog is not None:
             watchdog.start()
         profiler = sim.profile
-        self._refresh_pending()
-        self._refresh_sinks()
-        pending_times = self._times
-        total = pending_times.size
-        if not self._started and total:
-            self.frontier = float(pending_times[0])
-            self._started = True
+        pending = self.fabric.log.columns()
+        self._install(pending,
+                      np.arange(pending["times"].size, dtype=np.int64))
+        total = self._times.size
+        if total:
+            self.frontier = float(self._times[0])
         while self._next < total or self.live():  # per-round loop  # repro-lint: disable=H3
-            if until is not None:
-                eff = self.frontier
-                if not self.live() and self._next < total:
-                    eff = max(eff, float(pending_times[self._next]))
-                if eff > until:
-                    break
             if watchdog is not None:
                 watchdog.check_stall(sim)
             self._progressed = False
@@ -235,44 +212,16 @@ class CohortEngine:
                     f"batched engine stalled at round {self.rounds} with "
                     f"{self.live()} live rows (internal invariant broken)"
                 )
-        self._flush(until)
-
-    def _refresh_pending(self) -> None:
-        """(Re-)snapshot the injection log as time-sorted pending columns.
-
-        Injections captured between advance() segments are folded in as long
-        as they do not rewrite the already-consumed prefix (traffic scheduled
-        at or before times the engine has advanced past has no sound replay).
-        The consumed prefix keeps its slots, so live rows stay put.
-        """
-        log = self.fabric.log
-        if self._pending is not None \
-                and len(log) == self._pending["times"].size:
-            return
-        pending = log.columns()
-        # A shorter capture fails the comparison too: the prefixes differ
-        # in length.
-        if self._pending is not None and not np.array_equal(
-                pending["ids"][:self._next], self._pending["ids"][:self._next]):
-            refuse(self.fabric.engine_name, "capture-after-run",
-                   "injections captured at or before its frontier")
-        self._install(pending,
-                      np.arange(pending["times"].size, dtype=np.int64))
+        self._flush()
 
     def _install(self, pending: Dict[str, np.ndarray],
                  slots: np.ndarray) -> None:
         """Adopt ``pending`` (the whole time-sorted capture, indexed by
-        slot) and activate the rows at ``slots`` in that order.
-
-        The slot store grows to the capture's size, keeping every slot
-        already written.
-        """
+        slot) and activate the rows at ``slots`` in that order."""
         size = pending["times"].size
-        for name in _STORE_COLUMNS:  # per-column, once per segment  # repro-lint: disable=H3
-            old = getattr(self, name)
-            column = np.empty(size, dtype=old.dtype)
-            column[:old.size] = old
-            setattr(self, name, column)
+        for name in _STORE_COLUMNS:  # per-column, once per run  # repro-lint: disable=H3
+            setattr(self, name,
+                    np.empty(size, dtype=getattr(self, name).dtype))
         self.dst = pending["dests"]
         self.src_ip = pending["sources"]
         self.dst_ip = pending["dst_ips"]
@@ -280,13 +229,6 @@ class CohortEngine:
         self._pending = pending
         self._slots = slots
         self._times = pending["times"][slots]
-
-    def _refresh_sinks(self) -> None:
-        """Mark the nodes with a delivery ring attached, once per segment."""
-        self._sink_mask[:] = False
-        self._sink_mask[np.array(
-            [ring.node for ring in self.fabric._delivery_sinks],
-            dtype=np.int64)] = True
 
     # ------------------------------------------------------------------
     def _round(self) -> Tuple[int, int]:
@@ -381,7 +323,7 @@ class CohortEngine:
 
     def _deliver(self, slots: np.ndarray) -> None:
         # The latency fold stays per round: its merge order is in the
-        # result. Everything else is tallied once per flush.
+        # result. Everything else is tallied once per run.
         times = self.time[slots]
         self._stats.n_delivered += slots.size
         self._stats.latency.add_array(times - self.t0[slots])
@@ -391,7 +333,7 @@ class CohortEngine:
 
     def _tally(self) -> Tuple[np.ndarray, np.ndarray,
                               Optional[Tuple[np.ndarray, ...]]]:
-        """Fold the deliveries since the last tally, in delivery order:
+        """Fold the run's deliveries, in delivery order:
         per-node delivered counts, per-hop-count counts and the sink rows'
         columns (None when no row reached a sink); raises ``_max_time``.
 
@@ -518,39 +460,25 @@ class CohortEngine:
         return np.argmin(score, axis=1)
 
     # ------------------------------------------------------------------
-    def _flush(self, until: Optional[float]) -> None:
-        """Write segment accumulators back to the fabric and reset them.
-
-        Called once per advance() call; the classic drain-to-completion run
-        hits it exactly once. Per-ring rows are stable-sorted by time inside
-        the segment; segments never interleave in time (the clean-cut
-        invariant), so repeated flushes concatenate into the same stream a
-        single full run produces.
-        """
+    def _flush(self) -> None:
+        """Write the run's accumulators back to the fabric, once, at the
+        end. Per-ring rows are stable-sorted by time."""
         fabric = self.fabric
-        sim = self.sim
         nics = fabric.nics
-        if self._next > self._flushed_next:
-            nodes = self._pending["nodes"][
-                self._slots[self._flushed_next:self._next]]
-            injected = np.bincount(nodes, minlength=self.n)
-            for node in np.flatnonzero(injected).tolist():  # per-node, once per segment  # repro-lint: disable=H3
-                nics[node].n_injected += int(injected[node])
-            self._flushed_next = self._next
+        injected = np.bincount(self._pending["nodes"], minlength=self.n)
+        for node in np.flatnonzero(injected).tolist():  # per-node, once per run  # repro-lint: disable=H3
+            nics[node].n_injected += int(injected[node])
         delivered, hop_counts, sink = self._tally()
-        for node in np.flatnonzero(delivered).tolist():  # per-node, once per segment  # repro-lint: disable=H3
+        for node in np.flatnonzero(delivered).tolist():  # per-node, once per run  # repro-lint: disable=H3
             nics[node].n_delivered += int(delivered[node])
-        for value in np.flatnonzero(hop_counts).tolist():  # per-value, once per segment  # repro-lint: disable=H3
+        for value in np.flatnonzero(hop_counts).tolist():  # per-value, once per run  # repro-lint: disable=H3
             fabric.hop_histogram.add(int(value), int(hop_counts[value]))
         if sink is not None:
             nodes, times = sink[0], sink[1]
-            for ring in fabric._delivery_sinks:  # per-sink, once per segment  # repro-lint: disable=H3
+            for ring in fabric._delivery_sinks:  # per-sink, once per run  # repro-lint: disable=H3
                 rows = np.flatnonzero(nodes == ring.node)
                 rows = rows[np.argsort(times[rows], kind="stable")]
                 ring.extend(times[rows], sink[2][rows], sink[3][rows],
                             sink[4][rows], sink[5][rows], sink[6][rows],
                             sink[7][rows])
-        if until is None:
-            sim.now = max(sim.now, self._max_time, self.frontier)
-        else:
-            sim.now = max(sim.now, until)
+        self.sim.now = max(self.sim.now, self._max_time, self.frontier)

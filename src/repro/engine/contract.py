@@ -11,14 +11,11 @@ exact engine's, the golden-pinned reference:
 * ``refused`` — the engine raises :class:`~repro.errors.EngineUnsupported`
   naming its ``fallback`` engine instead of diverging silently.
 
-A cell may admit a feature in one case and refuse it in another
-(``run_until`` on the batched engine: identical under virtual
-cut-through, refused under store-and-forward); it then carries both a
-relation and a fallback. Every refusal is raised by :func:`refuse`. The
-static ones, which a fabric's wiring decides before any packet moves, are
-checked by :func:`admit`; each cohort ``run``/``run_until`` calls it
-before it builds an engine or forks a shard worker. DESIGN.md §12 holds
-the table as :func:`render_matrix` prints it.
+Every refusal is raised by :func:`refuse`. The static ones, which a
+fabric's wiring decides before any packet moves, are checked by
+:func:`admit`; each cohort ``run`` calls it before it builds an engine or
+forks a shard worker. DESIGN.md §12 holds the table as the contract test
+renders it.
 """
 
 from __future__ import annotations
@@ -42,16 +39,16 @@ class Cell(NamedTuple):
     relation: str
     #: the engine to use where this one refuses; None if it never does
     fallback: Optional[str] = None
-    #: why it refuses, and in which case if it admits the rest
+    #: why it refuses
     why: str = ""
 
 
 SAME, STATS = Cell("identical"), Cell("statistical")
 
 
-def _row(what: str, exact: Cell, batched: Cell, sharded: Optional[Cell] = None):
-    """A contract row; the sharded cell defaults to the batched one."""
-    return what, dict(zip(ENGINES, (exact, batched, sharded or batched)))
+def _row(what: str, exact: Cell, cohort: Cell):
+    """A contract row; both cohort engines (batched, sharded) share one cell."""
+    return what, dict(zip(ENGINES, (exact, cohort, cohort)))
 
 
 def _no(fallback: str, why: str) -> Cell:
@@ -89,15 +86,10 @@ CONTRACT: Dict[str, Tuple[str, Dict[str, Cell]]] = {
                   "columnar replacement")),
     "link-change-after-run": _row("fail_link and restore_link after the first run", SAME,
                                   _no("exact", "the route tables are fixed at the first run")),
-    "run-until": _row(
-        "partial-horizon runs (run_until)", SAME,
-        Cell("identical", "exact", "store-and-forward breaks the fixed per-row lag the cut "
-             "relies on"),
-        _no("batched", "shard workers run the capture to completion in one pass")),
-    "capture-after-run": _row(
-        "traffic captured after a run", SAME,
-        Cell("identical", "exact", "traffic at or before the frontier has no sound replay"),
-        _no("batched", "shard workers run the capture once")),
+    "run-until": _row("partial-horizon runs (run_until)", SAME,
+                      _no("exact", "a cohort engine runs its capture to completion in one pass")),
+    "capture-after-run": _row("traffic captured after a run", SAME,
+                              _no("exact", "a cohort engine runs its capture once")),
 }
 
 
@@ -111,7 +103,7 @@ def refuse(engine: str, feature: str, detail: Optional[str] = None) -> NoReturn:
 
 
 def refused_features(engine: str) -> List[str]:
-    """The features ``engine`` refuses, wholly or in part."""
+    """The features ``engine`` refuses."""
     return [name for name, (_, cells) in CONTRACT.items() if cells[engine].fallback]
 
 
@@ -150,8 +142,8 @@ def admit(fabric) -> None:
 
     Checks the static rows in order: pending discrete events, per-packet
     hooks, the marking scheme, the router and the selection policy. Each
-    cohort ``run``/``run_until`` calls it before building an engine or
-    forking a shard worker.
+    cohort ``run`` calls it before building an engine or forking a shard
+    worker.
     """
     engine, router, topology = fabric.engine_name, fabric.router, fabric.topology
     if len(fabric.sim.queue):

@@ -115,8 +115,6 @@ class _ShardCohortEngine(CohortEngine):
         """Install the global time-sorted capture; this shard activates
         the rows at ``slots``."""
         self._install(pending, slots)
-        self._next = 0
-        self._started = True
         watchdog = self.sim.watchdog
         if watchdog is not None:
             watchdog.start()
@@ -370,8 +368,6 @@ class ShardedEngine:
         self.mode = self._resolve_mode(getattr(fabric, "shard_mode", None))
         self.windows = 0
         self._reports: List[dict] = []
-        #: rows this engine runs; ShardedFabric refuses any captured later
-        self.captured = len(fabric.log)
 
     @staticmethod
     def _resolve_mode(requested: Optional[str]) -> str:

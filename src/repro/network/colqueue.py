@@ -18,13 +18,14 @@ This module holds the network-side half:
   ``inject`` records columns instead of scheduling events and ``run`` hands
   the captured log to the cohort engine. The shell refuses the per-packet
   observation APIs; ``attach_delivery_sink`` is the columnar replacement.
-  Link failures are refused once the engine has run.
-* :class:`ShardedFabric` — the same capture surface, but ``run`` hands the
-  log to :class:`repro.engine.sharded.ShardedEngine`, which partitions the
-  topology into ``shards`` pieces and advances one cohort engine per shard
-  under conservative time-window synchronization (multi-process when the
-  ``fork`` start method exists, serially otherwise). It runs the capture
-  once; traffic captured after that is refused.
+  The capture runs once: a repeat ``run`` with nothing new captured is a
+  no-op, and traffic captured after the run, ``run_until`` and link
+  failures after the run are refused.
+* :class:`ShardedFabric` — the same capture surface and run rule, but its
+  engine is :class:`repro.engine.sharded.ShardedEngine`, which partitions
+  the topology into ``shards`` pieces and advances one cohort engine per
+  shard under conservative time-window synchronization (multi-process when
+  the ``fork`` start method exists, serially otherwise).
 
 Equivalence contract: the exact per-packet mode remains the golden-pinned
 reference. The table in :mod:`repro.engine.contract` (rendered in
@@ -149,8 +150,8 @@ class BatchedFabric(FabricShell):
 
     The shell supplies the wiring, NICs, statistics and columnar delivery
     sinks; ``inject`` captures columns into an :class:`InjectionLog` and
-    ``run`` drives :class:`repro.engine.batched.CohortEngine` over them.
-    No channels, no deadlock probe.
+    ``run`` drives :class:`repro.engine.batched.CohortEngine` over them,
+    once. No channels, no deadlock probe.
     """
 
     #: engine discriminator mirrored into ExperimentConfig.engine
@@ -159,9 +160,9 @@ class BatchedFabric(FabricShell):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = InjectionLog()
-        # Built at the first run, then persistent: run_until cuts one
-        # capture into segments, with live cohort rows carried across calls.
+        # Built by the first run, with the capture size it ran.
         self._engine = None
+        self._captured = 0
 
     # ------------------------------------------------------------------
     # Capture path
@@ -199,43 +200,47 @@ class BatchedFabric(FabricShell):
     # Runtime control
     # ------------------------------------------------------------------
     def run(self) -> float:
-        """Advance all captured cohorts to completion; flush sinks at the end."""
-        return self._advance(None)
+        """Run the capture to completion, once; flush sinks at the end.
 
-    def run_until(self, time: float) -> float:
-        """Advance cohorts through the rounds at or below ``time`` and stop.
-
-        A partial-horizon cut: rounds whose frontier lies at or below the
-        horizon run in full, live rows stay resident in the engine, and the
-        next run/run_until call resumes the identical round schedule — so a
-        segmented run reproduces the single-run results bit for bit (see
-        ``CohortEngine.advance``). Back-to-back calls observe a continuous
-        timeline, matching the exact engine's ``Simulator.run_until``.
+        A repeat run with nothing new captured is a no-op; traffic captured
+        after the run is refused.
         """
-        return self._advance(float(time))
-
-    def _advance(self, until: Optional[float]) -> float:
         admit(self)
         if self._engine is None:
-            from repro.engine.batched import CohortEngine
-
-            self._engine = CohortEngine(self)
-        self._engine.advance(until)
+            # Recorded before it runs: the engine writes statistics onto the
+            # fabric as it goes, so a run that raised is not run again.
+            self._engine = self._new_engine()
+            self._captured = len(self.log)
+            self._engine.run()
+        elif len(self.log) != self._captured:
+            refuse(self.engine_name, "capture-after-run",
+                   "traffic captured after a run")
         if self._delivery_sinks:
             self.flush_delivery_sinks()
         return self.sim.now
+
+    def run_until(self, time: float) -> float:
+        """Refused: a cohort engine runs its capture to completion."""
+        refuse(self.engine_name, "run-until", "run_until")
+
+    def _new_engine(self):
+        from repro.engine.batched import CohortEngine
+
+        return CohortEngine(self)
 
 
 class ShardedFabric(BatchedFabric):
     """A batched-capture fabric run by the sharded multi-process engine.
 
-    Identical capture surface and statistics to :class:`BatchedFabric`; the
-    run loop partitions the topology into ``shards`` pieces and advances one
-    cohort engine per shard under conservative time-window sync
-    (:class:`repro.engine.sharded.ShardedEngine`), merging results so they
-    are identical to the single-process batched engine. The capture runs
-    once: a repeat ``run`` with nothing new captured is a no-op, and
-    traffic captured after a completed run is refused.
+    Identical capture surface, statistics and run rule to
+    :class:`BatchedFabric`; its engine partitions the topology into
+    ``shards`` pieces and advances one cohort engine per shard under
+    conservative time-window sync
+    (:class:`repro.engine.sharded.ShardedEngine`). Results equal the
+    single-process batched engine's, and each other's across shard counts,
+    only where draws cannot reach outcomes (deterministic marking and
+    selection, DDPM under any routing); elsewhere each shard draws from its
+    own streams and the agreement is statistical.
 
     ``shard_mode`` selects the worker transport: ``"process"`` (fork-spawned
     workers), ``"serial"`` (in-process, for debugging and single-core CI),
@@ -260,24 +265,7 @@ class ShardedFabric(BatchedFabric):
         self.shards = int(shards)
         self.shard_mode = shard_mode
 
-    def run(self) -> float:
-        """Partition, advance every shard to completion, merge, flush sinks."""
-        admit(self)
-        if self._engine is None:
-            from repro.engine.sharded import ShardedEngine
+    def _new_engine(self):
+        from repro.engine.sharded import ShardedEngine
 
-            engine = ShardedEngine(self)
-            engine.run()
-            # Kept only once complete: nothing merges into the fabric
-            # before the end, so a failed run can simply be retried.
-            self._engine = engine
-        elif len(self.log) != self._engine.captured:
-            refuse(self.engine_name, "capture-after-run",
-                   "traffic captured after a completed run")
-        if self._delivery_sinks:
-            self.flush_delivery_sinks()
-        return self.sim.now
-
-    def run_until(self, time: float) -> float:
-        """Refused: shard workers run the capture to completion."""
-        refuse(self.engine_name, "run-until", "run_until")
+        return ShardedEngine(self)

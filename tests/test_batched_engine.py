@@ -4,8 +4,9 @@ The statistical-equivalence matrix lives in
 ``test_properties_batched_equivalence.py``; this file covers the engine's
 mechanics: conservation accounting, the supported-feature guards, config
 round-tripping (and cache-key stability for exact-mode configs), the CLI
-surface, profiler integration, bulk injection, the fabric seam, and a
-round-by-round differential test against the engine's earlier round.
+surface, profiler integration, bulk injection, the run-once rule of both
+cohort engines, the fabric seam, and a round-by-round differential test
+against the engine's earlier round.
 """
 
 import json
@@ -20,7 +21,7 @@ from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
 from repro.core.experiment import run_identification_experiment
 from repro.engine.batched import CohortEngine
 from repro.engine.contract import ENGINES
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EngineUnsupported, SimulationError
 from repro.marking import (AuthenticatedDdpmScheme, DdpmScheme, DpmScheme,
                            HierarchicalDdpmScheme)
 from repro.network.colqueue import BatchedFabric, InjectionLog
@@ -47,11 +48,14 @@ class _ScalarOnlyDpm(DpmScheme):
         super().on_hop(packet, from_node, to_node)
 
 
-def _batched_cluster(*, config=None, marking="ddpm", seed=0):
+def _batched_cluster(*, config=None, marking="ddpm", seed=0,
+                     engine="batched"):
     scheme = DdpmScheme() if marking == "ddpm" else None
     cluster = Cluster(Mesh((4, 4)), DimensionOrderRouter(), marking=scheme,
-                      config=config, seed=seed, engine="batched")
+                      config=config, seed=seed, engine=engine)
     cluster.fabric.selection = FirstCandidatePolicy()
+    if engine == "sharded":
+        cluster.fabric.shard_mode = "serial"
     return cluster
 
 
@@ -139,9 +143,8 @@ class TestGuards:
                 assert api in str(refused.value)
 
     def test_mid_run_link_failure_is_refused(self):
-        # The route tables are built with the engine, so a link failed
-        # after the first run would be crossed anyway: 121 delivered where
-        # the exact engine delivers 40 and drops 81.
+        # The route tables are built with the engine, so a link changed
+        # after the run is refused rather than left for rows to cross.
         cluster = Cluster(Mesh((4, 4)), MinimalAdaptiveRouter(),
                           marking=DdpmScheme(), seed=4, engine="batched")
         cluster.fabric.selection = FirstCandidatePolicy()
@@ -152,23 +155,12 @@ class TestGuards:
         cluster.fabric.fail_link(0, 1)
         assert not cluster.topology.links.is_up(0, 1)
         cluster.fabric.restore_link(0, 1)
-        cluster.run(until=0.3)
+        cluster.run()
         for api in (cluster.fabric.fail_link, cluster.fabric.restore_link):
             with pytest.raises(ConfigurationError, match="engine='exact'"):
                 api(11, 15)
         assert cluster.topology.links.is_up(11, 15)
-        cluster.run()
         assert cluster.fabric.n_delivered == cluster.fabric.n_injected == 121
-
-    def test_run_until_rejects_store_and_forward(self):
-        from repro.network.flowcontrol import StoreAndForward
-
-        fabric = BatchedFabric(Mesh((4, 4)), DimensionOrderRouter(),
-                               marking=DdpmScheme(),
-                               service=StoreAndForward())
-        fabric.selection = FirstCandidatePolicy()
-        with pytest.raises(ConfigurationError, match="run_until"):
-            fabric.run_until(1.0)
 
     def test_injection_filter_is_rejected(self):
         cluster = _batched_cluster()
@@ -389,109 +381,66 @@ class TestBulkInjection:
 
 
 # ----------------------------------------------------------------------
-# Partial-horizon advance: run_until on the batched engine
+# Both cohort engines run their capture once
 # ----------------------------------------------------------------------
-class TestRunUntil:
-    """run_until cuts one capture into segments at round boundaries.
+def _observables(fabric):
+    return (fabric.n_injected, fabric.n_delivered, fabric.sim.now,
+            tuple(nic.n_delivered for nic in fabric.nics))
 
-    Correctness rests on the virtual-cut-through lag invariant (see
-    ``CohortEngine.advance``): every live row's lag behind the frontier is
-    fixed at activation, so rounds on either side of a cut never interleave
-    in simulated time and a segmented run must reproduce the single-run
-    results bit for bit.
-    """
 
-    def _arm(self, seed=4):
-        cluster = _batched_cluster(seed=seed)
-        victim = cluster.default_victim()
-        batches = []
-        cluster.fabric.attach_delivery_sink(
-            victim,
-            lambda batch: batches.append((np.asarray(batch.times).copy(),
-                                          np.asarray(batch.sources).copy())))
-        cluster.launch_ddos(victim=victim, num_attackers=3,
+@pytest.mark.parametrize("engine", ["batched", "sharded"])
+class TestRunOnce:
+    def _flood(self, cluster):
+        cluster.launch_ddos(victim=cluster.default_victim(), num_attackers=3,
                             attack_rate_per_node=25.0, duration=1.0,
                             background_rate=2.0)
-        return cluster, batches
 
-    def _observables(self, cluster, batches):
-        times = (np.concatenate([t for t, _ in batches])
-                 if batches else np.empty(0))
-        sources = (np.concatenate([s for _, s in batches])
-                   if batches else np.empty(0))
-        return (tuple(n.n_delivered for n in cluster.fabric.nics),
-                int(cluster.fabric.counters["delivered"]),
-                int(cluster.fabric.counters["dropped"]),
-                cluster.sim.now,
-                times.tolist(), sources.tolist())
-
-    def test_segmented_run_is_bit_identical(self):
-        full_cluster, full_batches = self._arm()
-        full_cluster.run()
-        full = self._observables(full_cluster, full_batches)
-
-        seg_cluster, seg_batches = self._arm()
-        now = seg_cluster.run(until=0.3)
-        assert now >= 0.3
-        mid_delivered = int(seg_cluster.fabric.counters["delivered"])
-        assert 0 < mid_delivered < full[1], "cut did not split the run"
-        seg_cluster.run(until=0.7)
-        seg_cluster.run()
-        assert self._observables(seg_cluster, seg_batches) == full
-
-    def test_run_until_timeline_is_monotonic(self):
-        cluster, _ = self._arm()
-        t1 = cluster.run(until=0.2)
-        t2 = cluster.run(until=0.5)
-        t3 = cluster.run(until=0.5)  # idempotent horizon
-        assert t1 <= t2 <= t3
-        # A horizon in the past advances nothing further.
-        assert cluster.run(until=0.1) == t3
-
-    def test_injections_between_segments_are_folded_in(self):
-        """New traffic captured after a cut (at later times) joins the
-        pending set; capture at-or-before the consumed frontier refuses."""
-        cluster, _ = self._arm()
-        cluster.run(until=0.4)
-        from repro.network.ip import IPHeader
-
-        late = Packet(IPHeader(0, 5, ttl=8, total_length=84), 0, 5)
-        cluster.fabric.inject(late, at_node=0, delay=0.0)
-        # sim.now is past 0.4, so this injection lands after the frontier
-        # and must be folded into the remaining run.
+    def test_empty_capture_is_a_noop(self, engine):
+        cluster = _batched_cluster(engine=engine)
+        before = _observables(cluster.fabric)
         cluster.run()
-        baseline, _ = self._arm()
-        baseline.run()
-        assert cluster.fabric.n_injected == baseline.fabric.n_injected + 1
+        cluster.run()
+        assert _observables(cluster.fabric) == before == (0, 0, 0.0,
+                                                          (0,) * 16)
 
-    def test_segmented_matches_exact_engine_end_state(self):
-        """Segmenting must not change what the exact engine would compute:
-        final delivered/dropped totals and per-node counts still match the
-        per-packet reference (deterministic routing + marking)."""
-        exact = Cluster(Mesh((4, 4)), DimensionOrderRouter(),
-                        marking=DdpmScheme(), seed=4, engine="exact")
-        exact.fabric.selection = FirstCandidatePolicy()
-        exact.launch_ddos(victim=exact.default_victim(), num_attackers=3,
-                          attack_rate_per_node=25.0, duration=1.0,
-                          background_rate=2.0)
-        exact.run()
+    def test_capture_after_a_run_is_refused(self, engine):
+        cluster = _batched_cluster(engine=engine, seed=4)
+        self._flood(cluster)
+        cluster.run()
+        after = _observables(cluster.fabric)
+        assert after[0] > 0
+        cluster.run()  # nothing new captured: a no-op
+        assert _observables(cluster.fabric) == after
+        self._flood(cluster)
+        with pytest.raises(EngineUnsupported, match="engine='exact'") \
+                as refused:
+            cluster.run()
+        assert refused.value.feature == "capture-after-run"
+        assert _observables(cluster.fabric) == after
 
-        seg, _ = self._arm(seed=4)
-        seg.run(until=0.25)
-        seg.run(until=0.75)
-        seg.run()
-        assert (tuple(n.n_delivered for n in seg.fabric.nics)
-                == tuple(n.n_delivered for n in exact.fabric.nics))
-        assert (seg.fabric.counters["delivered"]
-                == exact.fabric.counters["delivered"])
-        assert (seg.fabric.counters["dropped"]
-                == exact.fabric.counters["dropped"])
+    def test_a_run_that_raised_is_not_run_again(self, engine, monkeypatch):
+        # _step is the round both engines share; the sharded workers run
+        # in-process here, so the patch reaches them.
+        step, calls = CohortEngine._step, []
 
-    def test_cluster_run_until_path(self):
-        """Cluster.run(until=...) reaches the fabric's partial horizon."""
-        cluster, batches = self._arm()
-        cluster.run(until=0.5)
-        assert batches, "no deliveries flushed at the first horizon"
+        def failing_step(self):
+            calls.append(self)
+            if len(calls) > 6:
+                raise SimulationError("round failed")
+            return step(self)
+
+        cluster = _batched_cluster(engine=engine, seed=4)
+        self._flood(cluster)
+        monkeypatch.setattr(CohortEngine, "_step", failing_step)
+        with pytest.raises(SimulationError, match="round failed"):
+            cluster.run()
+        monkeypatch.undo()
+        failed = _observables(cluster.fabric)
+        # Batched counts injections as rows activate; sharded merges its
+        # counts only at the end.
+        assert failed[0] < len(cluster.fabric.log)
+        cluster.run()
+        assert _observables(cluster.fabric) == failed
 
 
 # ----------------------------------------------------------------------
@@ -760,10 +709,10 @@ def test_rounds_equal_the_reference_round(topology, routing, selection, saf,
         fabric = _round_cluster(_ROUND_TOPOLOGIES[topology](), routing,
                                 selection, saf, quota, marking, seed)
         engine = cls(fabric)
-        engine._refresh_pending()
-        engine._refresh_sinks()
+        pending = fabric.log.columns()
+        engine._install(pending,
+                        np.arange(pending["times"].size, dtype=np.int64))
         engine.frontier = float(engine._times[0])
-        engine._started = True
         engines.append(engine)
     probe, reference = engines
     total = probe._times.size

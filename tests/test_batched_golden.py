@@ -13,7 +13,8 @@ The scenarios cover the congested hotspot workload, 8x8 meshes and tori
 under every batched routing/selection pair and the DDPM, DPM, full-index
 PPM and fragment PPM schemes, each remaining scheme the engine admits
 (advanced, XOR and bit-difference PPM, no marking) once on the 8x8 mesh,
-DDPM on a 6-cube, a ``run_until`` segmented run, a TTL-expiry run, and
+DDPM on a 6-cube, ``segmented`` (a second pin of the 8x8 torus
+least-congested ppm-full run), a TTL-expiry run, and
 the hotspot and one 8x8 least-congested run under store-and-forward, where
 a hop charges a row's whole serialization but a wait only the header's.
 An engine refactor that claims bit-identical results must leave the file
@@ -78,24 +79,25 @@ HOTSPOT = ExperimentConfig(
     background_rate=1.0, duration=5.0, seed=1, engine="batched",
 )
 
-SCENARIOS: Dict[str, Tuple[ExperimentConfig, Tuple[float, ...]]] = {
-    "hotspot": (HOTSPOT, ()),
+SCENARIOS: Dict[str, ExperimentConfig] = {
+    "hotspot": HOTSPOT,
     **{f"{kind}8-{routing}-{selection}-{marking}":
-       (_grid_config(kind, routing, selection, marking), ())
+       _grid_config(kind, routing, selection, marking)
        for kind in ("mesh", "torus")
        for routing, selection in ROUTINGS
        for marking in MARKINGS},
     # The remaining schemes the engine admits, once each.
     **{f"mesh8-minimal-adaptive-random-{marking}":
-       (_grid_config("mesh", "minimal-adaptive", "random", marking), ())
+       _grid_config("mesh", "minimal-adaptive", "random", marking)
        for marking in ("ppm-advanced", "ppm-xor", "ppm-bitdiff", "none")},
     # DDPM's XOR offset algebra.
-    "hypercube6-minimal-adaptive-random-ddpm": (
-        _grid_config("hypercube", "minimal-adaptive", "random", "ddpm",
-                     dims=(6,)), ()),
-    # Cut into three run_until segments; must equal one uncut run.
-    "segmented": (_grid_config("torus", "minimal-adaptive",
-                               "least-congested", "ppm-full"), (0.3, 0.7)),
+    "hypercube6-minimal-adaptive-random-ddpm": _grid_config(
+        "hypercube", "minimal-adaptive", "random", "ddpm", dims=(6,)),
+    # The same config and digest as
+    # torus8-minimal-adaptive-least-congested-ppm-full; kept under its own
+    # name so tests/golden/batched.json stays byte-identical.
+    "segmented": _grid_config("torus", "minimal-adaptive",
+                              "least-congested", "ppm-full"),
 }
 
 
@@ -135,8 +137,8 @@ def _launch(cluster: Cluster, flood: dict) -> List[tuple]:
 def _digest(cluster: Cluster, rows: List[tuple]) -> dict:
     fabric = cluster.fabric
     h = hashlib.sha256()
-    # Concatenated, so ring flush boundaries (capacity, run_until cuts)
-    # do not enter the digest.
+    # Concatenated, so ring flush boundaries (capacity) do not enter the
+    # digest.
     victim_rows = 0
     for parts in zip(*rows):
         column = np.concatenate(parts)
@@ -159,14 +161,12 @@ def _digest(cluster: Cluster, rows: List[tuple]) -> dict:
     }
 
 
-def run_scenario(config: ExperimentConfig, cuts: Tuple[float, ...] = (),
+def run_scenario(config: ExperimentConfig,
                  store_and_forward: bool = False) -> dict:
     cluster = Cluster.from_config(config)
     if store_and_forward:
         cluster.fabric.service = StoreAndForward()
     rows = _launch(cluster, _flood(config))
-    for cut in cuts:
-        cluster.run(until=cut)
     cluster.run()
     return _digest(cluster, rows)
 
@@ -185,8 +185,7 @@ def run_ttl_scenario() -> dict:
 
 
 def _all_scenarios() -> Dict[str, dict]:
-    out = {name: run_scenario(config, cuts)
-           for name, (config, cuts) in SCENARIOS.items()}
+    out = {name: run_scenario(config) for name, config in SCENARIOS.items()}
     out.update((name, run_scenario(config, store_and_forward=True))
                for name, config in SAF_SCENARIOS.items())
     out["ttl-expiry"] = run_ttl_scenario()
@@ -208,8 +207,7 @@ def golden():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_batched_golden(golden, name):
-    config, cuts = SCENARIOS[name]
-    assert run_scenario(config, cuts) == golden[name]
+    assert run_scenario(SCENARIOS[name]) == golden[name]
 
 
 def test_batched_golden_ttl_expiry(golden):
@@ -223,9 +221,3 @@ def test_batched_golden_store_and_forward(golden, name):
     assert run_scenario(SAF_SCENARIOS[name],
                         store_and_forward=True) == golden[name]
 
-
-def test_segmented_pin_matches_uncut_run(golden):
-    """The segmented pin is also the uncut run's: run_until is invisible."""
-    config, cuts = SCENARIOS["segmented"]
-    assert cuts
-    assert run_scenario(config) == golden["segmented"]

@@ -26,9 +26,7 @@ from repro.errors import EngineUnsupported
 from repro.faults import (FaultCampaign, LinkFlapSpec, NicStallSpec,
                           PacketFaultSpec, RandomLinkFlapSpec, SwitchCrashSpec)
 from repro.marking import DdpmScheme, DpmScheme
-from repro.network.colqueue import BatchedFabric
 from repro.network.fabric import Fabric
-from repro.network.flowcontrol import StoreAndForward
 from repro.routing import DimensionOrderRouter, ValiantRouter
 from repro.routing.selection import FirstCandidatePolicy, SelectionPolicy
 from repro.topology import Mesh, Torus
@@ -109,25 +107,11 @@ def _link_change_after_run(engine):
     cluster.fabric.fail_link(0, 1)
 
 
-def _store_and_forward_run_until(engine):
-    fabric = BatchedFabric(Mesh((4, 4)), DimensionOrderRouter(),
-                           marking=DdpmScheme(), service=StoreAndForward())
-    fabric.run_until(1.0)
-
-
-def _sharded_run_until(engine):
+def _run_until(engine):
     _cluster(engine).run(until=0.25)
 
 
-def _capture_before_frontier(engine):
-    cluster = _cluster(engine)
-    cluster.run(until=0.3)
-    fabric = cluster.fabric
-    fabric.inject(fabric.make_packet(0, 5), delay=-cluster.sim.now)
-    cluster.run()
-
-
-def _capture_after_completed_run(engine):
+def _capture_after_run(engine):
     cluster = _cluster(engine)
     cluster.run()
     cluster.launch_ddos(num_attackers=2, attack_rate_per_node=10.0,
@@ -149,6 +133,8 @@ _COHORT_TRIGGERS = {
     "per-packet-hooks": _injection_filter,
     "per-packet-observers": _drop_handler,
     "link-change-after-run": _link_change_after_run,
+    "run-until": _run_until,
+    "capture-after-run": _capture_after_run,
 }
 
 #: (engine, feature) -> a call that hits exactly that refusal
@@ -156,10 +142,6 @@ TRIGGERS = {
     **{(engine, feature): trigger
        for feature, trigger in _COHORT_TRIGGERS.items()
        for engine in ("batched", "sharded")},
-    ("batched", "run-until"): _store_and_forward_run_until,
-    ("sharded", "run-until"): _sharded_run_until,
-    ("batched", "capture-after-run"): _capture_before_frontier,
-    ("sharded", "capture-after-run"): _capture_after_completed_run,
     ("exact", "bulk-injection"): _bulk_on_exact,
 }
 
@@ -249,9 +231,7 @@ def _render_matrix():
     notes = []
     for feature, (what, cells) in CONTRACT.items():
         texts = [cell.relation if cell.fallback is None
-                 else f"refused → {cell.fallback}" if cell.relation == "refused"
-                 else f"{cell.relation}, else refused → {cell.fallback}"
-                 for cell in cells.values()]
+                 else f"refused → {cell.fallback}" for cell in cells.values()]
         lines.append(f"| `{feature}`: {what} | " + " | ".join(texts) + " |")
         refused = {}
         for engine, cell in cells.items():
