@@ -108,13 +108,13 @@ class IdentificationPipeline:
         analysis = self.analysis
         if self.first_suspect_time is None:
             # Watching phase: the first-suspect timestamp is defined per
-            # packet, so replay rows singly until the suspect set first
-            # becomes non-empty; the remainder of the batch (and all later
-            # batches) take the vectorized path.
+            # packet, so replay rows as one-row batches until the suspect
+            # set first becomes non-empty; the remainder of the batch (and
+            # all later batches) take the vectorized path. Reading columns
+            # only, this serves the cohort engines' packet-less batches too.
             times = batch.times
-            packets = batch.packets
             for i in range(n):
-                analysis.observe(packets[i])
+                analysis.observe_batch(batch.rows(i, i + 1))
                 if analysis.suspects():
                     self.first_suspect_time = float(times[i])
                     rest = batch.tail(i + 1)

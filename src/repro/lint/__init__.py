@@ -42,10 +42,6 @@ H3    no-per-packet-python-in-batched-path
                             cohort-advance roots in the batched modules
                             (build-time code exempt), and no per-packet
                             callback registrations there or in ``network/``
-R1    registry-completeness concrete Router/MarkingScheme/FaultSpec classes
-                            registered (live-object constructors auto-exempt);
-                            spec classes serializable; registry lookups raise
-                            UnknownNameError
 W1    unused-suppression    every ``# repro-lint: disable=`` directive must
                             suppress something in the current run
 E1    (parse error)         pseudo-rule reported for unparseable files

@@ -39,7 +39,6 @@ from repro.lint.dataflow import RngProvenance
 from repro.lint.determinism import (NoClosureScheduling, NoGlobalRng,
                                     NoPerPacketPythonInBatchedPath,
                                     NoWallclock, OrderedIteration)
-from repro.lint.registrycheck import RegistryCompleteness
 from repro.lint.rules import FileContext, Program, ProgramRule, Rule
 from repro.lint.suppressions import (SuppressionIndex, UnusedSuppression,
                                      validate_directives)
@@ -52,8 +51,7 @@ __all__ = ["LintReport", "RULES", "collect_files", "create_rules",
 #: ``--select`` and the directive check.
 RULES: Tuple[Type[Rule], ...] = (
     NoWallclock, NoGlobalRng, OrderedIteration, RngProvenance,
-    NoClosureScheduling, NoPerPacketPythonInBatchedPath,
-    RegistryCompleteness, UnusedSuppression,
+    NoClosureScheduling, NoPerPacketPythonInBatchedPath, UnusedSuppression,
 )
 
 #: directory names never descended into during collection.

@@ -7,8 +7,8 @@ Two directive forms, written in comments:
     comment stands alone on its line, it also covers the *next* line, so
     multi-line statements can carry a preceding-line directive::
 
-        # repro-lint: disable=R1  -- not name-constructible
-        class TableRouter(Router):
+        # repro-lint: disable=H3  -- once per run, not per packet
+        for shard in self.shards:
             ...
 
 ``# repro-lint: disable-file=D2`` (or ``disable-file=all``)

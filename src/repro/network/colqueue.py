@@ -20,7 +20,8 @@ This module holds the network-side half:
   observation APIs; ``attach_delivery_sink`` is the columnar replacement.
   The capture runs once: a repeat ``run`` with nothing new captured is a
   no-op, and traffic captured after the run, ``run_until`` and link
-  failures after the run are refused.
+  failures after the run are refused. A repeat ``run`` after a run that
+  raised raises ``SimulationError``: the statistics it left are partial.
 * :class:`ShardedFabric` — the same capture surface and run rule, but its
   engine is :class:`repro.engine.sharded.ShardedEngine`, which partitions
   the topology into ``shards`` pieces and advances one cohort engine per
@@ -41,7 +42,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.engine.contract import admit, refuse
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.network.fabric import FabricShell
 from repro.network.packet import Packet
 
@@ -160,9 +161,11 @@ class BatchedFabric(FabricShell):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = InjectionLog()
-        # Built by the first run, with the capture size it ran.
+        # Built by the first run, with the capture size it ran. _failed is
+        # set while that run is under way, so it stays set if the run raised.
         self._engine = None
         self._captured = 0
+        self._failed = False
 
     # ------------------------------------------------------------------
     # Capture path
@@ -203,7 +206,7 @@ class BatchedFabric(FabricShell):
         """Run the capture to completion, once; flush sinks at the end.
 
         A repeat run with nothing new captured is a no-op; traffic captured
-        after the run is refused.
+        after the run is refused, and so is any run after one that raised.
         """
         admit(self)
         if self._engine is None:
@@ -211,7 +214,13 @@ class BatchedFabric(FabricShell):
             # fabric as it goes, so a run that raised is not run again.
             self._engine = self._new_engine()
             self._captured = len(self.log)
+            self._failed = True
             self._engine.run()
+            self._failed = False
+        elif self._failed:
+            raise SimulationError(
+                f"an earlier {self.engine_name} run failed; its statistics "
+                "are partial")
         elif len(self.log) != self._captured:
             refuse(self.engine_name, "capture-after-run",
                    "traffic captured after a run")

@@ -145,12 +145,16 @@ class MarkBatch:
 
     def tail(self, start: int) -> "MarkBatch":
         """Rows from ``start`` onward (the remainder after a watching phase)."""
+        return self.rows(start, len(self))
+
+    def rows(self, start: int, stop: int) -> "MarkBatch":
+        """Rows ``start`` up to ``stop``, as a new batch (order preserved)."""
         return MarkBatch(
-            self.node, self.times[start:], self.sources[start:],
-            self.dests[start:], self.words[start:], self.ttls[start:],
-            self.hops[start:],
-            None if self.packets is None else self.packets[start:],
-            None if self.ids is None else self.ids[start:],
+            self.node, self.times[start:stop], self.sources[start:stop],
+            self.dests[start:stop], self.words[start:stop],
+            self.ttls[start:stop], self.hops[start:stop],
+            None if self.packets is None else self.packets[start:stop],
+            None if self.ids is None else self.ids[start:stop],
         )
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -55,8 +55,8 @@ def build_shortest_path_tables(topology: Topology) -> Dict[int, Dict[int, Tuple[
 
 # Not name-constructible: the forwarding tables are built against a live
 # topology instance, which the routing registry's factory(rng) signature
-# cannot supply — lint rule R1 reads that off the __init__ annotation and
-# exempts the class. Construct it directly next to the IrregularTopology.
+# cannot supply; tests/test_registry.py lists it as the one unregistered
+# router. Construct it directly next to the IrregularTopology.
 class TableRouter(Router):
     """Adaptive shortest-path routing from precomputed forwarding tables."""
 

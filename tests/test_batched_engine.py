@@ -439,7 +439,8 @@ class TestRunOnce:
         # Batched counts injections as rows activate; sharded merges its
         # counts only at the end.
         assert failed[0] < len(cluster.fabric.log)
-        cluster.run()
+        with pytest.raises(SimulationError, match="earlier .* run failed"):
+            cluster.run()
         assert _observables(cluster.fabric) == failed
 
 

@@ -13,10 +13,9 @@ The scenarios cover the congested hotspot workload, 8x8 meshes and tori
 under every batched routing/selection pair and the DDPM, DPM, full-index
 PPM and fragment PPM schemes, each remaining scheme the engine admits
 (advanced, XOR and bit-difference PPM, no marking) once on the 8x8 mesh,
-DDPM on a 6-cube, ``segmented`` (a second pin of the 8x8 torus
-least-congested ppm-full run), a TTL-expiry run, and
-the hotspot and one 8x8 least-congested run under store-and-forward, where
-a hop charges a row's whole serialization but a wait only the header's.
+DDPM on a 6-cube, a TTL-expiry run, and the hotspot and one 8x8
+least-congested run under store-and-forward, where a hop charges a row's
+whole serialization but a wait only the header's.
 An engine refactor that claims bit-identical results must leave the file
 untouched; regenerate it only for an intended behaviour change, and say
 so.
@@ -93,11 +92,6 @@ SCENARIOS: Dict[str, ExperimentConfig] = {
     # DDPM's XOR offset algebra.
     "hypercube6-minimal-adaptive-random-ddpm": _grid_config(
         "hypercube", "minimal-adaptive", "random", "ddpm", dims=(6,)),
-    # The same config and digest as
-    # torus8-minimal-adaptive-least-congested-ppm-full; kept under its own
-    # name so tests/golden/batched.json stays byte-identical.
-    "segmented": _grid_config("torus", "minimal-adaptive",
-                              "least-congested", "ppm-full"),
 }
 
 

@@ -373,142 +373,6 @@ class TestH3NoPerPacketPythonInBatchedPath:
             assert report.ok, f"{module}: {report.violations}"
 
 
-class TestR1RegistryCompleteness:
-    UNREGISTERED_ROUTER = (
-        "from repro.routing.base import Router\n"
-        "\n"
-        "class ShinyRouter(Router):\n"
-        "    def route(self, state):\n"
-        "        return ()\n"
-    )
-
-    def test_flags_unregistered_router_subclass(self):
-        report = run_lint("src/repro/routing/shiny.py", self.UNREGISTERED_ROUTER)
-        assert rules_hit(report) == {"R1"}
-        assert "ShinyRouter" in report.violations[0].message
-
-    def test_factory_body_registration_counts(self):
-        registryfile = (
-            "from repro.registry import ROUTING\n"
-            "\n"
-            "def _make_shiny(rng):\n"
-            "    from repro.routing.shiny import ShinyRouter\n"
-            "    return ShinyRouter()\n"
-            "\n"
-            "ROUTING.register('shiny', _make_shiny)\n"
-        )
-        report = lint_sources([
-            ("src/repro/routing/shiny.py", self.UNREGISTERED_ROUTER),
-            ("src/repro/extra_registry.py", registryfile),
-        ], select=["R1"])
-        assert report.ok
-
-    def test_abstract_subclass_is_exempt(self):
-        source = ("import abc\n"
-                  "from repro.routing.base import Router\n"
-                  "\n"
-                  "class PartialRouter(Router):\n"
-                  "    @abc.abstractmethod\n"
-                  "    def route(self, state):\n"
-                  "        ...\n")
-        report = run_lint("src/repro/routing/partial.py", source)
-        assert report.ok
-
-    def test_fault_spec_needs_serialization_pair(self):
-        source = ("from repro.faults.campaign import FaultSpec\n"
-                  "\n"
-                  "class OddSpec(FaultSpec):\n"
-                  "    def arm(self, injector):\n"
-                  "        pass\n")
-        report = lint_sources(
-            [("src/repro/faults/odd.py", source)], select=["R1"])
-        messages = " ".join(v.message for v in report.violations)
-        assert "to_dict" in messages and "from_dict" in messages
-
-    UNREGISTERED_ATTACK = (
-        "from repro.attack.scenario import AttackSpec\n"
-        "\n"
-        "class NovelAttackSpec(AttackSpec):\n"
-        "    kind = 'novel'\n"
-        "    def arm(self, fabric, sim, victim, rng):\n"
-        "        pass\n"
-        "    def scaled(self, factor):\n"
-        "        return self\n"
-        "    def to_dict(self):\n"
-        "        return {'kind': 'novel'}\n"
-        "    @classmethod\n"
-        "    def from_dict(cls, data):\n"
-        "        return cls()\n"
-    )
-
-    def test_flags_unregistered_attack_spec(self):
-        report = run_lint("src/repro/attack/novel.py", self.UNREGISTERED_ATTACK)
-        assert rules_hit(report) == {"R1"}
-        assert "NovelAttackSpec" in report.violations[0].message
-
-    def test_attack_factory_registration_counts(self):
-        registryfile = (
-            "from repro.registry import ATTACKS\n"
-            "\n"
-            "def _make_novel(data):\n"
-            "    from repro.attack.novel import NovelAttackSpec\n"
-            "    return NovelAttackSpec.from_dict(data)\n"
-            "\n"
-            "ATTACKS.register('novel', _make_novel)\n"
-        )
-        report = lint_sources([
-            ("src/repro/attack/novel.py", self.UNREGISTERED_ATTACK),
-            ("src/repro/extra_registry.py", registryfile),
-        ], select=["R1"])
-        assert report.ok
-
-    def test_attack_spec_needs_serialization_pair(self):
-        source = ("from repro.attack.scenario import AttackSpec\n"
-                  "\n"
-                  "class BareAttackSpec(AttackSpec):\n"
-                  "    kind = 'bare'\n"
-                  "    def arm(self, fabric, sim, victim, rng):\n"
-                  "        pass\n"
-                  "    def scaled(self, factor):\n"
-                  "        return self\n")
-        report = lint_sources(
-            [("src/repro/attack/bare.py", source)], select=["R1"])
-        messages = " ".join(v.message for v in report.violations)
-        assert "to_dict" in messages and "from_dict" in messages
-
-    def test_underscore_attack_helper_is_exempt(self):
-        source = ("from repro.attack.scenario import AttackSpec\n"
-                  "\n"
-                  "class _SharedAttackBase(AttackSpec):\n"
-                  "    def to_dict(self):\n"
-                  "        return {}\n"
-                  "    @classmethod\n"
-                  "    def from_dict(cls, data):\n"
-                  "        return cls()\n")
-        report = lint_sources(
-            [("src/repro/attack/shared.py", source)], select=["R1"])
-        assert report.ok
-
-    def test_keyerror_near_registry_is_flagged(self):
-        source = ("from repro import registry\n"
-                  "\n"
-                  "def pick(name, table):\n"
-                  "    if name not in table:\n"
-                  "        raise KeyError(name)\n"
-                  "    return table[name]\n")
-        report = run_lint("src/repro/util/pick.py", source)
-        assert rules_hit(report) == {"R1"}
-        assert "UnknownNameError" in report.violations[0].hint
-
-    def test_keyerror_without_registry_reference_is_fine(self):
-        source = ("def pick(name, table):\n"
-                  "    if name not in table:\n"
-                  "        raise KeyError(name)\n"
-                  "    return table[name]\n")
-        report = run_lint("src/repro/util/pick.py", source)
-        assert report.ok
-
-
 class TestSuppressions:
     def test_same_line_directive(self):
         report = run_lint(ENGINE,
@@ -660,7 +524,7 @@ class TestCli:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
-            "D1", "D2", "D3", "D4", "H1", "H3", "R1", "W1"]
+            "D1", "D2", "D3", "D4", "H1", "H3", "W1"]
 
     def test_collect_files_skips_caches(self, tmp_path):
         (tmp_path / "__pycache__").mkdir()

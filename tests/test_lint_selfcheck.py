@@ -16,7 +16,7 @@ class TestSelfCheck:
 
     def test_rule_table_is_complete(self):
         ids = [cls.rule_id for cls in rule_classes()]
-        assert ids == ["D1", "D2", "D3", "D4", "H1", "H3", "R1", "W1"]
+        assert ids == ["D1", "D2", "D3", "D4", "H1", "H3", "W1"]
         for cls in rule_classes():
             assert cls.name and cls.description and cls.hint
 

@@ -10,6 +10,7 @@ counters. That makes the columnar layer a pure performance change.
 import numpy as np
 import pytest
 
+from repro.core.cluster import Cluster
 from repro.defense.detection import CusumDetector, RateThresholdDetector
 from repro.defense.identification import IdentificationPipeline
 from repro.defense.metrics import feed_packets_batched
@@ -21,7 +22,7 @@ from repro.network import Fabric
 from repro.network.ip import IPHeader
 from repro.network.markstream import DeliveryRing, MarkBatch
 from repro.network.packet import Packet
-from repro.routing import MinimalAdaptiveRouter, RandomPolicy
+from repro.routing import DimensionOrderRouter, MinimalAdaptiveRouter, RandomPolicy
 from repro.topology import Mesh
 
 
@@ -212,6 +213,27 @@ class TestPipelineBatchEquivalence:
         assert pipeline._ring.pending > 0
         assert pipeline.suspects() == frozenset({3})
         assert pipeline._ring.pending == 0
+
+    def test_cohort_engine_batches_carry_no_packets(self):
+        # DOR + DDPM is an identical cell of the engine contract; the
+        # batched engine's rows reach the pipeline as columns only.
+        pipelines = {}
+        for engine in ("exact", "batched"):
+            cluster = Cluster(Mesh((4, 4)), DimensionOrderRouter(),
+                              marking=DdpmScheme(), seed=3, engine=engine)
+            victim = cluster.default_victim()
+            pipelines[engine] = IdentificationPipeline(
+                cluster.fabric, victim,
+                cluster.marking.new_victim_analysis(victim),
+                batch=engine == "batched")
+            attack = cluster.launch_ddos(
+                victim=victim, num_attackers=3, attack_rate_per_node=25.0,
+                duration=1.0, background_rate=0.0)
+            cluster.run()
+        batched = pipelines["batched"]
+        assert batched.suspects() == pipelines["exact"].suspects() \
+            == frozenset(attack.attackers)
+        assert batched.first_suspect_time is not None
 
 
 class TestFeedPacketsBatched:

@@ -1,15 +1,27 @@
 """Unit tests for the string -> factory registries."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro import cli, registry
+from repro.attack.scenario import AttackCampaign, AttackSpec
 from repro.core.config import MarkingSpec, RoutingSpec, SelectionSpec, TopologySpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, UnknownNameError
+from repro.faults.campaign import FaultCampaign, FaultSpec
 from repro.marking.base import MarkingScheme
 from repro.routing.base import Router
 from repro.routing.selection import SelectionPolicy
+from repro.routing.table import TableRouter
+from repro.topology import Mesh
 from repro.topology.base import Topology
+from tests.test_spec_cache_key import CORPUS
 
 
 @pytest.fixture
@@ -74,8 +86,6 @@ class TestBuiltinCoverage:
 
     @pytest.mark.parametrize("name", cli.MARKING_CHOICES)
     def test_every_cli_marking_builds(self, name, rng):
-        from repro.topology import Mesh
-
         scheme = MarkingSpec(name, probability=0.1).build(rng, Mesh((4, 4)))
         assert isinstance(scheme, MarkingScheme)
 
@@ -129,3 +139,114 @@ class TestExtensibility:
         assert registry.DETERMINISTIC_ROUTING == {"xy", "dor"}
         assert not RoutingSpec("xy").is_adaptive
         assert RoutingSpec("valiant").is_adaptive
+
+
+# ----------------------------------------------------------------------
+# Completeness: checked on the live classes, so a class counts as
+# registered only when some registry name builds exactly that type.
+#: concrete classes no registry name builds, and why.
+UNREGISTERED = {TableRouter: "its tables are built for one live topology"}
+
+
+def _concrete_subclasses(base):
+    """Non-abstract, public subclasses of ``base`` defined under repro."""
+    found, frontier = set(), [base]
+    while frontier:
+        for cls in frontier.pop().__subclasses__():
+            frontier.append(cls)
+            if (not inspect.isabstract(cls) and not cls.__name__.startswith("_")
+                    and cls.__module__.split(".")[0] == "repro"):
+                found.add(cls)
+    return found
+
+
+def _raises_key_error(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(target, ast.Name) and target.id == "KeyError":
+                return True
+    return False
+
+
+def _imports_registry(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(
+                alias.name == "repro.registry" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and (
+                node.module == "repro.registry" or node.module == "repro"
+                and any(alias.name == "registry" for alias in node.names)):
+            return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def concrete():
+    """Concrete classes per base, after importing every repro module."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        # repro/__main__.py calls sys.exit when imported.
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+    return {base: _concrete_subclasses(base)
+            for base in (Router, MarkingScheme, FaultSpec, AttackSpec)}
+
+
+class TestRegistryCompleteness:
+    """Every concrete router, marking scheme, fault kind and attack kind
+    under repro is reachable by name, the specs carry their dict form, and
+    an unknown name raises UnknownNameError, never a bare KeyError."""
+
+    def test_every_concrete_class_is_built_by_a_name(self, concrete, rng):
+        built = {type(RoutingSpec(name).build(rng)) for name in registry.ROUTING}
+        built |= {type(MarkingSpec(name, probability=0.1).build(rng, Mesh((4, 4))))
+                  for name in registry.MARKING}
+        # The cache-key corpus holds one spec of every fault and attack kind.
+        for reg, campaign in ((registry.FAULTS, "faults"),
+                              (registry.ATTACKS, "attacks")):
+            built |= {type(reg.create(entry["kind"], entry))
+                      for entry in CORPUS[campaign]["specs"]}
+        assert set().union(*concrete.values()) - built == set(UNREGISTERED)
+
+    def test_specs_define_the_serialization_pair(self, concrete):
+        # The config specs ride in the cache key next to the fault and
+        # attack kinds.
+        specs = concrete[FaultSpec] | concrete[AttackSpec] | {
+            TopologySpec, RoutingSpec, SelectionSpec, MarkingSpec}
+        missing = sorted((cls.__name__, method) for cls in specs
+                         for method in ("to_dict", "from_dict")
+                         if not callable(getattr(cls, method, None)))
+        assert missing == []
+
+    @pytest.mark.parametrize("table", ["ROUTING", "MARKING", "TOPOLOGY",
+                                       "SELECTION", "FAULTS", "ATTACKS"])
+    def test_unknown_name_in_create(self, table):
+        reg = getattr(registry, table)
+        with pytest.raises(UnknownNameError) as err:
+            reg.create("no-such-name")
+        assert err.value.choices == reg.names()
+
+    @pytest.mark.parametrize("parse,data", [
+        (TopologySpec.from_dict, {"kind": "no-such-name", "dims": [4, 4]}),
+        (RoutingSpec.from_dict, {"name": "no-such-name"}),
+        (SelectionSpec.from_dict, {"name": "no-such-name"}),
+        (MarkingSpec.from_dict, {"name": "no-such-name"}),
+        (FaultCampaign.from_dict, {"specs": [{"kind": "no-such-name"}]}),
+        (AttackCampaign.from_dict, {"specs": [{"kind": "no-such-name"}]}),
+        (AttackCampaign.from_dict, {"specs": [{"kind": "mix", "components": [
+            {"kind": "no-such-name"}]}]}),
+    ], ids=["topology", "routing", "selection", "marking", "faults",
+            "attacks", "mix-component"])
+    def test_unknown_name_in_from_dict(self, parse, data):
+        with pytest.raises(UnknownNameError):
+            parse(data)
+
+    def test_registry_modules_raise_no_bare_key_error(self):
+        package = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            if ((path == package / "registry.py" or _imports_registry(tree))
+                    and _raises_key_error(tree)):
+                offenders.append(str(path.relative_to(package)))
+        assert offenders == []
