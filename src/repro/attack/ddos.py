@@ -3,17 +3,31 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
 from repro.attack.botnet import Botnet
+from repro.attack.flows import Scheduled
 from repro.attack.spoofing import SpoofingStrategy
 from repro.attack.traffic import TrafficPattern, UniformRandomPattern, schedule_background
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet, PacketKind
 
-__all__ = ["AttackTrafficResult", "schedule_attack_flood"]
+__all__ = ["AttackTrafficResult", "join_scheduled", "schedule_attack_flood"]
+
+
+def join_scheduled(parts: Iterable[Scheduled]) -> Scheduled:
+    """Concatenate generator returns: lists into a list, ids into an array.
+
+    An empty list joins either form, so a result that starts empty takes
+    the form of the first non-empty part absorbed into it.
+    """
+    parts = list(parts)
+    if any(isinstance(part, np.ndarray) for part in parts):
+        return np.concatenate([np.asarray(part, dtype=np.int64)
+                               for part in parts])
+    return [packet for part in parts for packet in part]
 
 
 @dataclass
@@ -25,31 +39,42 @@ class AttackTrafficResult:
     nodes whose replies actually hit the victim (reply-path marks converge
     on these, never on ``attackers``). ``extra`` carries scenario-specific
     ground truth (live worm outbreaks, per-component mix counts).
+
+    ``attack_packets`` and ``background_packets`` hold what the traffic
+    generators returned (:data:`~repro.attack.flows.Scheduled`): packet
+    lists on the exact engine, int64 id arrays on the cohort engines.
+    ``len`` counts packets either way.
     """
 
     victim: int
     attackers: tuple
-    attack_packets: List[Packet] = field(default_factory=list)
-    background_packets: List[Packet] = field(default_factory=list)
-    _frozen_ids: Optional[Set[int]] = field(default=None, repr=False)
+    attack_packets: Scheduled = field(default_factory=list)
+    background_packets: Scheduled = field(default_factory=list)
+    _frozen_ids: Optional[Union[Set[int], np.ndarray]] = field(
+        default=None, repr=False)
     reflectors: tuple = ()
     extra: Dict[str, Any] = field(default_factory=dict)
     _parents: List["AttackTrafficResult"] = field(default_factory=list,
                                                  repr=False)
 
-    def freeze_ids(self) -> Set[int]:
+    def freeze_ids(self) -> Union[Set[int], np.ndarray]:
         """Snapshot the attack packet ids into the ground-truth set.
 
         Called once at schedule time, so the per-packet membership test
         (:meth:`is_attack_packet`) is one O(1) set lookup rather than a
-        set rebuild per call, which would be quadratic over a run.
+        set rebuild per call, which would be quadratic over a run. Over an
+        id array the snapshot is the sorted array the columnar gate reads.
         """
-        self._frozen_ids = {p.packet_id for p in self.attack_packets}
+        packets = self.attack_packets
+        if isinstance(packets, np.ndarray):
+            self._frozen_ids = np.sort(packets)
+        else:
+            self._frozen_ids = {p.packet_id for p in packets}
         return self._frozen_ids
 
     @property
-    def attack_packet_ids(self) -> Set[int]:
-        """Packet ids of all scheduled attack packets."""
+    def attack_packet_ids(self) -> Union[Set[int], np.ndarray]:
+        """Packet ids of all scheduled attack packets (a set, or sorted ids)."""
         if self._frozen_ids is None:
             return self.freeze_ids()
         return self._frozen_ids
@@ -63,7 +88,7 @@ class AttackTrafficResult:
 
         Dynamic scenarios (worm scans, reflector replies) emit packets
         mid-run; this keeps the ground-truth id set live by adding the id
-        at creation time.
+        at creation time. They run on the exact engine only.
         """
         self.attack_packets.append(packet)
         if self._frozen_ids is None:
@@ -83,11 +108,11 @@ class AttackTrafficResult:
         """Merge another scenario's ground truth into this one (for mixes).
 
         Attacker/reflector sets union (order-preserving, first occurrence
-        wins); packet lists concatenate and the frozen id sets merge, so
-        membership tests over the merged result equal the union of the
-        parts. The absorbed result keeps a back-link, so packets a dynamic
-        scenario registers *after* the merge (reflector replies, worm
-        scans) still propagate into this ground truth.
+        wins); packet fields concatenate (:func:`join_scheduled`) and the
+        frozen ids merge, so membership tests over the merged result equal
+        the union of the parts. The absorbed result keeps a back-link, so
+        packets a dynamic scenario registers *after* the merge (reflector
+        replies, worm scans) still propagate into this ground truth.
         """
         for node in other.attackers:
             if node not in self.attackers:
@@ -95,9 +120,12 @@ class AttackTrafficResult:
         for node in other.reflectors:
             if node not in self.reflectors:
                 self.reflectors = self.reflectors + (node,)
-        self.attack_packets.extend(other.attack_packets)
-        self.background_packets.extend(other.background_packets)
-        if self._frozen_ids is None:
+        self.attack_packets = join_scheduled(
+            (self.attack_packets, other.attack_packets))
+        self.background_packets = join_scheduled(
+            (self.background_packets, other.background_packets))
+        if self._frozen_ids is None or isinstance(self.attack_packets,
+                                                  np.ndarray):
             self.freeze_ids()
         else:
             self._frozen_ids.update(other.attack_packet_ids)
@@ -126,9 +154,9 @@ def schedule_attack_flood(fabric: Fabric, *, victim: int,
         duration=duration, rng=rng, start=start, start_jitter=start_jitter,
         kind=attack_kind,
     )
-    result = AttackTrafficResult(victim=victim, attackers=botnet.slaves)
-    for packets in per_slave.values():
-        result.attack_packets.extend(packets)
+    result = AttackTrafficResult(victim=victim, attackers=botnet.slaves,
+                                 attack_packets=join_scheduled(
+                                     per_slave.values()))
     result.freeze_ids()
 
     if background_rate > 0.0:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Union
 
 import numpy as np
 
@@ -12,7 +12,12 @@ from repro.errors import ConfigurationError
 from repro.network.fabric import Fabric
 from repro.network.packet import Packet, PacketKind
 
-__all__ = ["FlowSpec", "schedule_flow"]
+__all__ = ["FlowSpec", "Scheduled", "schedule_flow"]
+
+#: what a traffic generator returns for scoring (``Fabric.inject_rows``):
+#: the packets on the exact engine, their int64 id array on a cohort engine,
+#: which builds none
+Scheduled = Union[List[Packet], np.ndarray]
 
 
 @dataclass
@@ -55,21 +60,26 @@ class FlowSpec:
 
 
 def schedule_flow(fabric: Fabric, spec: FlowSpec,
-                  rng: np.random.Generator) -> List[Packet]:
-    """Schedule a flow's packets onto the fabric; returns them for scoring."""
-    packets: List[Packet] = []
-    t = spec.start + float(rng.exponential(1.0 / spec.rate))
-    seq = 0
-    while t < spec.start + spec.duration:
-        spoofed = spec.spoofing.source_ip(spec.source, fabric.addresses, rng)
-        packet = fabric.make_packet(
-            spec.source, spec.destination,
-            spoofed_src_ip=spoofed, kind=spec.kind,
-            flow_id=spec.flow_id, seq=seq,
-            payload_bytes=spec.payload_bytes,
-        )
-        fabric.inject(packet, delay=t)
-        packets.append(packet)
-        seq += 1
-        t += float(rng.exponential(1.0 / spec.rate))
-    return packets
+                  rng: np.random.Generator) -> Scheduled:
+    """Schedule a flow's packets onto the fabric; returns them for scoring.
+
+    Per packet the loop draws the (spoofed) source address, then the
+    exponential gap to the next one. The rows go to the fabric in one
+    ``inject_rows`` call, so the return value is what that returns: the
+    packets on the exact engine, their int64 id array on a cohort engine.
+    """
+    scale = 1.0 / spec.rate
+    end = spec.start + spec.duration
+    source_ip, addresses = spec.spoofing.source_ip, fabric.addresses
+    times: List[float] = []
+    spoofed: List[int] = []
+    t = spec.start + float(rng.exponential(scale))
+    while t < end:
+        spoofed.append(source_ip(spec.source, addresses, rng))
+        times.append(t)
+        t += float(rng.exponential(scale))
+    count = len(times)
+    return fabric.inject_rows(
+        times, [spec.source] * count, [spec.destination] * count,
+        src_ips=spoofed, kind=spec.kind, flow_id=spec.flow_id,
+        payload_bytes=spec.payload_bytes)

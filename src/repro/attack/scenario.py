@@ -64,7 +64,7 @@ from typing import (TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping,
 import numpy as np
 
 from repro import registry
-from repro.attack.ddos import AttackTrafficResult
+from repro.attack.ddos import AttackTrafficResult, join_scheduled
 from repro.attack.flows import FlowSpec, schedule_flow
 from repro.attack.spoofing import (FixedSpoofing, InClusterSpoofing,
                                    NoSpoofing, RandomSpoofing,
@@ -383,9 +383,9 @@ class PulsingAttackSpec(AttackSpec):
             raise AttackError("the victim cannot be one of the attackers")
         spoofing = _build_spoofing(self.spoofing, victim=victim,
                                    address=self.spoofing_address)
-        result = AttackTrafficResult(victim=victim, attackers=tuple(attackers))
         end = self.start + self.duration
         burst_len = self.period * self.duty_cycle
+        bursts = []
         for i, attacker in enumerate(attackers):
             burst_start = self.start
             while burst_start < end:
@@ -397,9 +397,10 @@ class PulsingAttackSpec(AttackSpec):
                         duration=window, spoofing=spoofing,
                         flow_id=3000 + i,
                     )
-                    result.attack_packets.extend(
-                        schedule_flow(fabric, spec, rng))
+                    bursts.append(schedule_flow(fabric, spec, rng))
                 burst_start += self.period
+        result = AttackTrafficResult(victim=victim, attackers=tuple(attackers),
+                                     attack_packets=join_scheduled(bursts))
         result.freeze_ids()
         return result
 

@@ -15,10 +15,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.attack.flows import Scheduled
 from repro.engine.contract import refuse
 from repro.errors import ConfigurationError
 from repro.network.fabric import Fabric
-from repro.network.packet import Packet
 from repro.topology.base import Topology
 from repro.util.validation import check_in_range, check_probability
 
@@ -182,29 +182,34 @@ def schedule_background(fabric: Fabric, pattern: TrafficPattern, *,
                         sources: Optional[Sequence[int]] = None,
                         start: float = 0.0,
                         payload_bytes: int = 64,
-                        flow_id: int = 0) -> List[Packet]:
+                        flow_id: int = 0) -> Scheduled:
     """Schedule open-loop Poisson background traffic on the fabric.
 
     Each source injects packets with exponential inter-arrival times of mean
     ``1/rate`` over ``[start, start + duration)``, destinations drawn from
-    ``pattern``. Returns the scheduled packets (for ground-truth scoring).
+    ``pattern``: per packet the destination draw, then the gap. All sources'
+    rows go to the fabric in one ``inject_rows`` call, whose return value
+    this returns for ground-truth scoring: the packets on the exact engine,
+    their int64 id array on a cohort engine.
     """
     check_in_range(rate, "rate", 1e-12, float("inf"))
     check_in_range(duration, "duration", 0.0, float("inf"))
     nodes = list(fabric.topology.nodes()) if sources is None else list(sources)
-    packets: List[Packet] = []
-    seq = 0
+    topology, destination = fabric.topology, pattern.destination
+    scale = 1.0 / rate
+    end = start + duration
+    times: List[float] = []
+    srcs: List[int] = []
+    dests: List[int] = []
     for source in nodes:
-        t = start + float(rng.exponential(1.0 / rate))
-        while t < start + duration:
-            dst = pattern.destination(source, fabric.topology, rng)
-            packet = fabric.make_packet(source, dst, seq=seq, flow_id=flow_id,
-                                        payload_bytes=payload_bytes)
-            fabric.inject(packet, delay=t)
-            packets.append(packet)
-            seq += 1
-            t += float(rng.exponential(1.0 / rate))
-    return packets
+        t = start + float(rng.exponential(scale))
+        while t < end:
+            dests.append(destination(source, topology, rng))
+            srcs.append(source)
+            times.append(t)
+            t += float(rng.exponential(scale))
+    return fabric.inject_rows(times, srcs, dests, flow_id=flow_id,
+                              payload_bytes=payload_bytes)
 
 
 def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
@@ -218,21 +223,17 @@ def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
     Generates the same Poisson workload via the order-statistics
     construction — each source's packet count is ``Poisson(rate * duration)``
     and its arrival times are i.i.d. uniform over the window, which is
-    distributionally identical to summing exponential gaps — and writes all
-    rows straight into the fabric's columnar injection log: no ``Packet``
-    objects, no per-packet Python. Statistically equivalent to
-    :func:`schedule_background`, not draw-for-draw identical (the RNG is
-    consumed in array draws). Returns the allocated packet ids, the bulk
-    stand-in for the scalar variant's packet list.
+    distributionally identical to summing exponential gaps — and banks all
+    rows as one chunk through ``BatchedFabric.inject_rows``, which checks
+    the nodes are in the topology: no ``Packet`` objects, no per-packet
+    Python. Statistically equivalent to :func:`schedule_background`, not
+    draw-for-draw identical (the RNG is consumed in array draws). Returns
+    the allocated packet ids.
     """
     check_in_range(rate, "rate", 1e-12, float("inf"))
     check_in_range(duration, "duration", 0.0, float("inf"))
-    log = getattr(fabric, "log", None)
-    if log is None:
+    if getattr(fabric, "log", None) is None:
         refuse(fabric.engine_name, "bulk-injection", "schedule_background_bulk")
-    from repro.network.ip import IPHeader
-    from repro.network.packet import allocate_packet_ids
-
     topology = fabric.topology
     nodes = (np.fromiter(topology.nodes(), dtype=np.int64,
                          count=topology.num_nodes)
@@ -242,12 +243,7 @@ def schedule_background_bulk(fabric: Fabric, pattern: TrafficPattern, *,
     if total == 0:
         return np.empty(0, dtype=np.int64)
     srcs = np.repeat(nodes, counts)
-    times = fabric.sim.now + start + rng.random(total) * duration
+    delays = start + rng.random(total) * duration
     dests = pattern.destinations(srcs, topology, rng)
-    ip_base = fabric.addresses.base + 1  # ip_of(node) == base + node + 1
-    ids = np.arange(total, dtype=np.int64) + allocate_packet_ids(total)
-    sizes = np.full(total, IPHeader.HEADER_BYTES + payload_bytes,
-                    dtype=np.int64)
-    log.extend(times, srcs, srcs + ip_base, dests, dests + ip_base,
-               sizes, ids)
-    return ids
+    return fabric.inject_rows(delays, srcs, dests,
+                              payload_bytes=payload_bytes)

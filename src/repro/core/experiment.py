@@ -99,12 +99,14 @@ def run_identification_experiment(
     # packets to the analysis, so the score isolates identification quality.
     if "per-packet-observers" in refused_features(cluster.engine):
         # An engine without per-packet observers feeds the victim through
-        # its columnar delivery sink: ids are frozen at schedule time, so
-        # one np.isin per flushed batch reproduces the per-packet
-        # ground-truth gate without packet objects.
-        attack_ids = np.fromiter(truth.attack_packet_ids, dtype=np.int64,
-                                 count=len(truth.attack_packet_ids))
-        attack_ids.sort()
+        # its columnar delivery sink: the generators returned the attack
+        # ids as arrays, frozen sorted at schedule time, so one np.isin per
+        # flushed batch reproduces the per-packet ground-truth gate without
+        # packet objects. The ids are a set only where no generator
+        # returned any: no attack rows, or packets injected one at a time.
+        attack_ids = truth.attack_packet_ids
+        if not isinstance(attack_ids, np.ndarray):
+            attack_ids = np.array(sorted(attack_ids), dtype=np.int64)
 
         def on_batch(batch: Any) -> None:
             mask = np.isin(batch.ids, attack_ids)

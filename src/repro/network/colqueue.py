@@ -10,14 +10,17 @@ src/dst/MF-word/TTL/hop/time columns) advanced a whole round at a time by
 This module holds the network-side half:
 
 * :class:`InjectionLog` — the columnar capture buffer every traffic
-  generator writes into. ``inject`` is the single funnel all in-tree
-  generators use, so capturing there covers floods, background noise, and
-  static attack campaigns without touching them.
+  generator writes into: whole column chunks from ``inject_rows``, the
+  one call per generator call floods and background noise make, and
+  single rows from ``inject``, the per-packet path of everything else.
 * :class:`BatchedFabric` — a cohort backend on the shared
   :class:`~repro.network.fabric.FabricShell` (no switches, no channels):
-  ``inject`` records columns instead of scheduling events and ``run`` hands
-  the captured log to the cohort engine. The shell refuses the per-packet
-  observation APIs; ``attach_delivery_sink`` is the columnar replacement.
+  ``inject_rows`` and ``inject`` record columns instead of scheduling
+  events, and ``run`` hands the captured log to the cohort engine.
+  ``inject_rows`` builds no packet: it range-checks the rows with array
+  tests, reserves one id block and banks one chunk. The shell refuses
+  the per-packet observation APIs; ``attach_delivery_sink`` is the
+  columnar replacement.
   The capture runs once: a repeat ``run`` with nothing new captured is a
   no-op, and traffic captured after the run, ``run_until`` and link
   failures after the run are refused. A repeat ``run`` after a run that
@@ -37,14 +40,15 @@ passes :func:`~repro.engine.contract.admit`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.engine.contract import admit, refuse
 from repro.errors import ConfigurationError, SimulationError
 from repro.network.fabric import FabricShell
-from repro.network.packet import Packet
+from repro.network.ip import IPHeader
+from repro.network.packet import Packet, PacketKind, allocate_packet_ids
 
 __all__ = ["InjectionLog", "BatchedFabric", "ShardedFabric"]
 
@@ -52,17 +56,26 @@ __all__ = ["InjectionLog", "BatchedFabric", "ShardedFabric"]
 class InjectionLog:
     """Struct-of-arrays capture of every injection requested before a run.
 
-    Python lists during capture (appends are amortized O(1) and the capture
-    phase is per-packet by nature — the generators hand us one packet at a
-    time); :meth:`columns` converts to numpy once, sorted by injection time.
-    Columnar generators (``schedule_background_bulk``) bypass the lists
-    entirely via :meth:`extend`, which banks whole array chunks.
+    The traffic generators hand over one chunk per call
+    (``BatchedFabric.inject_rows``: a flow, or one background call), which
+    :meth:`extend` banks as arrays; packets injected one at a time
+    (``BatchedFabric.inject``) go to Python lists via :meth:`append`, and
+    :meth:`extend` banks those pending rows as a chunk of their own first,
+    so the chunks hold every row in capture order. :meth:`columns`
+    converts to numpy once, sorted by injection time.
     """
 
     __slots__ = ("times", "nodes", "sources", "dests", "dst_ips", "sizes",
                  "ids", "_chunks")
 
     def __init__(self) -> None:
+        # Array chunks in capture order; the scalar lists hold the rows
+        # appended since the last chunk.
+        self._chunks: List[dict] = []
+        self._start_rows()
+
+    def _start_rows(self) -> None:
+        """Empty scalar lists for the next run of single rows."""
         self.times: List[float] = []
         self.nodes: List[int] = []
         self.sources: List[int] = []
@@ -70,10 +83,6 @@ class InjectionLog:
         self.dst_ips: List[int] = []
         self.sizes: List[int] = []
         self.ids: List[int] = []
-        # Array chunks from bulk generators, merged with the scalar lists
-        # in columns(); order within the log never matters because columns()
-        # time-sorts the union.
-        self._chunks: List[dict] = []
 
     def __len__(self) -> int:
         return len(self.times) + sum(
@@ -101,10 +110,10 @@ class InjectionLog:
                ids: np.ndarray) -> None:
         """Record a whole chunk of injections as seven parallel arrays.
 
-        The bulk twin of :meth:`append`: columnar traffic generators hand
-        entire workloads over in one call, keeping the capture phase free of
-        per-packet Python. Arrays are banked as-is (no copies) and merged at
-        :meth:`columns` time.
+        The chunk twin of :meth:`append`: a generator call's rows arrive
+        in one call, keeping the capture phase free of per-packet Python.
+        Arrays are banked as-is (no copies) and merged at :meth:`columns`
+        time.
         """
         arrays = {
             "times": np.asarray(times, dtype=np.float64),
@@ -119,16 +128,14 @@ class InjectionLog:
         if len(lengths) != 1:
             raise ConfigurationError(
                 f"bulk injection columns disagree on length: {sorted(lengths)}")
+        if self.times:
+            self._chunks.append(self._rows())
+            self._start_rows()
         self._chunks.append(arrays)
 
-    def columns(self) -> dict:
-        """Materialize the capture as time-sorted numpy columns.
-
-        Sorting is stable, so simultaneous injections keep capture order —
-        the same tie-break the event queue's sequence numbers give the exact
-        engine.
-        """
-        scalar = {
+    def _rows(self) -> dict:
+        """The pending single rows as one chunk."""
+        return {
             "times": np.asarray(self.times, dtype=np.float64),
             "nodes": np.asarray(self.nodes, dtype=np.int64),
             "sources": np.asarray(self.sources, dtype=np.int64),
@@ -137,11 +144,18 @@ class InjectionLog:
             "sizes": np.asarray(self.sizes, dtype=np.int64),
             "ids": np.asarray(self.ids, dtype=np.int64),
         }
-        merged = {
-            name: np.concatenate([scalar[name]]
-                                 + [chunk[name] for chunk in self._chunks])
-            for name in scalar
-        }
+
+    def columns(self) -> dict:
+        """Materialize the capture as time-sorted numpy columns.
+
+        Sorting is stable and the chunks are in capture order, so
+        simultaneous injections keep capture order — the same tie-break
+        the event queue's sequence numbers give the exact engine — whether
+        they came one at a time or in chunks.
+        """
+        parts = self._chunks + [self._rows()]
+        merged = {name: np.concatenate([part[name] for part in parts])
+                  for name in parts[-1]}
         order = np.argsort(merged["times"], kind="stable")
         return {name: column[order] for name, column in merged.items()}
 
@@ -150,9 +164,10 @@ class BatchedFabric(FabricShell):
     """A fabric whose run loop advances packet cohorts instead of events.
 
     The shell supplies the wiring, NICs, statistics and columnar delivery
-    sinks; ``inject`` captures columns into an :class:`InjectionLog` and
-    ``run`` drives :class:`repro.engine.batched.CohortEngine` over them,
-    once. No channels, no deadlock probe.
+    sinks; ``inject_rows`` and ``inject`` capture columns into an
+    :class:`InjectionLog` and ``run`` drives
+    :class:`repro.engine.batched.CohortEngine` over them, once. No
+    channels, no deadlock probe.
     """
 
     #: engine discriminator mirrored into ExperimentConfig.engine
@@ -179,6 +194,52 @@ class BatchedFabric(FabricShell):
         self.log.append(self.sim.now + delay, node, packet.header.src,
                         packet.destination_node, packet.header.dst,
                         packet.size_bytes, packet.packet_id)
+
+    def inject_rows(self, delays: Sequence[float], sources: Sequence[int],
+                    dests: Sequence[int], *,
+                    src_ips: Optional[Sequence[int]] = None,
+                    kind: PacketKind = PacketKind.DATA, flow_id: int = 0,
+                    payload_bytes: int = 64) -> np.ndarray:
+        """Capture one generator call's rows as one log chunk; returns ids.
+
+        The columnar twin of :meth:`Fabric.inject_rows`, building no
+        ``Packet``: the rows get one block of consecutive ids (those
+        ``make_packet`` would have given them, in row order) and pass
+        ``make_packet``'s checks as array tests: both nodes inside the
+        topology, 32-bit source addresses, a non-negative payload.
+        ``kind`` and ``flow_id`` have no column here.
+        """
+        nodes = np.asarray(sources, dtype=np.int64)
+        dest_nodes = np.asarray(dests, dtype=np.int64)
+        if nodes.size == 0:
+            return np.empty(0, dtype=np.int64)
+        num_nodes = self.topology.num_nodes
+        both = np.concatenate((nodes, dest_nodes))
+        outside = (both < 0) | (both >= num_nodes)
+        if outside.any():
+            raise ConfigurationError(
+                f"node {both[np.argmax(outside)]} outside topology of "
+                f"{num_nodes} nodes")
+        if payload_bytes < 0:
+            raise ConfigurationError(
+                f"total_length {IPHeader.HEADER_BYTES + payload_bytes} "
+                "below header size")
+        ip_base = self.addresses.base + 1  # ip_of(node) == base + node + 1
+        if src_ips is None:
+            src = nodes + ip_base
+        else:
+            src = np.asarray(src_ips, dtype=np.int64)
+            bad = (src < 0) | (src >= 1 << 32)
+            if bad.any():
+                raise ConfigurationError(
+                    f"src address {src[np.argmax(bad)]} is not a 32-bit value")
+        count = nodes.size
+        ids = np.arange(count, dtype=np.int64) + allocate_packet_ids(count)
+        self.log.extend(self.sim.now + np.asarray(delays, dtype=np.float64),
+                        nodes, src, dest_nodes, dest_nodes + ip_base,
+                        np.full(count, IPHeader.HEADER_BYTES + payload_bytes,
+                                dtype=np.int64), ids)
+        return ids
 
     # ------------------------------------------------------------------
     # Link failures: the route tables are built with the engine, so a link

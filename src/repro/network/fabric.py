@@ -28,7 +28,7 @@ it costs one ``is None`` test per packet when nothing is armed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.contract import refuse
 from repro.engine.simulator import Simulator
@@ -100,11 +100,12 @@ class FabricConfig:
 class FabricShell:
     """What every engine shares: wiring, NICs, statistics and sinks.
 
-    The backends add the packet lifecycle (``inject``, ``run``,
-    ``run_until``, ``fail_link``, ``restore_link``) and ``engine_name``,
-    their name in :data:`repro.engine.contract.ENGINES`. The shell itself
-    carries no packet objects, so its per-packet observation surfaces
-    refuse through the engine contract; :class:`Fabric` overrides them.
+    The backends add the packet lifecycle (``inject``, ``inject_rows``,
+    ``run``, ``run_until``, ``fail_link``, ``restore_link``) and
+    ``engine_name``, their name in :data:`repro.engine.contract.ENGINES`.
+    The shell itself carries no packet objects, so its per-packet
+    observation surfaces refuse through the engine contract;
+    :class:`Fabric` overrides them.
     """
 
     def __init__(self, topology: Topology, router: Router, *,
@@ -378,6 +379,32 @@ class Fabric(FabricShell):
         if not self.topology.contains(node):
             raise ConfigurationError(f"injection node {node} outside topology")
         self.sim.schedule_args(delay, self._do_inject, (packet, node), "inject")
+
+    def inject_rows(self, delays: Sequence[float], sources: Sequence[int],
+                    dests: Sequence[int], *,
+                    src_ips: Optional[Sequence[int]] = None,
+                    kind: PacketKind = PacketKind.DATA, flow_id: int = 0,
+                    payload_bytes: int = 64) -> List[Packet]:
+        """Inject one generator call's rows; returns their packets.
+
+        Row ``i`` becomes ``make_packet(sources[i], dests[i], ...)`` with
+        header source ``src_ips[i]`` (the honest address when ``src_ips``
+        is None) and sequence number ``i``, injected at
+        ``delays[i]``. Rows are built and scheduled in order, so packet ids
+        and event sequence numbers follow the rows. The cohort fabrics
+        bank the same rows as one column chunk instead.
+        """
+        if src_ips is None:
+            src_ips = [None] * len(delays)
+        packets: List[Packet] = []
+        for i, (delay, src, dst, src_ip) in enumerate(
+                zip(delays, sources, dests, src_ips)):
+            packet = self.make_packet(src, dst, spoofed_src_ip=src_ip,
+                                      kind=kind, flow_id=flow_id, seq=i,
+                                      payload_bytes=payload_bytes)
+            self.inject(packet, delay=delay)
+            packets.append(packet)
+        return packets
 
     def _do_inject(self, packet: Packet, node: int) -> None:
         packet.injected_at = self.sim.now

@@ -9,6 +9,7 @@ cohort engines, the fabric seam, and a round-by-round differential test
 against the engine's earlier round.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -364,6 +365,18 @@ class TestBulkInjection:
                                      rate=5.0, duration=1.0,
                                      rng=np.random.default_rng(0))
 
+    def test_bulk_background_checks_node_range_at_capture(self):
+        from repro.attack.traffic import (UniformRandomPattern,
+                                          schedule_background_bulk)
+
+        fabric = BatchedFabric(Mesh((4, 4)), DimensionOrderRouter())
+        with pytest.raises(ConfigurationError, match="node 40 outside"):
+            schedule_background_bulk(fabric, UniformRandomPattern(),
+                                     rate=20.0, duration=1.0,
+                                     rng=np.random.default_rng(0),
+                                     sources=[3, 40])
+        assert len(fabric.log) == 0
+
     def test_bulk_background_runs_and_conserves(self):
         from repro.attack.traffic import (UniformRandomPattern,
                                           schedule_background_bulk)
@@ -475,6 +488,67 @@ class TestFabricSeam:
         # The counter does count: the exact backend builds both.
         Fabric(Mesh((2, 2)), DimensionOrderRouter())
         assert built.count("Switch") == 4 and built.count("Channel") == 8
+
+
+# The flood-torus64-batched and hotspot-mesh16-dpm-batched pipeline
+# workloads' experiments.
+FLOOD_TORUS64 = ExperimentConfig(
+    topology=TopologySpec("torus", (64, 64)),
+    routing=RoutingSpec("minimal-adaptive"),
+    marking=MarkingSpec("ddpm"),
+    selection=SelectionSpec("least-congested"),
+    attackers=(3971, 2429, 3517, 1788, 2251, 3702, 3606, 2730,
+               166, 1453, 1576, 1612, 2953, 2228, 2851, 1895),
+    num_attackers=16, attack_rate_per_node=100.0,
+    background_rate=2.0, duration=2.0, engine="batched")
+HOTSPOT_MESH16 = ExperimentConfig(
+    topology=TopologySpec("mesh", (16, 16)),
+    routing=RoutingSpec("xy"),
+    marking=MarkingSpec("dpm"),
+    selection=SelectionSpec("first"),
+    attackers=(87, 109, 120, 121, 138, 150, 152, 186),
+    num_attackers=8, attack_rate_per_node=400.0,
+    background_rate=1.0, duration=5.0, engine="batched")
+
+
+class TestLaunchBuildsNoPacket:
+    """A cohort launch hands its rows to ``inject_rows`` as columns."""
+
+    @staticmethod
+    def _launch_counting(monkeypatch, config):
+        built = []
+
+        def counting(self, *args, _original=Packet.__init__, **kwargs):
+            built.append(1)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Packet, "__init__", counting)
+        cluster = Cluster.from_config(config)
+        truth = cluster.launch_ddos(
+            victim=cluster.default_victim(), attackers=config.attackers,
+            num_attackers=config.num_attackers,
+            attack_rate_per_node=config.attack_rate_per_node,
+            duration=config.duration, background_rate=config.background_rate)
+        return cluster, truth, len(built)
+
+    @pytest.mark.parametrize("config", [FLOOD_TORUS64, HOTSPOT_MESH16],
+                             ids=["flood", "hotspot"])
+    def test_cohort_launch_builds_no_packet(self, monkeypatch, config):
+        cluster, truth, built = self._launch_counting(monkeypatch, config)
+        launched = len(truth.attack_packets) + len(truth.background_packets)
+        assert built == 0
+        assert launched > 10_000 and len(cluster.fabric.log) == launched
+        for ids in (truth.attack_packets, truth.background_packets):
+            assert isinstance(ids, np.ndarray) and ids.dtype == np.int64
+        assert np.array_equal(truth.attack_packet_ids,
+                              np.sort(truth.attack_packets))
+
+    def test_exact_launch_builds_one_packet_per_row(self, monkeypatch):
+        # The counter does count: the exact backend builds every packet.
+        config = dataclasses.replace(HOTSPOT_MESH16, engine="exact")
+        _, truth, built = self._launch_counting(monkeypatch, config)
+        launched = len(truth.attack_packets) + len(truth.background_packets)
+        assert built == launched > 10_000
 
 
 def test_no_engine_array_grows_with_node_pairs():
