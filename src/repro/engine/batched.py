@@ -1,4 +1,4 @@
-"""Batched cohort-advance engine: vectorized route/mark/TTL per round.
+"""Batched cohort-advance engine: vectorized route/mark/hop per round.
 
 The exact engine executes one discrete event per packet per hop stage;
 Python dispatch dominates at scale. This engine advances the *whole live
@@ -8,13 +8,15 @@ only the *moving* rows (just activated or just advanced), while rows
 waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
 
 1. **activate** — injections whose time fell below the round frontier join
-   the moving set (the scheme's ``inject_array`` words, TTL, VCT injection
-   overhead);
+   the moving set (zero hops, VCT injection overhead, and the scheme's
+   ``inject_array`` words unless it derives them, see step 6);
 2. **retire** — moving rows at their destination deliver (bulk statistics,
    columnar :class:`~repro.network.markstream.DeliveryRing` feed); moving
    rows over the watchdog hop ceiling or out of TTL drop with counted
-   reasons. Parked rows cannot retire: nothing they are checked on has
-   changed since the round that routed them;
+   reasons. Every row starts at ``default_ttl``, so its TTL is
+   ``default_ttl - hops`` and no TTL column is kept. Parked rows cannot
+   retire: nothing they are checked on has changed since the round that
+   routed them;
 3. **route** — next-hop candidates come from the router's
    :class:`~repro.routing.plan.RouteTable`, the one table the exact engine
    reads too: one padded row of candidate *channels* per (node, sign class
@@ -30,11 +32,14 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    waiting rows outrank newcomers — enter the channel. The rest stay
    parked, pay the round's deferred time (one add over the slot window
    they span) and feed the congestion signal;
-6. **advance** — admitted rows, in rank order, decrement TTL, pass
+6. **advance** — admitted rows, in rank order, count a hop, pass
    through the scheme's own columnar hop (``MarkingScheme.on_hop_array``,
    drawing from the ``"batched-marking"`` stream), step to the next node,
    and form the next round's moving set. Their time is rewritten from its
-   value before the wait charge.
+   value before the wait charge. A scheme with a path-free word
+   (``word_array``: DDPM, whose per-hop deltas telescope) runs no hop at
+   all: its words are derived once per run, for the sink rows only, from
+   each row's injection node and delivery node.
 
 Cost per round: O(moved) fancy indexing for steps 1-4 and 6, plus about
 ten contiguous passes over the parked keys and one over the time
@@ -85,9 +90,9 @@ __all__ = ["CohortEngine"]
 # The engine
 # ----------------------------------------------------------------------
 #: per-row state the engine writes, stored by slot (= activation rank)
-_STORE_COLUMNS = ("pos", "words", "ttls", "hops", "time", "t0", "hold")
-_STORE_DTYPES = (np.int64, np.int64, np.int64, np.int64, np.float64,
-                 np.float64, np.float64)
+_STORE_COLUMNS = ("pos", "words", "hops", "time", "t0", "hold")
+_STORE_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.float64,
+                 np.float64)
 
 #: low half of a parked key ``chan << 32 | slot``
 _SLOT_MASK = (1 << 32) - 1
@@ -107,6 +112,8 @@ class CohortEngine:
         cfg = fabric.config
         self.routes = routes = route_table(fabric.router, topology)
         self.marking = fabric.marking
+        # A path-free word (DDPM) is derived at delivery, not carried.
+        self.word_array = getattr(self.marking, "word_array", None)
         self.rng = self.sim.rng.stream("batched-cohort")
         # Marking draws (PPM coins and fragment offsets) get their own
         # stream: selection and marking then own one stream each.
@@ -271,9 +278,10 @@ class CohortEngine:
         else:
             hold = pending["sizes"][slots] / self._bandwidth
         self.pos[slots] = pending["nodes"][slots]
-        self.words[slots] = (0 if self.marking is None
-                             else self.marking.inject_array(m))
-        self.ttls[slots] = self.default_ttl
+        if self.marking is None:
+            self.words[slots] = 0
+        elif self.word_array is None:
+            self.words[slots] = self.marking.inject_array(m)
         self.hops[slots] = 0
         self.time[slots] = times
         self.t0[slots] = times
@@ -288,10 +296,11 @@ class CohortEngine:
         # Delivery first, then hop-ceiling, then TTL — the exact switch's
         # dispatch order (the masks are disjoint by construction, so one
         # combined filter pass preserves the per-reason accounting). Parked
-        # rows cannot retire: their pos, ttls and hops are unchanged since
-        # the round that routed them passed this check.
+        # rows cannot retire: their pos and hops are unchanged since the
+        # round that routed them passed this check.
         moving = self._moving
         done = self.pos[moving] == self.dst[moving]
+        hops = self.hops[moving]
         gone = done
         retired = False
         if done.any():
@@ -299,7 +308,6 @@ class CohortEngine:
             retired = True
         ceiling = self.fabric.hop_ceiling
         if ceiling is not None:
-            hops = self.hops[moving]
             over = ~gone & (hops >= ceiling)
             if over.any():
                 k = int(np.count_nonzero(over))
@@ -312,7 +320,8 @@ class CohortEngine:
                     watchdog.note_livelock(self.sim, int(hops[over].max()))
                 gone = gone | over
                 retired = True
-        dead = ~gone & (self.ttls[moving] <= 1)
+        # TTL = default_ttl - hops; a row at TTL 1 or less expires.
+        dead = ~gone & (hops >= self.default_ttl - 1)
         if dead.any():
             self._drop(int(np.count_nonzero(dead)), "ttl_expired")
             gone = gone | dead
@@ -337,8 +346,10 @@ class CohortEngine:
         per-node delivered counts, per-hop-count counts and the sink rows'
         columns (None when no row reached a sink); raises ``_max_time``.
 
-        A delivered slot's position, word, TTL and hops are never written
-        again, so they are read here; its time was kept at delivery.
+        A delivered slot's position, word and hops are never written
+        again, so they are read here; its time was kept at delivery. Its
+        TTL is ``default_ttl - hops``; a path-free word (``word_array``)
+        is derived here from the row's injection and delivery nodes.
         """
         slots = np.concatenate(self._delivered_slots
                                or [np.empty(0, dtype=np.int64)])
@@ -356,13 +367,17 @@ class CohortEngine:
         sunk = self._sink_mask[nodes]
         if sunk.any():
             rows = slots[sunk]
+            sunk_nodes, sunk_hops = nodes[sunk], hops[sunk]
+            words = (self.words[rows] if self.word_array is None
+                     else self.word_array(self._pending["nodes"][rows],
+                                          sunk_nodes))
             # The trailing (slot, round) pair is merge metadata: the
             # single-process flush ignores it, the sharded driver lexsorts
             # on (time, round, slot) to reproduce this engine's
             # accumulation order across shards.
-            sink = (nodes[sunk], times[sunk], self.src_ip[rows],
-                    self.dst_ip[rows], self.words[rows], self.ttls[rows],
-                    hops[sunk], self.ids[rows], rows, rounds[sunk])
+            sink = (sunk_nodes, times[sunk], self.src_ip[rows],
+                    self.dst_ip[rows], words, self.default_ttl - sunk_hops,
+                    sunk_hops, self.ids[rows], rows, rounds[sunk])
         return np.bincount(nodes, minlength=self.n), np.bincount(hops), sink
 
     def _drop(self, count: int, reason: str) -> None:
@@ -430,13 +445,12 @@ class CohortEngine:
                 waiting >> 32, minlength=self._backlog.size).astype(np.float64)
 
         nxt = self.routes.channel_target[flipped & _SLOT_MASK]
-        ttls = self.ttls[slots] - 1
-        self.ttls[slots] = ttls
-        if self.marking is not None:
+        hops = self.hops[slots] + 1
+        self.hops[slots] = hops
+        if self.marking is not None and self.word_array is None:
             self.words[slots] = self.marking.on_hop_array(
-                self.words[slots], self.pos[slots], nxt, ttls,
-                self.marking_rng)
-        self.hops[slots] += 1
+                self.words[slots], self.pos[slots], nxt,
+                self.default_ttl - hops, self.marking_rng)
         cfg = self.fabric.config
         self.time[slots] = before + (cfg.routing_delay + self.hold[slots]
                                      + cfg.link_latency)

@@ -60,7 +60,8 @@ CONTRACT: Dict[str, Tuple[str, Dict[str, Cell]]] = {
     "deterministic-marking": _row(
         "deterministic marking (dpm, ddpm, ppm at p=1) under deterministic routing", SAME, SAME),
     "ddpm-any-routing": _row(
-        "ddpm under any routing (its word depends only on source and destination)", SAME, SAME),
+        "ddpm under any routing (its word depends only on source and destination, so the "
+        "cohort engines derive it at delivery)", SAME, SAME),
     "marking-draws": _row("probabilistic marking draws and ppm-fragment offsets", SAME, STATS),
     "random-tie-breaks": _row("random or congestion tie-breaks", SAME, STATS),
     "bulk-injection": _row("columnar background traffic (schedule_background_bulk)",
@@ -123,14 +124,20 @@ def _check_columnar_marking(scheme, engine: str = "batched") -> None:
     from one class. A subclass that overrides only ``on_hop`` or
     ``on_inject`` (``ddpm-auth``'s MAC trail, ``hddpm``'s hierarchy tags)
     would otherwise run its parent's array form and silently lose its own
-    marking. ``None`` (no scheme) leaves the MF words at zero.
+    marking. A scheme with a path-free ``word_array`` (DDPM) runs it in
+    place of both array forms, so it is the twin of both scalar methods.
+    ``None`` (no scheme) leaves the MF words at zero.
     """
     if scheme is None:
         return
     mro = type(scheme).__mro__
+    derived = next((cls for cls in mro if "word_array" in vars(cls)), None)
     for scalar, array in (("on_inject", "inject_array"), ("on_hop", "on_hop_array")):
         owner = next(cls for cls in mro if scalar in vars(cls))
-        twin = next((cls for cls in mro if array in vars(cls)), None)
+        if derived is not None:
+            twin, array = derived, "word_array"
+        else:
+            twin = next((cls for cls in mro if array in vars(cls)), None)
         if twin is not owner:
             where = "nowhere" if twin is None else f"in {twin.__name__}"
             refuse(engine, "scalar-only-marking", f"marking scheme {scheme.name!r}, which "

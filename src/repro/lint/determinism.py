@@ -546,7 +546,8 @@ class NoClosureScheduling(ProgramRule):
 # ----------------------------------------------------------------------
 #: the batched cohort-advance path: every per-row operation in these
 #: modules must be a whole-array numpy step, never a Python loop. The
-#: marking modules hold the schemes' columnar hops (``on_hop_array``);
+#: marking modules hold the schemes' columnar hops (``on_hop_array``,
+#: DDPM's ``word_array``);
 #: the route table holds the cohorts' candidate fill (``lookup``).
 _BATCHED_PATH_MODULES = frozenset({
     "engine/batched.py", "engine/sharded.py", "network/colqueue.py",

@@ -122,6 +122,12 @@ class MarkingScheme(ABC):
     ``rng`` in row order. It has no default. A class that overrides a
     scalar method overrides its twin too, or the cohort engines refuse the
     scheme (DESIGN.md §12).
+
+    A scheme whose word depends on no path (DDPM: its per-hop deltas
+    telescope) defines ``word_array(sources, nodes) -> words`` instead:
+    the word a packet injected at ``sources[i]`` carries at ``nodes[i]``.
+    It is the twin of both scalar methods, and the cohort engines call
+    it once per run, at delivery, instead of marking every hop.
     """
 
     #: human-readable scheme name

@@ -93,31 +93,24 @@ class DdpmScheme(MarkingScheme):
             self._hop_cache[key] = word
         packet.header.identification = word
 
-    def inject_array(self, n: int) -> np.ndarray:
-        """Columnar :meth:`on_inject`: ``n`` zero distance vectors."""
-        self._require_attached()
-        return np.full(n, self._inject_word, dtype=np.int64)
+    def word_array(self, sources: np.ndarray,
+                   nodes: np.ndarray) -> np.ndarray:
+        """Columnar :meth:`on_inject` and :meth:`on_hop` in one: the word
+        a packet injected at ``sources[i]`` carries at ``nodes[i]``.
 
-    def on_hop_array(self, words: np.ndarray, src: np.ndarray,
-                     dst: np.ndarray, ttls: np.ndarray,
-                     rng: np.random.Generator) -> np.ndarray:
-        """Columnar :meth:`on_hop`: decode, add ``Y - X``, encode, per row.
-
-        Per-hop deltas telescope (their sum is the destination coordinate
-        minus the source coordinate, mod k on tori, XOR on hypercubes), so
-        the delivered word does not depend on the route taken. Torus deltas
-        here are raw coordinate differences; the encoder's fold to minimal
-        residues removes the multiple of k a wrap link adds. Unlike the
-        scalar form, a corrupted word that overflows is not forwarded
-        unchanged: honest cohort words never overflow.
+        Per-hop deltas telescope: whatever path the packet took, their
+        sum is the node's coordinates minus the source's, so the word is
+        ``encode(coords[node] - coords[source])`` — the encoder folds
+        tori to minimal residues (removing the multiple of k that wrap
+        links add), and hypercubes take the XOR. A zero-hop row
+        (``node == source``) holds :meth:`on_inject`'s zero vector.
         """
         topo = self._require_attached()
         coords = topo.coord_array()
-        vectors = self.layout.decode_array(words)
         if topo.kind == "hypercube":
-            vectors ^= coords[dst] ^ coords[src]
+            vectors = coords[nodes] ^ coords[sources]
         else:
-            vectors += coords[dst] - coords[src]
+            vectors = coords[nodes] - coords[sources]
         return self.layout.encode_array(vectors)
 
     # -- victim side -------------------------------------------------------

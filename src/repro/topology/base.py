@@ -74,7 +74,7 @@ class Topology(ABC):
         array, row i = :meth:`coord` (i).
 
         Built once and read-only, so the columnar consumers (DDPM's cohort
-        hop, the batched route planner, the partitioner) share one copy.
+        words, the batched route planner, the partitioner) share one copy.
         """
         array = self._coord_array
         if array is None:

@@ -583,7 +583,8 @@ class _ReferenceRound(CohortEngine):
     the wait is charged to each waiting slot, every delivery is tallied in
     its own round, and a channel is ``node * width + port``, the port being
     the neighbour's index in ``topology.neighbors(node)``. Candidates come
-    from the route table's scalar read.
+    from the route table's scalar read. Like the engine, it keeps no TTL
+    column: a row's TTL is ``default_ttl - hops``.
     """
 
     def __init__(self, fabric):
@@ -628,9 +629,9 @@ class _ReferenceRound(CohortEngine):
             rows = slots[sunk]
             self._sink_rows.append(
                 (nodes[sunk], times[sunk], self.src_ip[rows],
-                 self.dst_ip[rows], self.words[rows], self.ttls[rows],
-                 hops[sunk], self.ids[rows], rows,
-                 np.full(rows.size, self.rounds, dtype=np.int64)))
+                 self.dst_ip[rows], self.words[rows],
+                 self.default_ttl - hops[sunk], hops[sunk], self.ids[rows],
+                 rows, np.full(rows.size, self.rounds, dtype=np.int64)))
 
     def _route_and_advance(self):
         moving = self._moving
@@ -674,13 +675,12 @@ class _ReferenceRound(CohortEngine):
         flipped = np.sort(((moved & _SLOT_MASK) << 32) | (moved >> 32))
         slots = flipped >> 32
         nxt = self._next_hop[flipped & _SLOT_MASK]
-        ttls = self.ttls[slots] - 1
-        self.ttls[slots] = ttls
+        hops = self.hops[slots] + 1
+        self.hops[slots] = hops
         if self.marking is not None:
             self.words[slots] = self.marking.on_hop_array(
-                self.words[slots], self.pos[slots], nxt, ttls,
-                self.marking_rng)
-        self.hops[slots] += 1
+                self.words[slots], self.pos[slots], nxt,
+                self.default_ttl - hops, self.marking_rng)
         cfg = self.fabric.config
         self.time[slots] += (cfg.routing_delay + self.hold[slots]
                              + cfg.link_latency)
@@ -805,7 +805,7 @@ def test_rounds_equal_the_reference_round(topology, routing, selection, saf,
                                        parked & _SLOT_MASK]))
         assert np.array_equal(live, np.sort(np.concatenate(
             [reference._moving, reference._parked & _SLOT_MASK])))
-        for column in ("pos", "ttls", "time"):
+        for column in ("pos", "hops", "time"):
             assert np.array_equal(getattr(probe, column)[live],
                                   getattr(reference, column)[live])
     assert reference.live() == 0 and reference._next == total

@@ -13,7 +13,7 @@ The scenarios cover the congested hotspot workload, 8x8 meshes and tori
 under every batched routing/selection pair and the DDPM, DPM, full-index
 PPM and fragment PPM schemes, each remaining scheme the engine admits
 (advanced, XOR and bit-difference PPM, no marking) once on the 8x8 mesh,
-DDPM on a 6-cube, a TTL-expiry run, and the hotspot and one 8x8
+DDPM on a 6-cube, a 4x4x4 mesh and a 5x7 torus, a TTL-expiry run, and the hotspot and one 8x8
 least-congested run under store-and-forward, where a hop charges a row's
 whole serialization but a wait only the header's.
 An engine refactor that claims bit-identical results must leave the file
@@ -92,6 +92,12 @@ SCENARIOS: Dict[str, ExperimentConfig] = {
     # DDPM's XOR offset algebra.
     "hypercube6-minimal-adaptive-random-ddpm": _grid_config(
         "hypercube", "minimal-adaptive", "random", "ddpm", dims=(6,)),
+    # DDPM on a 3-D mesh (the layout of Table 3's 16x16x32 row).
+    "mesh4x4x4-minimal-adaptive-random-ddpm": _grid_config(
+        "mesh", "minimal-adaptive", "random", "ddpm", dims=(4, 4, 4)),
+    # Odd ring sizes: the torus fold's threshold differs per axis.
+    "torus5x7-minimal-adaptive-least-congested-ddpm": _grid_config(
+        "torus", "minimal-adaptive", "least-congested", "ddpm", dims=(5, 7)),
 }
 
 

@@ -47,6 +47,16 @@ class _ScalarOnlyDpm(DpmScheme):
         super().on_hop(packet, from_node, to_node)
 
 
+class _InjectOnlyDdpm(DdpmScheme):
+    """Overrides only the scalar inject, so a cohort would derive DDPM's
+    words through the parent's ``word_array``."""
+
+    name = "ddpm-inject-only"
+
+    def on_inject(self, packet, node):
+        super().on_inject(packet, node)
+
+
 class _LastCandidatePolicy(SelectionPolicy):
     """A selection policy with no vectorized twin."""
 
@@ -168,6 +178,18 @@ def test_refusal_carries_its_cell(engine, feature):
     copy = pickle.loads(pickle.dumps(error))
     assert (copy.engine, copy.feature, copy.fallback, str(copy)) \
         == (engine, feature, fallback, str(error))
+
+
+@pytest.mark.parametrize("engine", ["batched", "sharded"])
+def test_a_path_free_word_is_the_twin_of_both_scalar_forms(engine):
+    """DDPM's ``word_array`` stands in for both array forms only where
+    its own class defines both scalar forms."""
+    _cluster(engine).run()  # DdpmScheme itself runs
+    with pytest.raises(EngineUnsupported) as refused:
+        _cluster(engine, marking=_InjectOnlyDdpm()).run()
+    assert refused.value.feature == "scalar-only-marking"
+    assert ("defines on_inject in _InjectOnlyDdpm but word_array in "
+            "DdpmScheme") in str(refused.value)
 
 
 @pytest.mark.parametrize("trigger", [_valiant, _custom_selection,

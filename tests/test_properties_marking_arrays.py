@@ -1,20 +1,26 @@
 """Property tests (hypothesis): each scheme's columnar hop ≡ its scalar hop.
 
 The batched and sharded engines mark cohorts through
-``MarkingScheme.inject_array`` / ``on_hop_array``; the exact engine marks
-packets through ``on_inject`` / ``on_hop``. For every registered scheme the
-cohort engines admit, on a mesh, a torus and a hypercube:
+``MarkingScheme.inject_array`` / ``on_hop_array``, or, for a scheme with
+a path-free word (DDPM's ``word_array``), derive the word at delivery;
+the exact engine marks packets through ``on_inject`` / ``on_hop``. For
+every registered scheme the cohort engines admit, on a mesh, a torus and
+a hypercube:
 
-* ``inject_array(n)`` holds the word ``on_inject`` writes, n times;
-* a one-row ``on_hop_array`` equals ``on_hop`` when both draw from
-  same-seeded generators;
-* for the deterministic schemes (DDPM, DPM) an n-row call equals n scalar
-  hops.
+* the columnar injected words (``inject_array(n)``, or ``word_array``
+  of n zero-hop rows) hold the word ``on_inject`` writes, n times;
+* one columnar hop (``on_hop_array``, or ``word_array`` at the hop's far
+  end) equals ``on_hop`` when both draw from same-seeded generators;
+* for the deterministic hop schemes (DDPM, DPM) an n-row call equals n
+  scalar hops.
 
-Only reachable words are drawn: inject, then a random scalar walk. (On a
-corrupted word that overflows, DDPM's scalar hop forwards it unchanged
-while the array hop folds it; no honest walk produces one.) A newly
-registered scheme is picked up here automatically.
+For a path-free word, ``word_array([s], [n])`` also equals the word that
+``on_inject`` and scalar ``on_hop`` leave after a random, non-minimal
+walk from s to n, on meshes (2-D and 3-D), tori (wrap links and odd rings
+included) and a hypercube.
+
+Only reachable words are drawn: inject, then a random scalar walk. A
+newly registered scheme is picked up here automatically.
 """
 
 import numpy as np
@@ -33,6 +39,13 @@ TOPOLOGIES = {
     "mesh": lambda: Mesh((4, 4)),
     "torus": lambda: Torus((4, 4)),
     "hypercube": lambda: Hypercube(4),
+}
+#: the path-free word also walks an odd-ring torus and a 3-D mesh (both
+#: tori walk wrap links)
+WORD_TOPOLOGIES = {
+    **TOPOLOGIES,
+    "torus-odd": lambda: Torus((5, 3)),
+    "mesh3d": lambda: Mesh((3, 4, 2)),
 }
 
 #: schemes whose hop draws nothing
@@ -53,12 +66,21 @@ def _admitted(name):
     return True
 
 
+def _path_free(name):
+    scheme = MARKING.create(name, np.random.default_rng(0), Mesh((4, 4)), 0.5)
+    return hasattr(scheme, "word_array")
+
+
 ADMITTED = [name for name in MARKING.names() if _admitted(name)]
+#: admitted schemes whose word the cohort engines derive at delivery
+PATH_FREE = [name for name in ADMITTED if _path_free(name)]
 CASES = [(name, kind) for name in ADMITTED for kind in TOPOLOGIES]
+PATH_FREE_CASES = [(name, kind) for name in PATH_FREE
+                   for kind in WORD_TOPOLOGIES]
 
 
 def _attached(name, kind, seed):
-    topology = TOPOLOGIES[kind]()
+    topology = WORD_TOPOLOGIES[kind]()
     scheme = MARKING.create(name, np.random.default_rng(seed), topology, 0.5)
     scheme.attach(topology)
     return scheme, topology
@@ -84,10 +106,50 @@ def _next_hop(topology, node, rng):
     return neighbors[int(rng.integers(len(neighbors)))]
 
 
+def _inject_column(scheme, node, n):
+    """The words a cohort engine gives n rows injected at ``node``."""
+    if hasattr(scheme, "word_array"):
+        column = np.full(n, node, dtype=np.int64)
+        return scheme.word_array(column, column)
+    return scheme.inject_array(n)
+
+
+def _hop_column(scheme, sources, words, src, dst, ttls, rng):
+    """The words a cohort engine gives rows after one hop src -> dst: a
+    path-free word is derived at ``dst`` from the source alone."""
+    if hasattr(scheme, "word_array"):
+        return scheme.word_array(np.array(sources, dtype=np.int64),
+                                 np.array(dst, dtype=np.int64))
+    return scheme.on_hop_array(*(np.array(column, dtype=np.int64)
+                                 for column in (words, src, dst, ttls)),
+                               rng)
+
+
 def test_every_columnar_scheme_is_covered():
     assert {"ddpm", "dpm", "ppm-full", "ppm-xor", "ppm-bitdiff",
             "ppm-fragment", "ppm-advanced"} <= set(ADMITTED)
     assert "ddpm-auth" not in ADMITTED and "hddpm" not in ADMITTED
+    assert PATH_FREE == ["ddpm"]
+
+
+@pytest.mark.parametrize("name,kind", PATH_FREE_CASES)
+@SETTINGS
+@given(seed=st.integers(0, 2**16), rows=st.integers(1, 12))
+def test_word_array_equals_the_scalar_chain(name, kind, seed, rows):
+    scheme, topology = _attached(name, kind, seed)
+    rng = np.random.default_rng(seed)
+    sources, nodes, expected = [], [], []
+    for _ in range(rows):
+        # A random walk over neighbours: it backtracks, loops and takes
+        # wrap links, so it is rarely a minimal route.
+        packet, node = _walk(scheme, topology, rng, int(rng.integers(0, 25)))
+        sources.append(packet.true_source)
+        nodes.append(node)
+        expected.append(packet.header.identification)
+    out = scheme.word_array(np.array(sources, dtype=np.int64),
+                            np.array(nodes, dtype=np.int64))
+    assert out.dtype == np.int64
+    assert out.tolist() == expected
 
 
 @pytest.mark.parametrize("name,kind", CASES)
@@ -100,7 +162,7 @@ class TestColumnarEqualsScalar:
         packet = Packet(IPHeader(node, 0), node, 0)
         packet.header.identification = 0xBEEF  # attacker-preloaded MF
         scheme.on_inject(packet, node)
-        words = scheme.inject_array(n)
+        words = _inject_column(scheme, node, n)
         assert words.dtype == np.int64
         assert words.tolist() == [packet.header.identification] * n
 
@@ -120,12 +182,8 @@ class TestColumnarEqualsScalar:
         # hop from the one it is handed: seed both alike.
         scheme.rng = np.random.default_rng(draw_seed)
         scheme.on_hop(packet, node, nxt)
-        out = scheme.on_hop_array(
-            np.array([word], dtype=np.int64),
-            np.array([node], dtype=np.int64),
-            np.array([nxt], dtype=np.int64),
-            np.array([ttl], dtype=np.int64),
-            np.random.default_rng(draw_seed))
+        out = _hop_column(scheme, [packet.true_source], [word], [node],
+                          [nxt], [ttl], np.random.default_rng(draw_seed))
         assert out.tolist() == [packet.header.identification]
 
 
@@ -136,11 +194,12 @@ class TestColumnarEqualsScalar:
 def test_n_rows_match_n_scalar_hops(name, kind, seed, rows):
     scheme, topology = _attached(name, kind, seed)
     rng = np.random.default_rng(seed)
-    words, src, dst, ttls, expected = [], [], [], [], []
+    sources, words, src, dst, ttls, expected = [], [], [], [], [], []
     for _ in range(rows):
         packet, node = _walk(scheme, topology, rng,
                              int(rng.integers(0, 13)))
         nxt = _next_hop(topology, node, rng)
+        sources.append(packet.true_source)
         words.append(packet.header.identification)
         packet.header.decrement_ttl()
         src.append(node)
@@ -148,9 +207,8 @@ def test_n_rows_match_n_scalar_hops(name, kind, seed, rows):
         ttls.append(packet.header.ttl)
         scheme.on_hop(packet, node, nxt)
         expected.append(packet.header.identification)
-    out = scheme.on_hop_array(*(np.array(column, dtype=np.int64)
-                                for column in (words, src, dst, ttls)),
-                              np.random.default_rng(seed))
+    out = _hop_column(scheme, sources, words, src, dst, ttls,
+                      np.random.default_rng(seed))
     assert out.tolist() == expected
 
 
