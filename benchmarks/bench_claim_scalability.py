@@ -5,8 +5,12 @@ Two scalability axes measured: identification stays exact and O(1)-per-
 packet as the network grows to Table 3's maxima (128x128 mesh, 16-cube),
 and victim-side decode throughput is flat in network size (DDPM decodes a
 fixed 16-bit word; PPM reconstruction cost grows with the mark set).
+Two floods run end to end through the runner: a 32x32 torus on the exact
+engine and the 16-cube on the batched engine.
 """
 
+import os
+import resource
 import time
 
 import numpy as np
@@ -100,5 +104,43 @@ def test_claim_scalability_full_fabric_1024_nodes(benchmark, report, runner):
            f"delivered {result.packets_delivered} spoofed packets; "
            f"suspects == attackers: {result.score.exact} "
            f"({len(result.attackers)} attackers)")
+    assert result.score.exact
+    assert frozenset(result.suspects) == frozenset(attackers)
+
+
+def test_claim_scalability_hypercube_2_16_end_to_end(benchmark, report, runner):
+    """Table 3's hypercube row end to end: one DDPM flood on a 2^16-node
+    hypercube through the batched engine. Its route table holds one row
+    per (link group, sign class), 2^16 rows here, not the 2^32 of a table
+    keyed by (node, sign class)."""
+    from repro.core import ExperimentConfig, MarkingSpec, RoutingSpec, SelectionSpec, TopologySpec
+
+    n = 2 ** 16
+    rng = np.random.default_rng(1)
+    victim = n - 1
+    attackers = tuple(int(a) for a in rng.choice(n, size=8, replace=False)
+                      if a != victim)[:6]
+    config = ExperimentConfig(
+        topology=TopologySpec("hypercube", (16,)),
+        routing=RoutingSpec("minimal-adaptive"),
+        marking=MarkingSpec("ddpm"),
+        selection=SelectionSpec("random"),
+        seed=1, victim=victim, attackers=attackers,
+        attack_rate_per_node=25.0, duration=2.0, background_rate=0.0,
+        engine="batched",
+    )
+
+    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    start = time.perf_counter()
+    result = benchmark.pedantic(runner.run, args=(config,),
+                                rounds=1, iterations=1)
+    elapsed = time.perf_counter() - start
+    rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    report("Claim (scalability) - 65536-node hypercube end-to-end",
+           f"delivered {result.packets_delivered} spoofed packets; "
+           f"suspects == attackers: {result.score.exact} "
+           f"({len(result.attackers)} attackers); wall {elapsed:.2f} s; "
+           f"process peak RSS {rss_before:.0f} MB before, "
+           f"{rss_after:.0f} MB after ({os.cpu_count()}-core host)")
     assert result.score.exact
     assert frozenset(result.suspects) == frozenset(attackers)

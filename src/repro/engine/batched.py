@@ -19,10 +19,10 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    routed them;
 3. **route** — next-hop candidates come from the router's
    :class:`~repro.routing.plan.RouteTable`, the one table the exact engine
-   reads too: one padded row of candidate *channels* per (node, sign class
-   of the minimal offset), the router's closed form evaluated once,
-   indexed per round; ``RouteTable.channel_target`` names each channel's
-   far end;
+   reads too: the router's closed form evaluated once into padded rows of
+   moves per (link group, sign class of the minimal offset), indexed per
+   round; a row's moves plus ``node * moves`` are the node's candidate
+   *channels*, and ``RouteTable.channel_target`` names each one's far end;
 4. **select** — vectorized selection-policy twins; congestion and random
    tie-breaks draw from one dedicated per-cohort RNG stream
    (``"batched-cohort"``), so runs are deterministic per seed;

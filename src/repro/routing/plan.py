@@ -3,31 +3,34 @@
 A switch's routing function maps (current node, destination) to its legal
 next hops (paper §3, Figure 4). Every table-driven router — dimension order
 (XY, e-cube), the turn models, minimal adaptive — reads only the *signs* of
-the minimal offset to the destination, the offset DDPM marks (§5). So the
-map has one row per (node, sign class): n·3^d rows on a mesh or torus,
-n·2^d on a hypercube, against n² (node, destination) pairs.
+the minimal offset to the destination, the offset DDPM marks (§5).
 
 Each router declares that map beside its ``candidates`` as a
 :class:`~repro.routing.base.ClosedForm` — ordered phases of (axis, sign)
-moves plus a gate — and :class:`RouteTable` evaluates it for many rows at
-once over per-move step tables, with failed links masked out. Two reads:
+moves plus a gate — and :class:`RouteTable` evaluates it once, into one
+table of moves per (link group, sign class). Group 0 is every node whose
+links are all up; there every profitable move's link exists, so the moves
+depend on the sign class alone. Each node on a failed link is a group of
+its own, with its own live moves. That is 3^d rows on an intact mesh or
+torus and 2^d on a hypercube, plus one row group per failed-link node,
+against n² (node, destination) pairs. A node's candidate *channel* is
+``node * moves + move``; moves reaching the same neighbour (a hypercube's
+two moves along one axis) take the first one's channel, and
+:attr:`RouteTable.channel_target` names the node a channel leads to. Two
+reads:
 
 * the table itself — the scalar read, a dict from destination to one
   candidate tuple per node, each column built on its first read from a
-  cache of the (node, class) rows earlier columns touched, so columns
-  share their tuples and a column fills at most n new rows (a hypercube's
-  n² rows are never built whole). The exact engine's switches index it
-  per hop (:class:`~repro.network.fabric.Fabric` holds it under the link
-  version it was read at); :meth:`RouteTable.candidates` and
+  cache of the (node, class) tuples earlier columns touched, so columns
+  share their tuples and a column reads at most n new rows. The exact
+  engine's switches index it per hop
+  (:class:`~repro.network.fabric.Fabric` holds it under the link version
+  it was read at); :meth:`RouteTable.candidates` and
   :func:`~repro.routing.base.walk_route` read it too.
 * :meth:`RouteTable.lookup` — the columnar read. The cohort engines call it
   per round; it takes each row's sign class from
-  :meth:`~repro.topology.base.Topology.offset_array` and indexes the
-  (node, class) table, filled whole by the first lookup. It hands out each
-  candidate's *channel*, ``node * moves + move``, numbered by the first
-  move that reaches that neighbour (a hypercube's two moves along one axis
-  reach the same one); :attr:`RouteTable.channel_target` names the node a
-  channel leads to.
+  :meth:`~repro.topology.base.Topology.offset_array`, indexes the move
+  table and adds the row's ``node * moves``.
 
 A router without a closed form on the topology's link state — Valiant,
 odd-even, non-minimal west-first, pooled fully-adaptive, fully-adaptive
@@ -90,20 +93,18 @@ class RouteTable(dict):
         form = router.closed_form(topology)
         axis, sign = np.array([move for phase in form.phases for move in phase]).T
         sizes = [len(phase) for phase in form.phases]
-        self._phase = np.repeat(np.arange(len(sizes)), sizes)
-        self._starts = np.cumsum([0] + sizes[:-1])
-        self._gate_live = form.gate == LIVE
+        self._stride = moves = axis.size
 
         # Sign classes: the offset's signs as little-endian digits, base 3
         # shifted by one (balanced ternary) or, since a hypercube's XOR
         # offset is never negative, base 2 there.
         dims = np.asarray(topology.dims, dtype=np.int64)
-        base, shift = (2, 0) if topology.kind == "hypercube" else (3, 1)
+        hypercube = topology.kind == "hypercube"
+        base, shift = (2, 0) if hypercube else (3, 1)
         self._weights = base ** np.arange(dims.size, dtype=np.int64)
         self._shift = shift * int(self._weights.sum())
-        self._classes = base ** dims.size
-        signs = np.arange(self._classes)[:, None] // self._weights % base - shift
-        self._profitable = signs[:, axis] == sign  # (class, move)
+        self._classes = classes = base ** dims.size
+        signs = np.arange(classes)[:, None] // self._weights % base - shift
 
         # Each move's target per node, -1 where the topology has no such
         # link; torus and hypercube axes wrap, hypercube steps toggle a bit.
@@ -115,55 +116,64 @@ class RouteTable(dict):
         else:
             shifted %= dims[axis]
             exists = np.broadcast_to(dims[axis] > 1, shifted.shape)
-        self._nodes = nodes = np.arange(n, dtype=np.int64)
-        self._target = np.where(
-            exists, nodes[:, None] + (shifted - coords[:, axis]) * strides[axis], -1)
+        target = np.where(exists, np.arange(n)[:, None]
+                          + (shifted - coords[:, axis]) * strides[axis], -1)
         #: directed channels ``node * moves + move``, and the node each leads to
-        self.channels = self._target.size
-        self.channel_target = self._target.reshape(-1)
-        # Directed (node * n + neighbor) keys of every failed link.
-        failed = np.array(sorted(topology.links.failed_links),
-                          dtype=np.int64).reshape(-1, 2)
-        down = np.concatenate([failed @ [n, 1], failed @ [1, n]])
-        self._up = exists & ~np.isin(nodes[:, None] * n + self._target, down)
+        self.channels = target.size
+        self.channel_target = target.reshape(-1)
 
-        # Each node's first row; row = node * classes + sign class.
-        self._row0 = nodes * self._classes
-        # The (node, class) rows scalar reads have touched, as tuples: a
-        # column shares them instead of building one per node. Offset zero
-        # (the packet is at its destination) has no candidates on any node.
-        self._rows: Dict[int, Tuple[int, ...]] = dict.fromkeys(
-            (self._row0 + self._shift).tolist(), ())
-        # Columnar read: the (node, class) candidate channels and degrees,
-        # filled by the first lookup.
-        self._chan = self._deg = None
+        # Link groups. A profitable move's link always exists (the
+        # destination lies that way), so on group 0, every node whose links
+        # are all up, the moves depend on the sign class alone. Each node on
+        # a failed link is a group of its own, with its own links up.
+        failed = sorted(topology.links.failed_links)
+        nodes = sorted({node for link in failed for node in link})
+        self._failed = np.array(nodes, dtype=np.int64)
+        up = np.ones((1 + len(nodes), moves), dtype=bool)
+        for a, b in failed + [(b, a) for a, b in failed]:
+            up[1 + nodes.index(a)] &= target[a] != b
 
-    def _fill(self, rows: np.ndarray,
-              table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``table`` (one entry per node and move) at the candidate moves of
-        the (node, sign class) ``rows``, row = node * classes + class, padded
-        with -1, and the degrees: the closed form, evaluated."""
-        nodes, classes = np.divmod(rows, self._classes)
-        profitable = self._profitable[classes]
-        live = profitable & self._up[nodes]
-        gated = live if self._gate_live else profitable
+        # The closed form, evaluated once per (group, sign class) row.
+        profitable = np.tile(signs[:, axis] == sign, (up.shape[0], 1))
+        live = profitable & up.repeat(classes, axis=0)
+        gated = live if form.gate == LIVE else profitable
         # First gated phase per row; phase 0 when none is, which then has
         # no live move either (live implies gated).
-        chosen = np.logical_or.reduceat(gated, self._starts, axis=1).argmax(1)
-        keep = live & (self._phase == chosen[:, None])
-        # Pack each row's kept moves left in move order: nonzero walks the
-        # rows in order, so a kept move's slot is its rank past the row's
-        # first.
-        deg = keep.sum(axis=1)
-        row, move = np.nonzero(keep)
-        out = np.full((keep.shape[0], self.width), -1, dtype=np.int64)
-        out[row, np.arange(row.size) - (np.cumsum(deg) - deg)[row]] = \
-            table[nodes[row], move]
-        return out, deg
+        chosen = np.logical_or.reduceat(
+            gated, np.cumsum([0] + sizes[:-1]), axis=1).argmax(1)
+        keep = live & (np.repeat(np.arange(len(sizes)), sizes) == chosen[:, None])
+        self._deg = keep.sum(axis=1)
+        # Each row's kept moves packed left in move order, as the move whose
+        # channel they take: the first move reaching the same neighbour (a
+        # hypercube's two moves along one axis reach the same one). Padding
+        # is -channels, so ``node * moves`` plus it is still negative.
+        key = axis if hypercube else 3 * axis + sign
+        first = (key[:, None] == key).argmax(axis=1)
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :self.width]
+        self._moves = np.where(np.take_along_axis(keep, order, axis=1),
+                               first[order], -self.channels)
+
+        # The (node * classes + class) rows scalar reads have touched, as
+        # candidate tuples: a column shares them instead of building one
+        # per node.
+        self._rows: Dict[int, Tuple[int, ...]] = {}
 
     def _sign_class(self, pos: np.ndarray, dst: np.ndarray) -> np.ndarray:
         offsets = self.topology.offset_array(pos, dst)
         return np.sign(offsets) @ self._weights + self._shift
+
+    def _read(self, pos: np.ndarray,
+              classes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate channels (padded with -1) and degrees of the nodes
+        ``pos`` at sign classes ``classes``: group 0's row unless the node
+        is on a failed link."""
+        if self._failed.size:
+            group = np.searchsorted(self._failed, pos)
+            hit = self._failed.take(group, mode="clip") == pos
+            classes = classes + hit * (group + 1) * self._classes
+        chan = self._moves.take(classes, axis=0)
+        chan += (pos * self._stride)[:, None]
+        return np.maximum(chan, -1, out=chan), self._deg.take(classes)
 
     def candidates(self, current: int, destination: int) -> Tuple[int, ...]:
         """Legal next hops from ``current`` toward ``destination``."""
@@ -171,17 +181,18 @@ class RouteTable(dict):
 
     def __missing__(self, destination: int) -> List[Tuple[int, ...]]:
         """Every node's candidates toward ``destination``: one row per node,
-        filled only where no earlier column touched it."""
-        rows = (self._row0 + self._sign_class(
-            self._nodes, np.full(self.n, destination, dtype=np.int64))).tolist()
+        read only where no earlier column touched it."""
+        nodes = np.arange(self.n, dtype=np.int64)
+        classes = self._sign_class(nodes, np.full_like(nodes, destination))
+        rows = (nodes * self._classes + classes).tolist()
         cache = self._rows
+        cache[rows[destination]] = ()  # offset zero: no candidates
         # One row per node, so a column never names a row twice.
-        missing = [row for row in rows if row not in cache]
+        missing = [node for node, row in enumerate(rows) if row not in cache]
         if missing:
-            cand, deg = self._fill(np.array(missing, dtype=np.int64),
-                                   self._target)
-            cache.update(zip(missing, (tuple(row[:d]) for row, d in
-                                       zip(cand.tolist(), deg.tolist()))))
+            chan, deg = self._read(nodes[missing], classes[missing])
+            cache.update((rows[node], tuple(row[:d])) for node, row, d in zip(
+                missing, self.channel_target[chan].tolist(), deg.tolist()))
         column = self[destination] = list(map(cache.__getitem__, rows))
         return column
 
@@ -189,13 +200,4 @@ class RouteTable(dict):
                dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (candidate channel matrix, degree) for a cohort's
         positions; ``channel_target`` maps the channels to next hops."""
-        if self._chan is None:
-            # A move's channel is that of the node's first move to the same
-            # neighbour, so moves sharing a link share its channel.
-            target = self._target
-            first = (target[:, :, None] == target[:, None, :]).argmax(axis=2)
-            self._chan, self._deg = self._fill(
-                np.arange(self.n * self._classes, dtype=np.int64),
-                self._nodes[:, None] * target.shape[1] + first)
-        rows = pos * self._classes + self._sign_class(pos, dst)
-        return self._chan.take(rows, axis=0), self._deg.take(rows)
+        return self._read(pos, self._sign_class(pos, dst))

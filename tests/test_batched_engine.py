@@ -552,22 +552,24 @@ class TestLaunchBuildsNoPacket:
 
 
 def test_no_engine_array_grows_with_node_pairs():
-    """On the 64x64 torus of the flood workload (n = 4,096) no array the
-    engine or its route table holds has n^2 entries: a per-(node, node)
-    port map alone would be 16.8 million."""
-    cluster = Cluster(Torus((64, 64)), MinimalAdaptiveRouter(),
-                      marking=DdpmScheme(), seed=1, engine="batched")
-    cluster.launch_ddos(num_attackers=2, attack_rate_per_node=20.0,
-                        duration=0.2)
-    cluster.run()
-    engine = cluster.fabric._engine
-    assert engine.rounds > 0 and cluster.fabric.n_delivered > 0
-    n = cluster.topology.num_nodes
-    arrays = [value for owner in (engine, engine.routes)
-              for value in vars(owner).values()
-              if isinstance(value, np.ndarray)]
-    assert len(arrays) > 10
-    assert max(array.size for array in arrays) < n * n // 64
+    """On the 64x64 torus of the flood workload and on a 2^12 hypercube
+    (n = 4,096 both) no array the engine or its route table holds has n^2
+    entries: a per-(node, node) port map alone would be 16.8 million, and
+    so would a route table keyed by (node, sign class) on the hypercube."""
+    for topology in (Torus((64, 64)), Hypercube(12)):
+        cluster = Cluster(topology, MinimalAdaptiveRouter(),
+                          marking=DdpmScheme(), seed=1, engine="batched")
+        cluster.launch_ddos(num_attackers=2, attack_rate_per_node=20.0,
+                            duration=0.2)
+        cluster.run()
+        engine = cluster.fabric._engine
+        assert engine.rounds > 0 and cluster.fabric.n_delivered > 0
+        n = topology.num_nodes
+        arrays = [value for owner in (engine, engine.routes)
+                  for value in vars(owner).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) > 10
+        assert max(array.size for array in arrays) < n * n // 64
 
 
 # ----------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Every engine reads a table-driven router's candidates from one
 :class:`RouteTable`: the exact engine and ``walk_route`` through the scalar
 read, the cohort engines through the columnar ``lookup``. The table is the
-router's declared closed form evaluated per (node, offset-sign class), so
-these properties are what keeps each closed form equal to the router's own
-``candidates``: for every registered table-driven router on meshes (2-D and
-3-D), tori and hypercubes, both reads must answer exactly what
-``router.candidates`` answers, order included. The sign classes come from
-``Topology.offset_array``, checked here row for row against the scalar
-``distance_vector``.
+router's declared closed form evaluated once per (link group, offset-sign
+class): group 0 holds every node whose links are all up, each node on a
+failed link is a group of its own. These properties are what keeps each
+closed form, and that keying, equal to the router's own ``candidates``:
+for every registered table-driven router on meshes (2-D and 3-D), tori and
+hypercubes, intact or with up to two failed links, both reads must answer
+exactly what ``router.candidates`` answers, order included. The sign
+classes come from ``Topology.offset_array``, checked here row for row
+against the scalar ``distance_vector``.
 """
 
 import numpy as np
@@ -95,34 +97,18 @@ def test_cases_cover_every_topology():
                                            "fully-adaptive", "xy", "dor"}
 
 
-@pytest.mark.parametrize("name,kind", CASES)
-@SETTINGS
-@given(data=st.data(), fail_one=st.booleans())
-def test_both_reads_equal_router_candidates(name, kind, data, fail_one):
-    topology = TOPOLOGIES[kind]()
-    router = _router(name)
-    if fail_one:
-        links = sorted(topology.links.all_links)
-        topology.fail_link(*links[data.draw(
-            st.integers(0, len(links) - 1), label="failed link")])
-    table = route_table(router, topology)
-    if table is None:  # fully-adaptive misroutes around a failed link
-        assert fail_one and name == "fully-adaptive"
-        return
-    n = topology.num_nodes
-    pairs = data.draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-            lambda pair: pair[0] != pair[1]),
-        min_size=1, max_size=24), label="pairs")
+def _assert_reads(table, router, topology, pairs):
+    """Both reads of ``table`` answer ``pairs`` as the router does."""
     expected = [_reference(router, topology, cur, dst) for cur, dst in pairs]
 
     # Scalar read, cold then warm.
     for _ in range(2):
         assert [table.candidates(cur, dst) for cur, dst in pairs] == expected
 
-    # Columnar read on a fresh table (so it fills from its own lookups),
-    # cold then warm; padding past each row's degree is -1.
+    # Columnar read on a fresh table, cold then warm; padding past each
+    # row's degree is -1.
     fresh = RouteTable(router, topology)
+    n = topology.num_nodes
     pos = np.array([cur for cur, _ in pairs], dtype=np.int64)
     dst = np.array([d for _, d in pairs], dtype=np.int64)
     for _ in range(2):
@@ -137,6 +123,56 @@ def test_both_reads_equal_router_candidates(name, kind, data, fail_one):
         for row, d, cur in zip(chan.tolist(), deg.tolist(), pos.tolist()):
             assert [c // moves for c in row[:d]] == [cur] * d
             assert len(set(row[:d])) == d
+
+
+@pytest.mark.parametrize("name,kind", CASES)
+@SETTINGS
+@given(data=st.data(), failures=st.integers(0, 2))
+def test_both_reads_equal_router_candidates(name, kind, data, failures):
+    topology = TOPOLOGIES[kind]()
+    router = _router(name)
+    links = sorted(topology.links.all_links)
+    failed = []
+    for _ in range(failures):
+        pool = [link for link in links if link not in failed]
+        # Half the time the second failed link shares a node with the
+        # first, so one node's group row loses two links.
+        if failed and data.draw(st.booleans(), label="shares a node"):
+            pool = [link for link in pool if set(link) & set(failed[0])]
+        failed.append(data.draw(st.sampled_from(pool), label="failed link"))
+        topology.fail_link(*failed[-1])
+    table = route_table(router, topology)
+    if table is None:  # fully-adaptive misroutes around a failed link
+        assert failed and name == "fully-adaptive"
+        return
+    n = topology.num_nodes
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda pair: pair[0] != pair[1]),
+        min_size=1, max_size=24), label="pairs")
+    _assert_reads(table, router, topology, pairs)
+
+
+@pytest.mark.parametrize("isolate", [False, True],
+                         ids=["intact", "node-0-isolated"])
+@pytest.mark.parametrize("name,kind", CASES)
+def test_every_pair(name, kind, isolate):
+    """Exhaustively. Intact, this is the premise of the table's keying: a
+    node's candidate moves depend on the sign class alone. With every link
+    of node 0 down (both links of a mesh corner), node 0 routes nowhere
+    and each neighbour reads its own group row, under either gate."""
+    topology = TOPOLOGIES[kind]()
+    if isolate:
+        for neighbor in topology.neighbors(0):
+            topology.fail_link(0, neighbor)
+    router = _router(name)
+    table = route_table(router, topology)
+    if table is None:  # fully-adaptive misroutes around a failed link
+        assert isolate and name == "fully-adaptive"
+        return
+    n = topology.num_nodes
+    _assert_reads(table, router, topology, [
+        (cur, dst) for cur in range(n) for dst in range(n) if cur != dst])
 
 
 @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
@@ -163,9 +199,9 @@ def test_coordinate_free_topologies_are_refused_at_build(name, build):
         Fabric(build(), _router(name))
 
 
-def test_columnar_fill_grows_past_its_first_block():
+def test_one_lookup_answers_every_pair_of_a_20x20_mesh():
     """Every pair of a 20x20 mesh (160,000 reads) answers in one lookup,
-    from the table's 3,600 (node, sign class) rows."""
+    from the table's 9 sign-class rows."""
     topology = Mesh((20, 20))
     router = MinimalAdaptiveRouter()
     table = route_table(router, topology)
@@ -195,9 +231,10 @@ def test_table_is_rebuilt_when_the_link_version_changes():
 
 
 def test_scalar_reads_fill_only_the_rows_they_touch():
-    """A hypercube has n·2^d = n² (node, sign class) rows. Scalar reads
-    over every destination fill at most n rows per column and never build
-    the columnar table (at Hypercube(14) that would be 2^28 rows)."""
+    """A hypercube has n·2^d = n² (node, sign class) pairs. Scalar reads
+    over every destination fill at most n tuples per column, and no table
+    array but ``channel_target`` has more than one row per (link group,
+    sign class): 2^d rows here, not n²."""
     topology = Hypercube(10)
     router = MinimalAdaptiveRouter()
     table = route_table(router, topology)
@@ -212,7 +249,10 @@ def test_scalar_reads_fill_only_the_rows_they_touch():
         table.clear()
         for row in list(table._rows)[seeded:]:
             del table._rows[row]
-    assert table._chan is None
+    groups = table._failed.size + 1
+    assert all(value.shape[0] <= groups * table._classes
+               for key, value in vars(table).items()
+               if isinstance(value, np.ndarray) and key != "channel_target")
 
 
 def test_moves_to_one_neighbour_share_a_channel():
