@@ -7,7 +7,7 @@ SMOKE_CACHE := .bench-smoke-cache
 A3_RESULT   := benchmarks/results/claim_a3_identification_quality_scheme_x_routing_matrix.txt
 
 .PHONY: test test-faults test-sharded bench bench-smoke bench-reflection \
-	bench-gate bench-pipeline-test profile clean-cache lint \
+	bench-gate bench-scale bench-pipeline-test profile clean-cache lint \
 	sanitize-smoke typecheck
 
 # Tier-1 gate: the full unit/integration/property suite.
@@ -74,6 +74,14 @@ bench-gate:
 		benchmarks/bench_fabric_batched.py benchmarks/bench_fabric_sharded.py \
 		benchmarks/bench_victim_analysis.py -q
 	$(PYPATH) $(PY) benchmarks/gate.py
+
+# Table 3 at paper scale: DDPM floods on the 16x16x32 mesh and the
+# 2^16-node hypercube on the batched engine, which must identify every
+# attacker, plus the identification-cost sweep up to a 128x128 mesh and a
+# 1024-node exact-engine flood. Seconds; rewrites the claim_scalability_*
+# artifacts in benchmarks/results/.
+bench-scale:
+	$(PYPATH) $(PY) -m pytest benchmarks/bench_claim_scalability.py -x -q
 
 # Sharded-engine smoke: the dedicated unit file plus the partition
 # properties and the sharded-vs-batched identity matrix.

@@ -87,7 +87,7 @@ class RouteTable(dict):
     def __init__(self, router: Router, topology: Topology):
         super().__init__()
         self.topology = topology
-        self.n = n = topology.num_nodes
+        self.n = topology.num_nodes
         #: candidate-matrix columns (and the cohort engines' ports per node)
         self.width = max(topology.degree(), 1)
         form = router.closed_form(topology)
@@ -98,26 +98,20 @@ class RouteTable(dict):
         # Sign classes: the offset's signs as little-endian digits, base 3
         # shifted by one (balanced ternary) or, since a hypercube's XOR
         # offset is never negative, base 2 there.
-        dims = np.asarray(topology.dims, dtype=np.int64)
         hypercube = topology.kind == "hypercube"
         base, shift = (2, 0) if hypercube else (3, 1)
-        self._weights = base ** np.arange(dims.size, dtype=np.int64)
+        self._weights = base ** np.arange(len(topology.dims), dtype=np.int64)
         self._shift = shift * int(self._weights.sum())
-        self._classes = classes = base ** dims.size
+        self._classes = classes = base ** len(topology.dims)
         signs = np.arange(classes)[:, None] // self._weights % base - shift
 
         # Each move's target per node, -1 where the topology has no such
-        # link; torus and hypercube axes wrap, hypercube steps toggle a bit.
-        coords = topology.coord_array()
-        strides = np.append(np.cumprod(dims[::-1])[::-1][1:], 1)
-        shifted = coords[:, axis] + sign
-        if topology.kind == "mesh":
-            exists = (shifted >= 0) & (shifted < dims[axis])
-        else:
-            shifted %= dims[axis]
-            exists = np.broadcast_to(dims[axis] > 1, shifted.shape)
-        target = np.where(exists, np.arange(n)[:, None]
-                          + (shifted - coords[:, axis]) * strides[axis], -1)
+        # link: the topology's neighbour table, itself when the moves are
+        # its columns in order (every minimal and dimension-order form).
+        table = topology.neighbor_table()
+        columns = 2 * axis + (sign > 0)
+        target = (table if np.array_equal(columns, np.arange(table.shape[1]))
+                  else table[:, columns])
         #: directed channels ``node * moves + move``, and the node each leads to
         self.channels = target.size
         self.channel_target = target.reshape(-1)

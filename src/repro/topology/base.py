@@ -11,7 +11,7 @@ into a source coordinate (paper §5). Meshes and tori use signed addition
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,13 +27,17 @@ Coord = Tuple[int, ...]
 class Topology(ABC):
     """Common machinery for regular direct networks.
 
-    Subclasses implement the neighbor rule, the analytic degree/diameter
-    formulas, and the DDPM offset algebra. Everything else — index/coordinate
-    conversion, link bookkeeping, failure injection — lives here.
+    Subclasses implement the analytic degree/diameter formulas and the DDPM
+    offset algebra, and say whether their axes wrap. Everything else —
+    index/coordinate conversion, the neighbour table and what derives from
+    it, link bookkeeping, failure injection — lives here.
     """
 
     #: short machine name, e.g. "mesh", "torus", "hypercube"
     kind: str = "abstract"
+    #: True when a move off one end of an axis re-enters at the other (torus
+    #: rings, hypercube bit toggles); a mesh's edge moves have no link
+    wraps: bool = True
 
     def __init__(self, dims: Sequence[int]):
         self.dims: Tuple[int, ...] = tuple(dims)
@@ -45,10 +49,11 @@ class Topology(ABC):
         if self.num_nodes < 2:
             raise TopologyError(f"a network needs at least 2 nodes, got dims {self.dims}")
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
+        self._neighbor_table: Optional[np.ndarray] = None
         self._oracle = None
         self._coords = None
         self._coord_array: Optional[np.ndarray] = None
-        self.links = LinkSet(self._enumerate_links())
+        self.links = LinkSet(self)
 
     # ------------------------------------------------------------------
     # Node addressing
@@ -62,9 +67,7 @@ class Topology(ABC):
         """
         coords = self._coords
         if coords is None:
-            coords = self._coords = tuple(
-                C.index_to_coord(i, self.dims) for i in range(self.num_nodes)
-            )
+            coords = self._coords = tuple(map(tuple, self.coord_array().tolist()))
         if 0 <= node < self.num_nodes:
             return coords[node]
         return C.index_to_coord(node, self.dims)  # canonical out-of-range error
@@ -73,16 +76,21 @@ class Topology(ABC):
         """Every node's coordinates as one ``(num_nodes, len(dims))`` int64
         array, row i = :meth:`coord` (i).
 
-        Built once and read-only, so the columnar consumers (DDPM's cohort
-        words, the batched route planner, the partitioner) share one copy.
+        Built once, by index arithmetic, and read-only, so the columnar
+        consumers (DDPM's cohort words, the neighbour table, the
+        partitioner) share one copy.
         """
         array = self._coord_array
         if array is None:
-            array = np.array([self.coord(i) for i in self.nodes()],
-                             dtype=np.int64)
+            nodes = np.arange(self.num_nodes, dtype=np.int64)[:, None]
+            array = nodes // self._strides() % np.asarray(self.dims, dtype=np.int64)
             array.setflags(write=False)
             self._coord_array = array
         return array
+
+    def _strides(self) -> np.ndarray:
+        """Index distance of one step along each axis (last axis fastest)."""
+        return np.append(np.cumprod(self.dims[:0:-1])[::-1], 1).astype(np.int64)
 
     def index(self, coord: Sequence[int]) -> int:
         """Flat index of coordinate ``coord``."""
@@ -99,39 +107,65 @@ class Topology(ABC):
     # ------------------------------------------------------------------
     # Links and neighbors
     # ------------------------------------------------------------------
-    def _enumerate_links(self) -> Iterable[Tuple[int, int]]:
-        seen = set()
-        for u in range(self.num_nodes):
-            for v in self._physical_neighbors(u):
-                key = (u, v) if u < v else (v, u)
-                seen.add(key)
-        return seen
+    def neighbor_table(self) -> np.ndarray:
+        """The node one hop along every move, as one read-only
+        ``(num_nodes, 2 * len(dims))`` int64 array, built once.
 
-    @abstractmethod
+        Column ``2 * axis + (sign > 0)`` holds the node reached from row i
+        by the move (axis, sign), or -1 where that move has no link: off a
+        mesh's edge, or along a size-1 axis. Torus and hypercube axes wrap,
+        so a hypercube's two moves along an axis toggle the same bit. Every
+        neighbour read — :meth:`neighbors`, :meth:`step`, the link set and
+        the route tables' channel targets — derives from this one table.
+        """
+        table = self._neighbor_table
+        if table is None:
+            dims = np.repeat(np.asarray(self.dims, dtype=np.int64), 2)
+            coords = self.coord_array().repeat(2, axis=1)
+            shifted = coords + np.tile([-1, 1], len(self.dims))
+            if self.wraps:
+                shifted %= dims
+                exists = dims > 1
+            else:
+                exists = (shifted >= 0) & (shifted < dims)
+            shifted -= coords
+            shifted *= np.repeat(self._strides(), 2)
+            shifted += np.arange(self.num_nodes, dtype=np.int64)[:, None]
+            table = np.where(exists, shifted, -1)
+            table.setflags(write=False)
+            self._neighbor_table = table
+        return table
+
     def _physical_neighbors(self, node: int) -> Tuple[int, ...]:
-        """Deterministically ordered neighbors of ``node``, ignoring failures."""
+        """Deterministically ordered neighbors of ``node``, ignoring failures:
+        axis by axis, the -1 move before the +1 move, each neighbour once."""
+        return tuple(dict.fromkeys(v for v in self.neighbor_table()[node].tolist() if v >= 0))
 
-    @abstractmethod
-    def step(self, node: int, axis: int, direction: int):
+    def step(self, node: int, axis: int, direction: int) -> Optional[int]:
         """Neighbor of ``node`` one hop along ``axis`` in ``direction`` (+1/-1).
 
         Returns the neighbor's index, or None when the move leaves the
-        network (mesh edges). Hypercubes ignore ``direction`` — the only move
-        along an axis is a bit toggle. The result ignores link failures;
-        callers filter with :meth:`repro.topology.links.LinkSet.is_up`.
+        network (mesh edges). On a hypercube both directions toggle the
+        axis's bit. The result ignores link failures; callers filter with
+        :meth:`repro.topology.links.LinkSet.is_up`.
         """
+        if not 0 <= axis < len(self.dims):
+            raise TopologyError(f"axis {axis} out of range for dims {self.dims}")
+        if direction not in (-1, 1):
+            raise TopologyError(f"direction must be +1 or -1, got {direction}")
+        if not 0 <= node < self.num_nodes:
+            raise TopologyError(f"node {node} not in topology with {self.num_nodes} nodes")
+        target = self.neighbor_table().item(node, 2 * axis + (direction > 0))
+        return target if target >= 0 else None
 
     def neighbors(self, node: int, include_failed: bool = False) -> Tuple[int, ...]:
         """Neighbors of ``node``, by default only over live links."""
-        if not self.contains(node):
-            raise TopologyError(f"node {node} not in topology with {self.num_nodes} nodes")
         physical = self._neighbor_cache.get(node)
         if physical is None:
-            physical = tuple(self._physical_neighbors(node))
-            self._neighbor_cache[node] = physical
-        if include_failed:
-            return physical
-        return tuple(v for v in physical if self.links.is_up(node, v))
+            if not self.contains(node):
+                raise TopologyError(f"node {node} not in topology with {self.num_nodes} nodes")
+            physical = self._neighbor_cache[node] = self._physical_neighbors(node)
+        return physical if include_failed else self.links.live(node, physical)
 
     def is_neighbor(self, u: int, v: int, include_failed: bool = False) -> bool:
         """True when u and v are adjacent (over a live link unless include_failed)."""

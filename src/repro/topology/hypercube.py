@@ -43,17 +43,6 @@ class Hypercube(Topology):
             raise TopologyError(f"axis {axis} out of range for {self.n}-cube")
         return (node >> (self.n - 1 - axis)) & 1
 
-    # -- neighbors ------------------------------------------------------
-    def _physical_neighbors(self, node: int) -> Tuple[int, ...]:
-        # Ordered by axis (dimension 0 first), matching mesh/torus convention.
-        return tuple(node ^ (1 << (self.n - 1 - axis)) for axis in range(self.n))
-
-    def step(self, node: int, axis: int, direction: int):
-        if not 0 <= axis < self.n:
-            raise TopologyError(f"axis {axis} out of range for {self.n}-cube")
-        # Both directions along a hypercube axis are the same bit toggle.
-        return node ^ (1 << (self.n - 1 - axis))
-
     # -- metrics ---------------------------------------------------------
     def degree(self) -> int:
         return self.n

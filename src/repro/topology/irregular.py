@@ -59,7 +59,7 @@ class IrregularTopology(Topology):
     def _physical_neighbors(self, node: int) -> Tuple[int, ...]:
         return self._adjacency[node]
 
-    def step(self, node: int, axis: int, direction: int):
+    def neighbor_table(self) -> np.ndarray:
         raise TopologyError("irregular topologies have no axes; use table-driven routing")
 
     # -- metrics (computed, no closed form) -------------------------------

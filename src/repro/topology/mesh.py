@@ -23,33 +23,11 @@ class Mesh(Topology):
     """k_0 x k_1 x ... x k_{n-1} mesh."""
 
     kind = "mesh"
+    wraps = False
 
     def __init__(self, dims: Sequence[int]):
         dims = check_sequence_of_positive_ints(dims, "dims")
         super().__init__(dims)
-
-    # -- neighbors ------------------------------------------------------
-    def _physical_neighbors(self, node: int) -> Tuple[int, ...]:
-        coord = self.coord(node)
-        out = []
-        for axis, k in enumerate(self.dims):
-            c = coord[axis]
-            if c - 1 >= 0:
-                out.append(self.index(coord[:axis] + (c - 1,) + coord[axis + 1:]))
-            if c + 1 < k:
-                out.append(self.index(coord[:axis] + (c + 1,) + coord[axis + 1:]))
-        return tuple(out)
-
-    def step(self, node: int, axis: int, direction: int):
-        coord = self.coord(node)
-        if not 0 <= axis < len(self.dims):
-            raise TopologyError(f"axis {axis} out of range for dims {self.dims}")
-        if direction not in (-1, 1):
-            raise TopologyError(f"direction must be +1 or -1, got {direction}")
-        c = coord[axis] + direction
-        if not 0 <= c < self.dims[axis]:
-            return None
-        return self.index(coord[:axis] + (c,) + coord[axis + 1:])
 
     # -- metrics ---------------------------------------------------------
     def degree(self) -> int:
@@ -61,7 +39,10 @@ class Mesh(Topology):
         return sum(k - 1 for k in self.dims)
 
     def min_hops(self, src: int, dst: int) -> int:
-        return C.manhattan(self.distance_vector(src, dst))
+        total = 0
+        for x, y in zip(self.coord(src), self.coord(dst)):
+            total += x - y if x >= y else y - x
+        return total
 
     # -- offset algebra ---------------------------------------------------
     def distance_vector(self, src: int, dst: int) -> Tuple[int, ...]:

@@ -2,11 +2,11 @@
 
 Every forwarded packet needs the minimal hop count between two nodes (the
 profitability test in :class:`repro.network.switch.Switch` and
-:func:`repro.routing.base.walk_route`). Calling ``Topology.min_hops`` per hop
-rebuilds coordinate tuples (mesh/torus) or runs a full BFS (irregular) each
-time; :class:`DistanceOracle` computes the same numbers from precomputed
-coordinate tables — O(dims) arithmetic for mesh/torus, one XOR popcount for
-hypercubes, and a cached per-source BFS row for irregular graphs.
+:func:`repro.routing.base.walk_route`). On an irregular graph
+``Topology.min_hops`` runs a full BFS each call; :class:`DistanceOracle`
+caches one BFS row per source there, freezes small meshes, tori and
+hypercubes into an n x n table, and answers larger ones with their
+closed-form ``min_hops``.
 
 Two modes:
 
@@ -31,17 +31,13 @@ mode for connected physical graphs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.topology.base import Topology
-from repro.topology.hypercube import Hypercube
 from repro.topology.irregular import IrregularTopology
-from repro.topology.mesh import Mesh
-from repro.topology.torus import Torus
-from repro.util.bitops import popcount
 
 __all__ = ["DistanceOracle"]
 
@@ -58,13 +54,13 @@ class DistanceOracle:
         True: distances over live links only, invalidated on link failures.
     """
 
-    __slots__ = ("topology", "live", "distance", "_coords", "_rows", "_version",
-                 "_include_failed", "_pair_cache", "_table")
+    __slots__ = ("topology", "live", "distance", "_rows", "_version",
+                 "_include_failed", "_table")
 
     #: closed-form distances are frozen into an n x n table up to this many
     #: nodes (256 -> 64k ints, ~4 ms to fill by columnar offset passes);
-    #: larger networks keep the per-call closed form rather than paying
-    #: quadratic memory
+    #: larger networks call the topology's closed-form ``min_hops`` rather
+    #: than pay quadratic memory
     TABLE_MAX_NODES = 256
 
     def __init__(self, topology: Topology, live: bool = False):
@@ -72,27 +68,17 @@ class DistanceOracle:
         self.live = live
         self._rows: Dict[int, Dict[int, float]] = {}
         self._version = topology.links.version
-        self._pair_cache: Dict[int, int] = {}
         #: ``distance(u, v)`` — rebound to the fastest exact implementation
         #: for this topology kind at construction time.
         self.distance: Callable[[int, int], float]
-        if live:
-            self._include_failed = False
-            self.distance = self._bfs_distance
-        elif type(topology) in (Mesh, Torus) or isinstance(topology, Hypercube):
-            self._coords = tuple(topology.coord(i) for i in topology.nodes())
-            self.distance = {"mesh": self._mesh_distance, "torus": self._torus_distance,
-                             "hypercube": self._hypercube_distance}[topology.kind]
-            self._freeze_table()
-        elif (isinstance(topology, IrregularTopology)
-              and type(topology).min_hops is IrregularTopology.min_hops):
-            # IrregularTopology.min_hops is BFS over all physical links.
-            self._include_failed = True
+        if live or isinstance(topology, IrregularTopology):
+            # Live distances, and IrregularTopology.min_hops, are BFS
+            # (over live links, or over all physical links).
+            self._include_failed = not live
             self.distance = self._bfs_distance
         else:
-            # Unknown subclass with its own min_hops: memoize it pairwise so
-            # the oracle stays exact for any Topology implementation.
-            self.distance = self._generic_distance
+            self.distance = topology.min_hops
+            self._freeze_table()
 
     def _freeze_table(self) -> None:
         """Precompute the full closed-form distance matrix for small networks.
@@ -121,31 +107,6 @@ class DistanceOracle:
         return self._table[u][v]
 
     # ------------------------------------------------------------------
-    # Closed forms (failure-free by definition of min_hops)
-    # ------------------------------------------------------------------
-    def _mesh_distance(self, u: int, v: int) -> int:
-        coords = self._coords
-        a, b = coords[u], coords[v]
-        total = 0
-        for x, y in zip(a, b):
-            total += x - y if x >= y else y - x
-        return total
-
-    def _torus_distance(self, u: int, v: int) -> int:
-        coords = self._coords
-        a, b = coords[u], coords[v]
-        total = 0
-        for x, y, k in zip(a, b, self.topology.dims):
-            r = (y - x) % k
-            if r > k // 2:
-                r = k - r
-            total += r
-        return total
-
-    def _hypercube_distance(self, u: int, v: int) -> int:
-        return popcount(u ^ v)
-
-    # ------------------------------------------------------------------
     # Cached BFS rows (irregular graphs, live mode)
     # ------------------------------------------------------------------
     def _bfs_distance(self, u: int, v: int) -> float:
@@ -167,24 +128,10 @@ class DistanceOracle:
             raise TopologyError(f"{v} unreachable from {u}")
         return dist
 
-    def _generic_distance(self, u: int, v: int) -> int:
-        version = self.topology.links.version
-        if version != self._version:
-            self._pair_cache.clear()
-            self._version = version
-        key = u * self.topology.num_nodes + v
-        cache = self._pair_cache
-        dist = cache.get(key)
-        if dist is None:
-            dist = self.topology.min_hops(u, v)
-            cache[key] = dist
-        return dist
-
     # ------------------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every cached BFS row / memoized pair (forces recompute)."""
+        """Drop every cached BFS row (forces recompute)."""
         self._rows.clear()
-        self._pair_cache.clear()
         self._version = self.topology.links.version
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -43,33 +43,6 @@ class Torus(Topology):
             )
         super().__init__(dims)
 
-    # -- neighbors ------------------------------------------------------
-    def _physical_neighbors(self, node: int) -> Tuple[int, ...]:
-        coord = self.coord(node)
-        out = []
-        for axis, k in enumerate(self.dims):
-            if k == 1:
-                continue
-            c = coord[axis]
-            minus = self.index(coord[:axis] + ((c - 1) % k,) + coord[axis + 1:])
-            plus = self.index(coord[:axis] + ((c + 1) % k,) + coord[axis + 1:])
-            out.append(minus)
-            if plus != minus:
-                out.append(plus)
-        return tuple(out)
-
-    def step(self, node: int, axis: int, direction: int):
-        coord = self.coord(node)
-        if not 0 <= axis < len(self.dims):
-            raise TopologyError(f"axis {axis} out of range for dims {self.dims}")
-        if direction not in (-1, 1):
-            raise TopologyError(f"direction must be +1 or -1, got {direction}")
-        k = self.dims[axis]
-        if k == 1:
-            return None
-        c = (coord[axis] + direction) % k
-        return self.index(coord[:axis] + (c,) + coord[axis + 1:])
-
     # -- metrics ---------------------------------------------------------
     def degree(self) -> int:
         """2 links per ring dimension (k >= 3)."""
@@ -80,7 +53,11 @@ class Torus(Topology):
         return sum(k // 2 for k in self.dims)
 
     def min_hops(self, src: int, dst: int) -> int:
-        return C.manhattan(self.distance_vector(src, dst))
+        total = 0
+        for x, y, k in zip(self.coord(src), self.coord(dst), self.dims):
+            r = (y - x) % k
+            total += k - r if r > k // 2 else r
+        return total
 
     # -- offset algebra ---------------------------------------------------
     def distance_vector(self, src: int, dst: int) -> Tuple[int, ...]:

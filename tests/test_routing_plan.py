@@ -255,6 +255,23 @@ def test_scalar_reads_fill_only_the_rows_they_touch():
                if isinstance(value, np.ndarray) and key != "channel_target")
 
 
+def test_paper_scale_cube_builds_no_second_table():
+    """Table 3's 2^16-node hypercube: the distance oracle answers with the
+    closed-form ``min_hops`` rather than an n² table, and the route table's
+    channel targets are the topology's neighbour table itself, not a copy
+    computed beside it."""
+    topology = Hypercube(16)
+    n = topology.num_nodes
+    oracle = topology.distance_oracle()
+    assert not hasattr(oracle, "_table")
+    assert oracle.distance == topology.min_hops
+    assert oracle.distance(0, n - 1) == 16
+    table = route_table(MinimalAdaptiveRouter(), topology)
+    assert np.shares_memory(table.channel_target, topology.neighbor_table())
+    assert table.channels == topology.neighbor_table().size
+    assert table.candidates(0, n - 1) == tuple(1 << bit for bit in range(15, -1, -1))
+
+
 def test_moves_to_one_neighbour_share_a_channel():
     """A hypercube's minimal form lists both moves along each axis, and on
     a size-2 axis both reach the same neighbour: they must share its

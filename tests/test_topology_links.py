@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.topology import Mesh
-from repro.topology.links import LinkSet, canonical_link
+from repro.topology import IrregularTopology, Mesh
+from repro.topology.links import canonical_link
 
 
 class TestCanonical:
@@ -18,45 +18,54 @@ class TestCanonical:
 
 
 class TestLinkSet:
+    """The link set of an :class:`IrregularTopology` built from an edge list."""
+
+    @staticmethod
+    def links(num_nodes, edges):
+        return IrregularTopology(num_nodes, edges).links
+
     def test_duplicates_collapse(self):
-        links = LinkSet([(0, 1), (1, 0), (1, 2)])
+        links = self.links(3, [(0, 1), (1, 0), (1, 2)])
         assert len(links) == 2
+        assert links.all_links == frozenset({(0, 1), (1, 2)})
 
     def test_empty_rejected(self):
         with pytest.raises(TopologyError):
-            LinkSet([])
+            self.links(2, [])
 
     def test_fail_and_restore(self):
-        links = LinkSet([(0, 1), (1, 2)])
+        links = self.links(3, [(0, 1), (1, 2)])
         assert links.is_up(0, 1)
         links.fail(1, 0)  # either order
         assert not links.is_up(0, 1)
+        assert not links.is_up(1, 0)
         assert links.exists(0, 1)
         assert links.failed_links == frozenset({(0, 1)})
-        links.restore(0, 1)
+        links.restore(1, 0)
         assert links.is_up(0, 1)
 
     def test_fail_nonexistent_rejected(self):
-        links = LinkSet([(0, 1)])
+        links = self.links(3, [(0, 1)])
         with pytest.raises(TopologyError):
             links.fail(0, 2)
 
     def test_restore_unfailed_rejected(self):
-        links = LinkSet([(0, 1)])
+        links = self.links(2, [(0, 1)])
         with pytest.raises(TopologyError):
             links.restore(0, 1)
 
     def test_live_links(self):
-        links = LinkSet([(0, 1), (1, 2), (2, 3)])
+        links = self.links(4, [(0, 1), (1, 2), (2, 3)])
         links.fail(1, 2)
         assert links.live_links() == frozenset({(0, 1), (2, 3)})
 
     def test_restore_all(self):
-        links = LinkSet([(0, 1), (1, 2)])
+        links = self.links(3, [(0, 1), (1, 2)])
         links.fail(0, 1)
         links.fail(1, 2)
         links.restore_all()
         assert links.failed_links == frozenset()
+        assert links.is_up(0, 1) and links.is_up(1, 2)
 
 
 class TestTopologyIntegration:
