@@ -15,10 +15,8 @@ test:
 	$(PYPATH) $(PY) -m pytest -x -q
 
 # Determinism/invariant linter (in-tree, zero dependencies beyond stdlib).
-# Incremental: per-file results are cached by content hash in
-# .repro-lint-cache.json, keyed also on the linter's own sources, so
-# re-runs on an unchanged tree are near-instant and a rule edit re-checks
-# everything. Exit 1 = findings; suppress individual lines with
+# Every run checks every file (~4 s over src and tests; no result cache).
+# Exit 1 = findings; suppress individual lines with
 # `# repro-lint: disable=<rule>` (see DESIGN.md §9/§13); unused
 # suppressions are themselves findings (W1). Bare `except:` is ruff's
 # E722 (`ruff check src tests`, run in CI).
@@ -135,4 +133,3 @@ bench-reflection:
 
 clean-cache:
 	rm -rf $(SMOKE_CACHE) .repro-cache
-	rm -f .repro-lint-cache.json

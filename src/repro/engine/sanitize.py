@@ -54,8 +54,9 @@ TRACKED_SCOPES = frozenset({
     "faults", "attack", "defense", "topology",
 })
 
-#: numpy Generator methods that consume stream state (mirrors the static
-#: D4 rule's draw list; kept local so the engine never imports the linter).
+#: numpy Generator methods that consume stream state: the repo's only draw
+#: list. The stdlib-only linter never imports the engine; its D3 and D4
+#: treat every ``rng`` method except ``stream``/``spawn`` as a draw.
 DRAW_METHODS = frozenset({
     "integers", "random", "choice", "shuffle", "permutation", "uniform",
     "normal", "exponential", "poisson", "standard_normal", "binomial",

@@ -11,10 +11,9 @@ waiting for a golden-equivalence diff to catch the symptom.
 Rules come in two shapes. Local rules judge one file's syntax. Program
 rules collect per-file facts and settle against a project-wide call graph
 (:mod:`repro.lint.callgraph`), so "schedules events" and "runs on the
-cohort-advance path" are reachability queries, not guesses. A per-file
-content-hash cache (:mod:`repro.lint.cache`) makes repeat runs on an
-unchanged tree near-instant. Bare ``except:`` is left to ruff (E722),
-which CI runs over ``src`` and ``tests``.
+cohort-advance path" are reachability queries, not guesses. Every run
+analyses every file; there is no result cache. Bare ``except:`` is left
+to ruff (E722), which CI runs over ``src`` and ``tests``.
 
 Rules
 -----
@@ -31,9 +30,9 @@ D2    no-global-rng         no global or unseeded RNG anywhere under
 D3    ordered-iteration     no iteration over sets or ``dict.keys()`` in
                             functions that schedule events or consume RNG
                             (directly or through any call chain)
-D4    rng-provenance        every draw in simulation code traces to a named
-                            ``engine.rng`` stream — no ad-hoc generators, no
-                            borrowing another component's stream
+D4    rng-provenance        no generator construction in simulation code
+                            outside ``engine/rng.py``, and no draw through
+                            another component's ``.rng``
 H1    no-closure-scheduling no lambdas / nested functions passed to
                             ``Simulator.schedule_call`` (directly or via a
                             forwarding wrapper)
@@ -55,7 +54,6 @@ whole file; directives naming unknown rules are a usage error. Run
 
 from __future__ import annotations
 
-from repro.lint.cache import LintCache
 from repro.lint.callgraph import CallGraph, extract_file_graph
 from repro.lint.cli import main
 from repro.lint.rules import FileContext, Program, ProgramRule, Rule
@@ -68,7 +66,6 @@ from repro.lint.violations import Violation
 __all__ = [
     "CallGraph",
     "FileContext",
-    "LintCache",
     "LintReport",
     "Program",
     "ProgramRule",

@@ -1,7 +1,7 @@
 """Project-wide symbol table and call graph for the lint program rules.
 
-The per-file rules (D1, D2) judge syntax they can see; the program
-rules (D3, D4, H1, H3) need to know *who can call whom* so
+The per-file rules (D1, D2, D4) judge syntax they can see; the program
+rules (D3, H1, H3) need to know *who can call whom* so
 "this loop runs on the per-round advance path" or "this function can end
 up scheduling events" is computed rather than guessed from local syntax.
 
@@ -26,9 +26,8 @@ price of over-approximation is at worst a suppression, never a silent
 false negative.
 
 Per-file extraction (:func:`extract_file_graph`) produces a plain
-JSON-serializable dict so the incremental runner can cache it per content
-hash; :meth:`CallGraph.from_facts` merges the per-file facts into the
-queryable whole-program graph.
+JSON-shaped dict; :meth:`CallGraph.from_facts` merges the per-file facts
+into the queryable whole-program graph.
 """
 
 from __future__ import annotations

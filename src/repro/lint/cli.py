@@ -10,11 +10,7 @@ Exit codes follow the compiler convention the Makefile and CI key off:
 (see :meth:`repro.lint.runner.LintReport.to_dict`). ``--select``
 restricts the run to a comma/space-separated subset of rule ids (unknown
 ids are a usage error); ``--list-rules`` prints the rule table and exits.
-
-Runs over disk paths use the per-file content-hash cache
-(``.repro-lint-cache.json``) so repeat runs on an unchanged tree skip
-the per-file analysis entirely; ``--no-cache`` forces a cold run and
-``--cache-path`` relocates the file.
+Every run analyses every file; nothing is written to disk.
 """
 
 from __future__ import annotations
@@ -25,8 +21,7 @@ import sys
 from typing import IO, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.lint.cache import DEFAULT_CACHE_PATH, LintCache
-from repro.lint.runner import LintReport, known_rule_ids, lint_paths, rule_classes
+from repro.lint.runner import LintReport, lint_paths, rule_classes
 
 __all__ = ["main", "build_parser"]
 
@@ -49,13 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: all rules)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the per-file result "
-                             "cache")
-    parser.add_argument("--cache-path", default=DEFAULT_CACHE_PATH,
-                        metavar="FILE",
-                        help=f"cache file location (default: "
-                             f"{DEFAULT_CACHE_PATH})")
     return parser
 
 
@@ -84,9 +72,6 @@ def _print_report(report: LintReport, stream: IO[str]) -> None:
                f"{report.files_checked} file(s)")
     if report.suppressed:
         summary += f", {report.suppressed} suppressed"
-    if report.cache_hits or report.cache_misses:
-        summary += (f" [cache: {report.cache_hits} hit(s), "
-                    f"{report.cache_misses} miss(es)]")
     stream.write(summary + "\n")
 
 
@@ -99,11 +84,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     select = _parse_select(args.select)
     try:
-        cache = None
-        if not args.no_cache:
-            selected_ids = select if select is not None else list(known_rule_ids())
-            cache = LintCache(args.cache_path, selected_ids)
-        report = lint_paths(args.paths, select=select, cache=cache)
+        report = lint_paths(args.paths, select=select)
     except (ConfigurationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

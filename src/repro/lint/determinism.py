@@ -1,4 +1,4 @@
-"""Determinism and hot-path rules: D1, D2, D3, H1, H3.
+"""Determinism and hot-path rules: D1, D2, D3, D4, H1, H3.
 
 These rules encode the invariants behind the golden seed-for-seed
 equivalence contract (``tests/golden/equivalence.json``): simulation
@@ -6,7 +6,7 @@ behavior may depend only on the config and its seed — never on wall-clock
 time, process-global RNG state, or unordered container iteration — and the
 zero-allocation scheduling fast path must stay closure-free.
 
-D1 and D2 are local rules: their findings depend on one file's text
+D1, D2 and D4 are local rules: their findings depend on one file's text
 alone. D3, H1, and H3 are :class:`~repro.lint.rules.ProgramRule`
 subclasses — they collect per-file facts and settle against the
 whole-program :class:`~repro.lint.callgraph.CallGraph`, so "this function
@@ -27,6 +27,7 @@ __all__ = [
     "NoWallclock",
     "NoGlobalRng",
     "OrderedIteration",
+    "RngProvenance",
     "NoClosureScheduling",
     "NoPerPacketPythonInBatchedPath",
 ]
@@ -403,6 +404,68 @@ class OrderedIteration(ProgramRule):
                                    ast.GeneratorExp)):
                 for generator in node.generators:
                     yield generator.iter
+
+
+# ----------------------------------------------------------------------
+#: packages whose draws must come from named streams: the determinism
+#: perimeter plus the scenario layers that drive it.
+RNG_SCOPED_PACKAGES = SIMULATION_PACKAGES + ("attack", "defense")
+
+#: the one module allowed to construct generators: it *is* the stream source.
+RNG_SOURCE_MODULE = "engine/rng.py"
+
+#: constructor names that mint a fresh generator. SeedSequence is key
+#: material, not a generator.
+_GENERATOR_CTORS = NP_RANDOM_CONSTRUCTORS - {"SeedSequence"}
+
+
+class RngProvenance(Rule):
+    """D4: every draw in simulation code comes from a named stream.
+
+    Two syntactic sites bypass the per-stream seeding contract: minting a
+    generator (``default_rng(...)``, ``Generator(...)``, a bit generator)
+    anywhere but ``engine/rng.py``, and reaching through another
+    component for its generator (``self.fabric.sim.rng.random()``). A
+    draw from a minted generator is reported once, at the construction.
+    """
+
+    rule_id = "D4"
+    name = "rng-provenance"
+    description = (
+        "draws must come from a named engine.rng stream (or a Generator "
+        "parameter fed by one): ad-hoc default_rng()/Generator() "
+        "construction and reaching through another component for its "
+        "generator both bypass the per-stream seeding contract"
+    )
+    hint = (
+        "derive a stream via RngRegistry.stream(name) (or accept a "
+        "Generator parameter) instead of constructing or borrowing one"
+    )
+
+    def check(self, ctx: FileContext) -> Iterable[Violation]:
+        module = ctx.repro_module()
+        if module is None or module == RNG_SOURCE_MODULE \
+                or module.split("/", 1)[0] not in RNG_SCOPED_PACKAGES:
+            return
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = _attribute_chain(node.func)
+            if chain is None:
+                continue
+            if chain[-1] in _GENERATOR_CTORS:
+                yield ctx.violation(
+                    self, node,
+                    f"ad-hoc generator construction {chain[-1]}() in "
+                    "simulation code",
+                )
+            elif len(chain) >= 4 and chain[-2] == "rng" \
+                    and chain[-1] not in _NON_DRAW_RNG_METHODS:
+                yield ctx.violation(
+                    self, node,
+                    f"draw through another component's generator "
+                    f"({'.'.join(chain)})",
+                )
 
 
 # ----------------------------------------------------------------------

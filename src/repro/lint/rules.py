@@ -3,15 +3,12 @@
 Two rule shapes share the :class:`Rule` base:
 
 * **local rules** inspect one parsed file at a time through
-  :meth:`Rule.check` — their findings depend only on that file's text, so
-  the incremental runner can cache them per content hash;
+  :meth:`Rule.check` — their findings depend only on that file's text;
 * **program rules** (subclasses of :class:`ProgramRule`) extract
-  JSON-serializable *facts* per file through :meth:`ProgramRule.collect`
-  and emit findings once every file has been seen, in
-  :meth:`ProgramRule.settle`, with access to the whole-program
-  :class:`~repro.lint.callgraph.CallGraph` via the :class:`Program`
-  handed to them. Facts are cacheable; settlement is cheap and always
-  re-runs.
+  *facts* per file through :meth:`ProgramRule.collect` and emit findings
+  once every file has been seen, in :meth:`ProgramRule.settle`, with
+  access to the whole-program :class:`~repro.lint.callgraph.CallGraph`
+  via the :class:`Program` handed to them.
 
 Rules are *stateful per run*, so
 :func:`repro.lint.runner.create_rules` hands each run fresh instances of
@@ -129,14 +126,14 @@ class Rule:
 class ProgramRule(Rule):
     """A rule whose findings need the whole program (call graph, all files).
 
-    Subclasses implement :meth:`collect` — returning a JSON-serializable
-    facts object per file (or ``None``) — and :meth:`settle`, which turns
+    Subclasses implement :meth:`collect` — returning a facts object per
+    file (or ``None``) — and :meth:`settle`, which turns
     the merged facts plus the call graph into violations. ``check`` stays
     empty: program rules never report from a single file alone.
     """
 
     def collect(self, ctx: FileContext) -> Optional[Dict[str, Any]]:
-        """Extract this file's facts (must be JSON-serializable)."""
+        """Extract this file's facts."""
         return None
 
     def settle(self, program: Program) -> Iterable[Violation]:

@@ -1,4 +1,4 @@
-"""Lint run orchestration: collect, cache, run rules, settle program-wide.
+"""Lint run orchestration: collect, run rules, settle program-wide.
 
 The runner is the piece the CLI, the tests, and the self-check all share.
 A run has three stages:
@@ -8,13 +8,11 @@ A run has three stages:
    :meth:`~repro.lint.rules.ProgramRule.collect` extracts facts, the
    call-graph facts are extracted, and the suppression directives are
    scanned and validated (unknown rule ids raise the structured
-   ``UnknownNameError``). Everything this stage produces depends only on
-   the file's text, so with a :class:`~repro.lint.cache.LintCache` the
-   whole stage is skipped per unchanged file.
+   ``UnknownNameError``).
 2. **Settlement** — the per-file facts merge into a
    :class:`~repro.lint.callgraph.CallGraph` and each program rule's
    :meth:`~repro.lint.rules.ProgramRule.settle` computes its cross-file
-   findings. Always re-runs (it is cheap and inherently global).
+   findings.
 3. **Suppression + W1** — directives filter the raw findings with hit
    accounting, then rule W1 reports every directive that suppressed
    nothing.
@@ -33,12 +31,11 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple, Type)
 
 from repro.errors import UnknownNameError
-from repro.lint.cache import LintCache, content_hash
 from repro.lint.callgraph import CallGraph, extract_file_graph
-from repro.lint.dataflow import RngProvenance
 from repro.lint.determinism import (NoClosureScheduling, NoGlobalRng,
                                     NoPerPacketPythonInBatchedPath,
-                                    NoWallclock, OrderedIteration)
+                                    NoWallclock, OrderedIteration,
+                                    RngProvenance)
 from repro.lint.rules import FileContext, Program, ProgramRule, Rule
 from repro.lint.suppressions import (SuppressionIndex, UnusedSuppression,
                                      validate_directives)
@@ -63,9 +60,6 @@ SKIP_DIRS = frozenset({
 
 #: pseudo-rule id for files that cannot be parsed at all.
 PARSE_ERROR_RULE = "E1"
-
-#: pseudo-key under which call-graph facts ride in the cache entry.
-CALLGRAPH_FACTS_KEY = "@callgraph"
 
 
 def rule_classes() -> Tuple[Type[Rule], ...]:
@@ -99,12 +93,10 @@ class LintReport:
     """Outcome of one lint run: surviving violations plus run stats."""
 
     def __init__(self, violations: Sequence[Violation], files_checked: int,
-                 suppressed: int, cache_hits: int = 0, cache_misses: int = 0):
+                 suppressed: int):
         self.violations: Tuple[Violation, ...] = tuple(sorted(violations))
         self.files_checked = files_checked
         self.suppressed = suppressed
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
 
     @property
     def ok(self) -> bool:
@@ -117,7 +109,6 @@ class LintReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "violations": [v.to_dict() for v in self.violations],
         }
 
@@ -153,44 +144,6 @@ def collect_files(paths: Sequence[str]) -> List[str]:
     return sorted(seen)
 
 
-class _FileResult:
-    """Everything stage 1 produces for one file (cache entry shape)."""
-
-    __slots__ = ("violations", "facts", "directives", "parse_error")
-
-    def __init__(self, violations: List[Violation],
-                 facts: Dict[str, Any],
-                 directives: SuppressionIndex,
-                 parse_error: Optional[Violation]):
-        self.violations = violations
-        #: rule_id (or CALLGRAPH_FACTS_KEY) -> collected facts
-        self.facts = facts
-        self.directives = directives
-        self.parse_error = parse_error
-
-    def to_entry(self) -> Dict[str, Any]:
-        return {
-            "violations": [v.to_dict() for v in self.violations],
-            "facts": self.facts,
-            "directives": [d.to_dict() for d in self.directives.directives],
-            "parse_error": (None if self.parse_error is None
-                            else self.parse_error.to_dict()),
-        }
-
-    @classmethod
-    def from_entry(cls, entry: Dict[str, Any]) -> "_FileResult":
-        parse_error = entry.get("parse_error")
-        return cls(
-            violations=[Violation.from_dict(v)
-                        for v in entry.get("violations", ())],
-            facts=dict(entry.get("facts", {})),
-            directives=SuppressionIndex.from_directives(
-                entry.get("directives", ())),
-            parse_error=(None if parse_error is None
-                         else Violation.from_dict(parse_error)),
-        )
-
-
 def _parse_error_violation(path: str, exc: SyntaxError) -> Violation:
     return Violation(
         path=path, line=exc.lineno or 1, col=(exc.offset or 1),
@@ -200,91 +153,57 @@ def _parse_error_violation(path: str, exc: SyntaxError) -> Violation:
     )
 
 
-def _check_file(path: str, source: str, rules: Sequence[Rule]) -> _FileResult:
-    """Stage 1 for one file: local checks, fact collection, directives."""
-    directives = SuppressionIndex.scan(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return _FileResult([], {}, directives,
-                           parse_error=_parse_error_violation(path, exc))
-    ctx = FileContext(path=path, source=source, tree=tree)
-    violations: List[Violation] = []
-    facts: Dict[str, Any] = {CALLGRAPH_FACTS_KEY: extract_file_graph(path, tree)}
-    for rule in rules:
-        violations.extend(rule.check(ctx))
-        if isinstance(rule, ProgramRule):
-            collected = rule.collect(ctx)
-            if collected is not None:
-                facts[rule.rule_id] = collected
-    return _FileResult(violations, facts, directives, parse_error=None)
-
-
 def _run(sources: Iterable[Tuple[str, str]],
-         select: Optional[Sequence[str]],
-         cache: Optional[LintCache]) -> LintReport:
+         select: Optional[Sequence[str]]) -> LintReport:
     """Shared run core over ``(path, source)`` pairs."""
     rules = create_rules(select)
     known = known_rule_ids()
     active: Set[str] = {rule.rule_id for rule in rules}
     active.add(PARSE_ERROR_RULE)
 
-    results: Dict[str, _FileResult] = {}
+    # stage 1: per-file checks, facts and directives
+    raw: List[Violation] = []
+    graph_facts: Dict[str, Dict[str, Any]] = {}
+    facts_by_rule: Dict[str, Dict[str, Any]] = {}
+    suppression_by_path: Dict[str, SuppressionIndex] = {}
     files_checked = 0
     for path, source in sources:
         files_checked += 1
-        result: Optional[_FileResult] = None
-        digest = None
-        if cache is not None:
-            digest = content_hash(source)
-            entry = cache.get(path, digest)
-            if entry is not None:
-                result = _FileResult.from_entry(entry)
-        if result is None:
-            result = _check_file(path, source, rules)
-            if cache is not None and digest is not None:
-                cache.put(path, digest, result.to_entry())
-        validate_directives(path, result.directives, known)
-        results[path] = result
-    if cache is not None:
-        cache.save()
+        directives = SuppressionIndex.scan(source)
+        validate_directives(path, directives, known)
+        suppression_by_path[path] = directives
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            raw.append(_parse_error_violation(path, exc))
+            continue
+        ctx = FileContext(path=path, source=source, tree=tree)
+        graph_facts[path] = extract_file_graph(path, tree)
+        for rule in rules:
+            raw.extend(rule.check(ctx))
+            if isinstance(rule, ProgramRule):
+                collected = rule.collect(ctx)
+                if collected is not None:
+                    facts_by_rule.setdefault(rule.rule_id, {})[path] = collected
 
     # stage 2: program-wide settlement
-    raw: List[Violation] = []
-    callgraph_facts: Dict[str, Dict[str, Any]] = {}
-    facts_by_rule: Dict[str, Dict[str, Any]] = {}
-    for path, result in results.items():
-        if result.parse_error is not None:
-            raw.append(result.parse_error)
-            continue
-        raw.extend(result.violations)
-        for key, facts in result.facts.items():
-            if key == CALLGRAPH_FACTS_KEY:
-                callgraph_facts[path] = facts
-            else:
-                facts_by_rule.setdefault(key, {})[path] = facts
-    program = Program(CallGraph.from_facts(callgraph_facts), facts_by_rule)
+    program = Program(CallGraph.from_facts(graph_facts), facts_by_rule)
     for rule in rules:
         if isinstance(rule, ProgramRule):
             raw.extend(rule.settle(program))
 
     # stage 3: suppression filtering with hit accounting, then W1
-    suppression_by_path = {path: result.directives
-                           for path, result in results.items()}
-    return _settle(raw, suppression_by_path, files_checked, active,
-                   cache_hits=cache.hits if cache else 0,
-                   cache_misses=cache.misses if cache else 0)
+    return _settle(raw, suppression_by_path, files_checked, active)
 
 
 def lint_sources(files: Iterable[Tuple[str, str]],
                  select: Optional[Sequence[str]] = None) -> LintReport:
     """Lint in-memory ``(path, source)`` pairs (the test-fixture entry point)."""
-    return _run(files, select, cache=None)
+    return _run(files, select)
 
 
 def lint_paths(paths: Sequence[str],
-               select: Optional[Sequence[str]] = None,
-               cache: Optional[LintCache] = None) -> LintReport:
+               select: Optional[Sequence[str]] = None) -> LintReport:
     """Lint files/directories on disk; the CLI entry point."""
     files = collect_files(paths)
     # unreadable files become E1 findings without aborting the run
@@ -299,27 +218,21 @@ def lint_paths(paths: Sequence[str],
                 message=f"cannot read file: {exc}",
                 hint="fix the file encoding or remove it from the lint paths",
             ))
-    report = _run(sources, select, cache)
+    report = _run(sources, select)
     if not unreadable:
         return report
     return LintReport(
         violations=list(report.violations) + unreadable,
         files_checked=len(files),
         suppressed=report.suppressed,
-        cache_hits=report.cache_hits,
-        cache_misses=report.cache_misses,
     )
 
 
 def _settle(raw: Sequence[Violation],
             suppression_by_path: Dict[str, SuppressionIndex],
             files_checked: int,
-            active_rules: Set[str],
-            cache_hits: int = 0,
-            cache_misses: int = 0) -> LintReport:
+            active_rules: Set[str]) -> LintReport:
     """Apply suppression directives with hit accounting, settle W1, sort."""
-    for index in suppression_by_path.values():
-        index.reset_hits()
     surviving: Dict[Violation, None] = {}
     suppressed = 0
     for violation in raw:
@@ -339,5 +252,4 @@ def _settle(raw: Sequence[Violation],
                     continue
                 surviving.setdefault(violation, None)
     return LintReport(violations=list(surviving), files_checked=files_checked,
-                      suppressed=suppressed, cache_hits=cache_hits,
-                      cache_misses=cache_misses)
+                      suppressed=suppressed)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import UnknownNameError
 from repro.lint.rules import Rule
@@ -86,21 +86,6 @@ class Directive:
             return True
         return self.own_line and line == self.line + 1
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (cached by the incremental runner)."""
-        return {"line": self.line, "scope": self.scope,
-                "rules": list(self.rules), "own_line": self.own_line}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Directive":
-        """Rebuild from :meth:`to_dict` output."""
-        rules_raw = data["rules"]
-        assert isinstance(rules_raw, list)
-        return cls(line=int(data["line"]),  # type: ignore[call-overload]
-                   scope=str(data["scope"]),
-                   rules=tuple(str(r) for r in rules_raw),
-                   own_line=bool(data.get("own_line", False)))
-
 
 class SuppressionIndex:
     """Per-file list of suppression directives, queried by (rule, line)."""
@@ -126,11 +111,6 @@ class SuppressionIndex:
             index._add_directive(token.string, line_no,
                                  own_line=not before.strip())
         return index
-
-    @classmethod
-    def from_directives(cls, records: Sequence[Dict[str, object]]) -> "SuppressionIndex":
-        """Rebuild an index from cached :meth:`Directive.to_dict` records."""
-        return cls([Directive.from_dict(record) for record in records])
 
     def _scan_lines(self, source: str) -> None:
         """Degraded-mode scan for files tokenize rejects (syntax errors)."""
@@ -162,17 +142,8 @@ class SuppressionIndex:
                 hit = True
         return hit
 
-    def is_suppressed(self, rule: str, line: int) -> bool:
-        """Read-only query (no usage accounting)."""
-        return any(d.matches(rule, line) for d in self.directives)
-
-    def reset_hits(self) -> None:
-        """Clear usage accounting before a settlement pass."""
-        for directive in self.directives:
-            directive.hits = 0
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SuppressionIndex({[d.to_dict() for d in self.directives]!r})"
+        return f"SuppressionIndex({[(d.line, d.scope, d.rules) for d in self.directives]!r})"
 
 
 def validate_directives(path: str, index: SuppressionIndex,

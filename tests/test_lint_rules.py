@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.lint import Violation, lint_sources, main
-from repro.lint.cache import DEFAULT_CACHE_PATH
 from repro.lint.runner import collect_files
 
 # Fixture paths: scoped rules key off the path component after "repro/".
@@ -454,12 +453,6 @@ class TestSelection:
             run_lint(ENGINE, "x = 1\n", select=["Z9"])
 
 
-def run_cli(tmp_path, *argv):
-    """``main`` with its cache under ``tmp_path``: the default cache path is
-    relative, so a bare call would overwrite the working tree's cache."""
-    return main([*argv, "--cache-path", str(tmp_path / "lint-cache.json")])
-
-
 class TestJsonRoundTrip:
     def test_report_dict_round_trips_through_violation(self):
         report = run_lint(ENGINE, "import time\n\ndef f():\n    return time.time()\n")
@@ -474,7 +467,7 @@ class TestJsonRoundTrip:
         target.mkdir(parents=True)
         bad = target / "mod.py"
         bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-        code = run_cli(tmp_path, str(bad), "--format", "json")
+        code = main([str(bad), "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
         assert data["ok"] is False
@@ -487,7 +480,7 @@ class TestCli:
     def test_clean_run_exits_zero(self, tmp_path, capsys):
         clean = tmp_path / "ok.py"
         clean.write_text("def f():\n    return 1\n")
-        assert run_cli(tmp_path, str(clean)) == 0
+        assert main([str(clean)]) == 0
         assert "0 violation(s)" in capsys.readouterr().out
 
     def test_violations_exit_one_with_location(self, tmp_path, capsys):
@@ -495,30 +488,20 @@ class TestCli:
         target.mkdir(parents=True)
         bad = target / "mod.py"
         bad.write_text("import time\n\ndef f():\n    return time.time()\n")
-        assert run_cli(tmp_path, str(bad)) == 1
+        assert main([str(bad)]) == 1
         out = capsys.readouterr().out
         assert f"{bad}:4:" in out
         assert "D1" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert run_cli(tmp_path, str(tmp_path / "nope")) == 2
+        assert main([str(tmp_path / "nope")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
     def test_unknown_select_exits_two(self, tmp_path, capsys):
         clean = tmp_path / "ok.py"
         clean.write_text("x = 1\n")
-        assert run_cli(tmp_path, str(clean), "--select", "Z9") == 2
+        assert main([str(clean), "--select", "Z9"]) == 2
         assert "unknown lint-rule" in capsys.readouterr().err
-
-    def test_working_directory_cache_untouched(self, tmp_path, monkeypatch, capsys):
-        workdir = tmp_path / "cwd"
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        clean = tmp_path / "ok.py"
-        clean.write_text("x = 1\n")
-        assert run_cli(tmp_path, str(clean)) == 0
-        assert (tmp_path / "lint-cache.json").exists()
-        assert not (workdir / DEFAULT_CACHE_PATH).exists()
 
     def test_list_rules_names_every_rule(self, capsys):
         assert main(["--list-rules"]) == 0
