@@ -379,17 +379,16 @@ class OrderedIteration(ProgramRule):
 
     @staticmethod
     def _local_set_names(func: ast.AST) -> Set[str]:
+        """Locals annotated a set, or assigned a value the classifier calls
+        unordered: a ``list(set(...))`` too, or a list of a set-valued local
+        (assignments are read in source order)."""
         names: Set[str] = set()
-        for node in walk_in_scope(func):
+        unordered = _UnorderedIterClassifier(names).describe
+        for node in sorted(walk_in_scope(func), key=lambda n: getattr(n, "lineno", 0)):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
-                value = node.value
-                if isinstance(value, (ast.Set, ast.SetComp)):
+                if unordered(node.value) is not None:
                     names.add(node.targets[0].id)
-                elif isinstance(value, ast.Call):
-                    chain = _attribute_chain(value.func)
-                    if chain in (("set",), ("frozenset",)):
-                        names.add(node.targets[0].id)
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 if _is_set_annotation(node.annotation):
                     names.add(node.target.id)

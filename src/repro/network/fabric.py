@@ -275,9 +275,6 @@ class Fabric(FabricShell):
 
     def __init__(self, topology: Topology, router: Router, **shell_kwargs):
         super().__init__(topology, router, **shell_kwargs)
-        #: shared memoized distance lookup (== topology.min_hops, but O(1));
-        #: the switches' per-hop profitability test goes through this.
-        self.oracle = topology.distance_oracle()
         #: True when the service model charges a VirtualCutThrough injection
         #: overhead — hoisted out of the per-packet inject path.
         self._vct_injection = isinstance(self.service, VirtualCutThrough)
@@ -506,8 +503,8 @@ class Fabric(FabricShell):
         lost when it would have arrived (see :meth:`Channel._arrive`), which
         returns its receiver credit so the restored link runs at full
         capacity. The topology's :class:`repro.topology.links.LinkSet`
-        version bump invalidates the distance oracle and memoized routing
-        tables, so reroutes see the post-failure network.
+        version bump invalidates the memoized route tables, so reroutes see
+        the post-failure network.
         """
         self.topology.fail_link(u, v)
         stranded: List[Tuple[int, Packet]] = []

@@ -128,7 +128,6 @@ class Packet:
         state, twin_state = self.route_state, twin.route_state
         twin_state.last_node = state.last_node
         twin_state.misroutes = state.misroutes
-        twin_state.distance_to_go = state.distance_to_go
         twin_state.scratch = dict(state.scratch)
         twin.injected_at = self.injected_at
         twin.hops = self.hops

@@ -27,13 +27,12 @@ count), the route read is
 one link-version compare plus two indexes, a plain first-candidate, random
 or least-congested policy (the last over the fabric's own congestion view,
 each candidate channel's occupancy read off the channel) is applied in
-place with no call per hop, the
-profitability test is one :class:`repro.topology.oracle.DistanceOracle`
-lookup with the current node's distance threaded through
-:class:`repro.routing.base.RouteState`, and the routing-delay event is
-scheduled closure-free. The fault hooks (hop ceiling, packet-fault
-injection, dead-channel reroute) each cost one ``is None``/attribute test
-per packet when no campaign is armed.
+place with no call per hop, a hop's profitability is tested (two
+closed-form ``min_hops``) only for a router that can misroute and has no
+route table, and the routing-delay event is scheduled closure-free. The
+fault hooks (hop ceiling, packet-fault injection, dead-channel reroute)
+each cost one ``is None``/attribute test per packet when no campaign is
+armed.
 """
 
 from __future__ import annotations
@@ -106,9 +105,6 @@ class Switch:
         adaptive routers find a detour, deterministic ones come up empty and
         the packet is dropped with a counted reason instead of raising.
         """
-        # The threaded distance refers to the abandoned hop's target, not to
-        # this switch; force the dispatcher to re-derive it from the oracle.
-        packet.route_state.distance_to_go = None
         self.fabric.n_rerouted += 1
         self._dispatch(packet)
 
@@ -192,19 +188,14 @@ class Switch:
             next_node = live[0] if len(live) == 1 else fabric.selection.choose(live, node)
             channel = outputs[next_node]
 
-        # Profitability: one oracle lookup for the chosen hop; this node's
-        # own distance was threaded through RouteState by the previous hop
-        # (None only on the packet's first hop after injection).
-        oracle = fabric.oracle
-        current_dist = state.distance_to_go
-        if current_dist is None:
-            current_dist = oracle.distance(node, dst)
-        next_dist = oracle.distance(next_node, dst)
-        # Inlined RouteState.note_hop(node, next_dist < current_dist, next_dist).
+        # Inlined RouteState.note_hop, misroutes counted only where one can
+        # happen (see RouteState.misroutes). Every router that can misroute
+        # runs on a mesh, torus or hypercube: min_hops is closed form.
         state.last_node = node
-        if next_dist >= current_dist:
-            state.misroutes += 1
-        state.distance_to_go = next_dist
+        if routes is None and fabric.router.allows_misrouting:
+            topology = fabric.topology
+            if topology.min_hops(next_node, dst) >= topology.min_hops(node, dst):
+                state.misroutes += 1
 
         # Monitors observe the packet as received — before this switch's own
         # marking write — so a transit monitor's DDPM decode relative to

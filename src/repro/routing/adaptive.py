@@ -24,8 +24,6 @@ __all__ = ["MinimalAdaptiveRouter", "FullyAdaptiveRouter"]
 class MinimalAdaptiveRouter(Router):
     """All live profitable next hops are candidates; never misroutes."""
 
-    allows_misrouting = False
-
     def __init__(self):
         self.name = "minimal-adaptive"
 

@@ -61,41 +61,32 @@ class RouteState:
         Node the packet most recently departed (None at injection); adaptive
         routers use it to discourage immediate backtracking.
     misroutes:
-        Count of non-profitable hops taken so far.
+        Count of non-profitable hops taken so far. Counted only for a
+        router that can misroute (:attr:`Router.allows_misrouting`) and is
+        asked live: every candidate a route table holds is profitable by
+        construction, and a router that cannot misroute never reads the
+        count (its only reader is the misroute budget).
     misroute_budget:
         Maximum allowed misroutes; exceeding it is a livelock condition.
-    distance_to_go:
-        Minimal hops from the packet's *current* position to the destination,
-        threaded hop to hop by the forwarding path so each switch performs a
-        single oracle lookup instead of re-deriving both endpoints' distances
-        (None until the first hop is taken).
     scratch:
         Free-form dict for router-specific state (e.g. Valiant's intermediate).
     """
 
     __slots__ = ("destination", "last_node", "misroutes", "misroute_budget",
-                 "distance_to_go", "scratch")
+                 "scratch")
 
     def __init__(self, destination: int, misroute_budget: int = 0):
         self.destination = destination
         self.last_node: Optional[int] = None
         self.misroutes = 0
         self.misroute_budget = misroute_budget
-        self.distance_to_go: Optional[int] = None
         self.scratch: Dict[str, object] = {}
 
-    def note_hop(self, from_node: int, profitable: bool,
-                 distance_to_go: Optional[int] = None) -> None:
-        """Record a departed hop: remembers the node, counts misroutes.
-
-        ``distance_to_go`` is the already-known distance from the hop's
-        *target* to the destination; the next switch reads it back instead of
-        asking the oracle about its own position.
-        """
+    def note_hop(self, from_node: int, profitable: bool) -> None:
+        """Record a departed hop: remembers the node, counts misroutes."""
         self.last_node = from_node
         if not profitable:
             self.misroutes += 1
-        self.distance_to_go = distance_to_go
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"RouteState(dest={self.destination}, last={self.last_node}, "
@@ -109,7 +100,8 @@ class Router(ABC):
     name: str = "abstract"
     #: True when candidates() always returns at most one node
     is_deterministic: bool = False
-    #: True when the router may propose non-profitable (misroute) hops
+    #: True when the router may propose non-profitable (misroute) hops;
+    #: only then are a packet's hops tested and its misroutes counted
     allows_misrouting: bool = False
 
     @abstractmethod
@@ -203,16 +195,18 @@ def walk_route(topology: Topology, router: Router, src: int, dst: int,
         max_hops = 4 * topology.diameter() + 16
     # Imported here: the route table imports the routers, which import
     # this module.
-    from repro.routing.plan import next_hops
+    from repro.routing.plan import route_table
 
     router.validate(topology)
-    oracle = topology.distance_oracle()
     state = RouteState(dst, misroute_budget=misroute_budget)
     path = [src]
     current = src
-    current_dist = oracle.distance(src, dst)
     for _ in range(max_hops):
-        options = next_hops(router, topology, current, state)
+        table = route_table(router, topology)
+        if table is None:
+            options = router.candidates(topology, current, state)
+        else:
+            options = table.candidates(current, dst)
         if not options:
             raise UnroutablePacketError(
                 f"{router.name} has no legal hop from {current} "
@@ -222,9 +216,10 @@ def walk_route(topology: Topology, router: Router, src: int, dst: int,
         nxt = select(options, current)
         if nxt not in options:
             raise RoutingError(f"selection returned {nxt}, not among candidates {options}")
-        next_dist = oracle.distance(nxt, dst)
-        state.note_hop(current, next_dist < current_dist, next_dist)
-        current_dist = next_dist
+        # Profitability is tested only where a misroute can happen (see
+        # RouteState.misroutes).
+        state.note_hop(current, table is not None or not router.allows_misrouting
+                       or topology.min_hops(nxt, dst) < topology.min_hops(current, dst))
         if on_hop is not None:
             on_hop(current, nxt)
         path.append(nxt)

@@ -34,7 +34,6 @@ class DimensionOrderRouter(Router):
     """
 
     is_deterministic = True
-    allows_misrouting = False
 
     def __init__(self, axis_order: Optional[Sequence[int]] = None):
         self.axis_order = tuple(axis_order) if axis_order is not None else None

@@ -32,8 +32,6 @@ _SRC_COL_KEY = "oddeven_source_col"
 class OddEvenRouter(Router):
     """Minimal odd-even adaptive routing on a 2-D mesh."""
 
-    allows_misrouting = False
-
     def __init__(self):
         self.name = "odd-even"
 

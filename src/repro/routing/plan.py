@@ -34,8 +34,8 @@ reads:
 
 A router without a closed form on the topology's link state — Valiant,
 odd-even, non-minimal west-first, pooled fully-adaptive, fully-adaptive
-around a failed link — has no table: :func:`next_hops` asks it live, and
-the cohort engines refuse it.
+around a failed link — has no table: the exact engine and ``walk_route``
+ask it live, and the cohort engines refuse it.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.base import LIVE, RouteState, Router
+from repro.routing.base import LIVE, Router
 from repro.topology.base import Topology
 
-__all__ = ["RouteTable", "route_table", "next_hops"]
+__all__ = ["RouteTable", "route_table"]
 
 
 def route_table(router: Router, topology: Topology) -> Optional["RouteTable"]:
@@ -64,16 +64,6 @@ def route_table(router: Router, topology: Topology) -> Optional["RouteTable"]:
         table = RouteTable(router, topology) if router.closed_form(topology) else None
         entry = router._route_table = (topology, version, table)
     return entry[2]
-
-
-def next_hops(router: Router, topology: Topology, current: int,
-              state: RouteState) -> Tuple[int, ...]:
-    """Legal next hops for a packet at ``current``: the table's answer for a
-    table-driven router, the router's live one otherwise."""
-    table = route_table(router, topology)
-    if table is None:
-        return router.candidates(topology, current, state)
-    return table.candidates(current, state.destination)
 
 
 class RouteTable(dict):

@@ -60,8 +60,6 @@ def build_shortest_path_tables(topology: Topology) -> Dict[int, Dict[int, Tuple[
 class TableRouter(Router):
     """Adaptive shortest-path routing from precomputed forwarding tables."""
 
-    allows_misrouting = False
-
     def __init__(self, topology: Topology):
         self.name = "table-driven"
         self._built_for = topology

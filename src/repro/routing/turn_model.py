@@ -51,8 +51,6 @@ class WestFirstRouter(Router):
     live, bounded by the packet's misroute budget.
     """
 
-    allows_misrouting = False
-
     def __init__(self, minimal: bool = True):
         self.minimal = minimal
         self.allows_misrouting = not minimal

@@ -13,7 +13,6 @@ from repro.topology.hypercube import Hypercube
 from repro.topology.irregular import IrregularTopology
 from repro.topology.links import LinkSet
 from repro.topology.mesh import Mesh
-from repro.topology.oracle import DistanceOracle
 from repro.topology.partition import Partition, partition_topology
 from repro.topology.properties import (
     average_distance,
@@ -33,7 +32,6 @@ __all__ = [
     "FatTree",
     "ClusterMesh",
     "LinkSet",
-    "DistanceOracle",
     "Partition",
     "partition_topology",
     "bfs_distances",

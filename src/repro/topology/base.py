@@ -50,7 +50,6 @@ class Topology(ABC):
             raise TopologyError(f"a network needs at least 2 nodes, got dims {self.dims}")
         self._neighbor_cache: Dict[int, Tuple[int, ...]] = {}
         self._neighbor_table: Optional[np.ndarray] = None
-        self._oracle = None
         self._coords = None
         self._coord_array: Optional[np.ndarray] = None
         self.links = LinkSet(self)
@@ -193,19 +192,6 @@ class Topology(ABC):
     @abstractmethod
     def min_hops(self, src: int, dst: int) -> int:
         """Minimal hop count between src and dst in the failure-free network."""
-
-    def distance_oracle(self) -> "DistanceOracle":
-        """Shared memoized distance lookup, equivalent to :meth:`min_hops`.
-
-        Lazily built and cached on the topology; hot paths (switch
-        profitability, route walking) go through the oracle so distances are
-        closed-form or cached-BFS instead of recomputed per hop.
-        """
-        if self._oracle is None:
-            from repro.topology.oracle import DistanceOracle
-
-            self._oracle = DistanceOracle(self)
-        return self._oracle
 
     # ------------------------------------------------------------------
     # Offset algebra (DDPM)

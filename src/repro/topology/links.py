@@ -39,8 +39,8 @@ class LinkSet:
         self._physical: Dict[int, Tuple[int, ...]] = topology._neighbor_cache
         self._failed: Set[Link] = set()
         #: monotonically increasing change counter; bumped by every fail/
-        #: restore so caches keyed on link state (DistanceOracle, router
-        #: candidate tables) can detect staleness with one int comparison.
+        #: restore so caches keyed on link state (route tables, the fabric's
+        #: route column) can detect staleness with one int comparison.
         self.version = 0
 
     # -- queries --------------------------------------------------------

@@ -100,11 +100,27 @@ class TestD3OrderedIteration:
         "    for node in pending:\n"
         "        self.sim.schedule_call(1.0, self.visit, node)\n"
     )
+    # A set turned into a list before the loop still iterates in set order.
+    LISTED_SET_LOOP = (
+        "def launch(self, reflectors):\n"
+        "    reflector_list = list(set(reflectors))\n"
+        "    for i, reflector in enumerate(reflector_list):\n"
+        "        self.sim.schedule_call(i * 1.0, self.visit, reflector)\n"
+    )
+    CHAINED_SET_LOOP = (
+        "def f(self, nodes):\n"
+        "    pending = set(nodes)\n"
+        "    order = list(pending)\n"
+        "    for node in order:\n"
+        "        self.sim.schedule_call(1.0, self.visit, node)\n"
+    )
 
     def test_flags_set_iteration_while_scheduling(self):
-        report = run_lint(ENGINE, self.SCHEDULING_SET_LOOP)
-        assert rules_hit(report) == {"D3"}
-        assert report.violations[0].line == 3
+        for source, line in ((self.SCHEDULING_SET_LOOP, 3),
+                             (self.LISTED_SET_LOOP, 3), (self.CHAINED_SET_LOOP, 4)):
+            report = run_lint(ENGINE, source)
+            assert rules_hit(report) == {"D3"}
+            assert [v.line for v in report.violations] == [line]
 
     def test_flags_keys_view_in_rng_function(self):
         source = ("def f(rng, table):\n"
@@ -113,11 +129,15 @@ class TestD3OrderedIteration:
         assert rules_hit(report) == {"D3"}
 
     def test_sorted_wrapping_is_clean(self):
-        source = ("def f(self, nodes):\n"
+        inline = ("def f(self, nodes):\n"
                   "    for node in sorted(set(nodes)):\n"
                   "        self.sim.schedule_call(1.0, self.visit, node)\n")
-        report = run_lint(ENGINE, source)
-        assert "D3" not in rules_hit(report)
+        local = ("def f(self, nodes):\n"
+                 "    ordered = sorted(set(nodes))\n"
+                 "    for node in ordered:\n"
+                 "        self.sim.schedule_call(1.0, self.visit, node)\n")
+        for source in (inline, local):
+            assert "D3" not in rules_hit(run_lint(ENGINE, source))
 
     def test_set_iteration_without_rng_or_scheduling_is_clean(self):
         report = run_lint(ENGINE, "def f(nodes):\n"

@@ -13,7 +13,9 @@ from repro.routing import (
     LeastCongestedPolicy,
     MinimalAdaptiveRouter,
     RandomPolicy,
+    WestFirstRouter,
 )
+from repro.routing.plan import route_table
 from repro.topology import Hypercube, Mesh, Torus
 
 
@@ -293,3 +295,48 @@ class TestStoreAndForwardMode:
             fab.inject(fab.make_packet(0, 15, payload_bytes=400))
             fab.run()
         assert lat["saf"] > lat["vct"]
+
+
+def _misroute_run(topology, router, failed):
+    """Run 300 random-pair packets through the exact fabric on links failed
+    before the run; return (misroutes, hops, events, drops by reason)."""
+    for u, v in failed:
+        topology.fail_link(u, v)
+    fab = Fabric(topology, router,
+                 selection=RandomPolicy(np.random.default_rng(5)),
+                 config=FabricConfig(misroute_budget=3))
+    assert route_table(router, topology) is None
+    packets = []
+    for node in topology.nodes():
+        fab.add_delivery_handler(node, lambda ev: packets.append(ev.packet))
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        src, dst = rng.choice(topology.num_nodes, size=2, replace=False).tolist()
+        fab.inject(fab.make_packet(src, dst, seq=i), delay=i * 0.001)
+    fab.run()
+    packets += [packet for packet, _, _ in fab.dropped_packets]
+    drops = {name: count for name, count in fab.counters.as_dict().items()
+             if name.startswith("dropped_")}
+    return (sum(p.route_state.misroutes for p in packets),
+            sum(p.hops for p in packets), fab.sim.events_executed, drops)
+
+
+class TestMisroutesAskedLive:
+    """Routers that can misroute and have no route table on the failed link
+    state are asked live; their hops are counted against the misroute
+    budget, which the routers read back. The counts are pinned."""
+
+    def test_pooled_fully_adaptive_on_mesh(self):
+        assert _misroute_run(
+            Mesh((5, 5)), FullyAdaptiveRouter(prefer_minimal=False),
+            [(6, 7), (12, 17)]) == (658, 2307, 7521, {"dropped_unroutable": 27})
+
+    def test_fully_adaptive_on_torus(self):
+        assert _misroute_run(
+            Torus((4, 4)), FullyAdaptiveRouter(),
+            [(0, 1), (5, 9)]) == (33, 692, 2676, {"dropped_unroutable": 4})
+
+    def test_nonminimal_west_first_on_mesh(self):
+        assert _misroute_run(
+            Mesh((5, 5)), WestFirstRouter(minimal=False),
+            [(7, 8), (11, 16)]) == (96, 1151, 4053, {"dropped_unroutable": 36})

@@ -22,10 +22,12 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.network import Fabric
 from repro.registry import ROUTING
-from repro.routing import FirstCandidatePolicy, MinimalAdaptiveRouter
+from repro.routing import FirstCandidatePolicy, MinimalAdaptiveRouter, walk_route
 from repro.routing.base import RouteState
-from repro.routing.plan import RouteTable, next_hops, route_table
+from repro.routing.plan import RouteTable, route_table
 from repro.topology import ClusterMesh, FatTree, Hypercube, Mesh, Torus
+
+from tests.conftest import first_candidate
 
 TOPOLOGIES = {
     "mesh": lambda: Mesh((3, 4)),
@@ -227,7 +229,7 @@ def test_table_is_rebuilt_when_the_link_version_changes():
     cold = route_table(router, topology)
     assert cold is not warm
     assert cold.candidates(0, 15) == (1,)
-    assert next_hops(router, topology, 0, RouteState(15)) == (1,)
+    assert walk_route(topology, router, 0, 15, first_candidate)[1] == 1
 
 
 def test_scalar_reads_fill_only_the_rows_they_touch():
@@ -256,16 +258,11 @@ def test_scalar_reads_fill_only_the_rows_they_touch():
 
 
 def test_paper_scale_cube_builds_no_second_table():
-    """Table 3's 2^16-node hypercube: the distance oracle answers with the
-    closed-form ``min_hops`` rather than an n² table, and the route table's
-    channel targets are the topology's neighbour table itself, not a copy
-    computed beside it."""
+    """Table 3's 2^16-node hypercube: the route table's channel targets are
+    the topology's neighbour table itself, not a copy computed beside it."""
     topology = Hypercube(16)
     n = topology.num_nodes
-    oracle = topology.distance_oracle()
-    assert not hasattr(oracle, "_table")
-    assert oracle.distance == topology.min_hops
-    assert oracle.distance(0, n - 1) == 16
+    assert topology.min_hops(0, n - 1) == 16
     table = route_table(MinimalAdaptiveRouter(), topology)
     assert np.shares_memory(table.channel_target, topology.neighbor_table())
     assert table.channels == topology.neighbor_table().size

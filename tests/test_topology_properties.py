@@ -29,6 +29,20 @@ class TestBfs:
         assert bfs_distances(mesh, 0) == {0: 0, 1: 1}
         assert bfs_distances(mesh, 0, include_failed=True) == {0: 0, 1: 1, 2: 2}
 
+    @pytest.mark.parametrize("topo", [
+        Mesh((4, 4)), Mesh((3, 2, 4)), Mesh((7,)),
+        Torus((4, 4)), Torus((5, 3)), Torus((3, 3, 3)),
+        Torus((16, 16)), Torus((3, 1, 4)),  # a k = 1 axis
+        Hypercube(3), Hypercube(5),
+    ], ids=repr)
+    def test_closed_form_min_hops_on_every_pair(self, topo):
+        """``min_hops`` is the failure-free distance: BFS over every
+        physical link, from every source."""
+        for u in topo.nodes():
+            dist = bfs_distances(topo, u, include_failed=True)
+            assert [topo.min_hops(u, v) for v in topo.nodes()] == \
+                [dist[v] for v in topo.nodes()]
+
     def test_bad_source(self):
         with pytest.raises(TopologyError):
             bfs_distances(Mesh((2, 2)), 99)
