@@ -29,11 +29,16 @@ lint:
 # The batched pins also run sanitized: that is what catches a marking draw
 # on a stream another package owns. All seven exact-engine pins run
 # sanitized too, since the exact engine defers channel completion events.
+# The batched engine's round-by-round differential tests run sanitized
+# last: with the hot tier cut to one or two rounds they spill to the cold
+# tier and rebalance, so every parked-store check fires on a live store.
 sanitize-smoke:
 	$(PYPATH) $(PY) -m pytest tests/test_sanitize.py -x -q
 	$(PYPATH) $(PY) -m pytest -m sanitize -x -q
 	REPRO_SANITIZE=1 $(PYPATH) $(PY) -m pytest tests/test_batched_golden.py \
 		tests/test_golden_equivalence.py -x -q
+	REPRO_SANITIZE=1 $(PYPATH) $(PY) -m pytest tests/test_batched_engine.py \
+		-k "rounds_equal or cold_tier" -x -q
 	@echo "sanitize-smoke OK: pins hold under REPRO_SANITIZE=1"
 
 # Strict typing gate over the public orchestration surface (repro.core,

@@ -11,27 +11,37 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    the moving set (zero hops, VCT injection overhead, and the scheme's
    ``inject_array`` words unless it derives them, see step 6);
 2. **retire** — moving rows at their destination deliver (bulk statistics,
-   columnar :class:`~repro.network.markstream.DeliveryRing` feed); moving
-   rows over the watchdog hop ceiling or out of TTL drop with counted
-   reasons. Every row starts at ``default_ttl``, so its TTL is
-   ``default_ttl - hops`` and no TTL column is kept. Parked rows cannot
-   retire: nothing they are checked on has changed since the round that
-   routed them;
+   columnar :class:`~repro.network.markstream.DeliveryRing` feed). Every
+   row starts at ``default_ttl``, so its TTL is ``default_ttl - hops`` and
+   no TTL column is kept; one test, ``hops >= min(hop ceiling,
+   default_ttl - 1)``, finds every moving row that drops, and only when
+   it fires are the reasons split (watchdog livelock, then TTL). Parked
+   rows cannot retire: nothing they are checked on has changed since the
+   round that routed them;
 3. **route** — next-hop candidates come from the router's
    :class:`~repro.routing.plan.RouteTable`, the one table the exact engine
    reads too: the router's closed form evaluated once into padded rows of
-   moves per (link group, sign class of the minimal offset), indexed per
-   round; a row's moves plus ``node * moves`` are the node's candidate
-   *channels*, and ``RouteTable.channel_target`` names each one's far end;
-4. **select** — vectorized selection-policy twins; congestion and random
-   tie-breaks draw from one dedicated per-cohort RNG stream
+   moves per (link group, sign class of the minimal offset). A round reads
+   each moving row's table row and degree; a move plus ``node * moves``
+   is a candidate *channel*, and ``RouteTable.channel_target`` names each
+   one's far end;
+4. **select** — vectorized selection-policy twins choose a column, and
+   only the chosen move becomes a channel (least-congested alone builds
+   every candidate's channel, to read each one's backlog); congestion and
+   random tie-breaks draw from one dedicated per-cohort RNG stream
    (``"batched-cohort"``), so runs are deterministic per seed;
-5. **admit** — the freshly routed keys, sorted, are concatenated to the
-   sorted parked keys and one stable sort merges the two runs; the first
-   ``buffer_capacity`` keys of each channel — the lowest ranks, so
-   waiting rows outrank newcomers — enter the channel. The rest stay
-   parked, pay the round's deferred time (one add over the slot window
-   they span) and feed the congestion signal;
+5. **admit** — parked keys sit in two sorted tiers. Every
+   ``_HOT_ROUNDS`` (16) rounds a rebalance merges both and leaves each
+   channel's first ``16 * buffer_capacity`` keys *hot* and the rest
+   *cold*; between rebalances the freshly routed keys, sorted, merge into
+   the hot tier alone (one stable sort of two sorted runs). The first
+   ``buffer_capacity`` hot keys of each channel — the lowest ranks, so
+   waiting rows outrank newcomers — enter the channel: a round admits at
+   most that many per channel, so until the next rebalance a channel with
+   cold keys keeps enough hot keys below them. The rest stay parked, pay
+   the round's deferred time (one add over a kept slot window, from a
+   lower bound on the lowest live slot, refreshed at each rebalance, to
+   the highest slot activated) and feed the congestion signal;
 6. **advance** — admitted rows, in rank order, count a hop, pass
    through the scheme's own columnar hop (``MarkingScheme.on_hop_array``,
    drawing from the ``"batched-marking"`` stream), step to the next node,
@@ -41,14 +51,15 @@ waiting for a channel stay *parked* as sorted ``chan << 32 | slot`` keys:
    all: its words are derived once per run, for the sink rows only, from
    each row's injection node and delivery node.
 
-Cost per round: O(moved) fancy indexing for steps 1-4 and 6, plus about
-ten contiguous passes over the parked keys and one over the time
-window the waiting rows span (step 5). A delivery keeps only its slots,
-its times and the round's latency fold; per-node, hop and sink tallies
-are built once per run. Under the paper's flood the parked passes still
-dominate: on the 16x16 hotspot about 57 rows move per round against
-~7,900 parked, so a round costs what waits, in fast passes, not what
-moves (DESIGN.md §12 has the section times).
+Cost per round: O(moved) fancy indexing for steps 1-4 and 6, O(hot) passes
+for step 5 and one add over the slot window; the cold tier is passed over
+only at a rebalance. A delivery keeps only its slots, its times and the
+round's latency fold; per-node, hop and sink tallies are built once per
+run. On the 16x16 hotspot about 57 rows move per round and ~270 keys are
+hot against ~7,600 cold, so a round is about 76 numpy calls on small
+arrays (about 86 before the tiers, ten of them over all ~7,900 parked
+keys), and the calls, not the rows, are its cost (DESIGN.md §12 has the
+section times).
 
 Determinism contract (DESIGN.md §12): same seed, same config => identical
 results, independent of host or run count. Equivalence contract: identical
@@ -97,6 +108,12 @@ _STORE_DTYPES = (np.int64, np.int64, np.int64, np.float64, np.float64,
 #: low half of a parked key ``chan << 32 | slot``
 _SLOT_MASK = (1 << 32) - 1
 
+#: admission rounds between rebalances of the parked store. A rebalance
+#: leaves each channel's first ``_HOT_ROUNDS * buffer_capacity`` keys hot;
+#: admission takes at most ``buffer_capacity`` of them a round, so until
+#: the next rebalance every key admission takes is still hot
+_HOT_ROUNDS = 16
+
 
 class CohortEngine:
     """Advance a :class:`~repro.network.colqueue.BatchedFabric`'s captured
@@ -120,6 +137,13 @@ class CohortEngine:
         self.marking_rng = self.sim.rng.stream("batched-marking")
         self.quota = cfg.buffer_capacity
         self.default_ttl = cfg.default_ttl
+        # A row retires at the hop ceiling or at TTL 1 (TTL is
+        # default_ttl - hops), whichever comes first.
+        self._hop_ceiling = ceiling = fabric.hop_ceiling
+        self._hop_limit = cfg.default_ttl - 1
+        if ceiling is not None:
+            self._hop_limit = min(ceiling, self._hop_limit)
+        self._sanitizer = self.sim.sanitizer
         # Statistics target: the fabric itself for the global engine. Shard
         # workers swap in a local accumulator so per-shard deltas can be
         # merged once by the driving process (identically in serial and
@@ -150,10 +174,23 @@ class CohortEngine:
         # Live rows are either moving or parked. Moving: the rank-sorted
         # slots just activated or just advanced; only these are retired,
         # routed and selected. Parked: rows routed onto a channel and
-        # waiting for its credit, as sorted keys ``chan << 32 | slot``, so
-        # each channel's queue is contiguous and in rank order.
+        # waiting for its credit, as keys ``chan << 32 | slot``, so a
+        # channel's queue is its keys in rank order. They sit in two
+        # sorted tiers. The cold one holds each channel's keys past its
+        # first _HOT_ROUNDS * quota at the last rebalance; the hot one
+        # holds the rest and every key routed since. Merging and
+        # admission read the hot tier alone.
         self._moving = np.empty(0, dtype=np.int64)
         self._parked = np.empty(0, dtype=np.int64)
+        # Every waiting row's slot lies in [_lo, _hi]. _lo is a lower
+        # bound on the lowest live slot, set at each rebalance: new rows
+        # activate at higher slots, so the lowest live slot never
+        # decreases and the bound holds until the next one. _hi is the
+        # highest slot ever live here.
+        self._lo = 0
+        self._hi = -1
+        # Rows absorbed minus rows handed on: nonzero on shard workers only.
+        self._migrated = 0
 
         # Per-round congestion signal: rows deferred last round, per
         # channel (the route table's: ``lookup`` hands out each candidate's
@@ -188,7 +225,24 @@ class CohortEngine:
     # ------------------------------------------------------------------
     def live(self) -> int:
         """Rows in flight: moving plus parked."""
-        return int(self._moving.size + self._parked.size)
+        return int(self._moving.size) + self._parked_rows()
+
+    def _parked_rows(self) -> int:
+        return int(self._hot.size + self._cold.size)
+
+    @property
+    def _parked(self) -> np.ndarray:
+        """Every parked key, both tiers, as one sorted array."""
+        keys = np.concatenate([self._hot, self._cold])
+        keys.sort()
+        return keys
+
+    @_parked.setter
+    def _parked(self, keys: np.ndarray) -> None:
+        # All hot: the next admission round rebalances.
+        self._hot = keys
+        self._cold = np.empty(0, dtype=np.int64)
+        self._until_rebalance = 0
 
     def run(self) -> None:
         """Install the fabric's capture and drain it, one round per
@@ -252,17 +306,18 @@ class CohortEngine:
         route/admit/advance. Shared verbatim with the sharded workers, which
         control the frontier externally. Returns the rows moved (retired,
         routed and selected) and the rows left parked."""
-        end = int(np.searchsorted(self._times, self.frontier, side="right"))
-        if end > self._next:
+        times = self._times
+        if self._next < times.size and times[self._next] <= self.frontier:
+            end = int(np.searchsorted(times, self.frontier, side="right"))
             self._activate(self._next, end)
             self._next = end
             self._progressed = True
         moved = int(self._moving.size)
         if moved:
             self._retire()
-        if self._moving.size or self._parked.size:
+        if self._moving.size or self._hot.size or self._cold.size:
             self._route_and_advance()
-        return moved, int(self._parked.size)
+        return moved, self._parked_rows()
 
     def _activate(self, lo: int, hi: int) -> None:
         pending = self._pending
@@ -290,25 +345,37 @@ class CohortEngine:
         # time-sorted and the frontier only advances), so appending keeps
         # the moving set sorted.
         self._moving = np.concatenate([self._moving, slots])
+        self._hi = max(self._hi, int(slots[-1]))
         self._stats.n_injected += m
 
     def _retire(self) -> None:
         # Delivery first, then hop-ceiling, then TTL — the exact switch's
-        # dispatch order (the masks are disjoint by construction, so one
-        # combined filter pass preserves the per-reason accounting). Parked
-        # rows cannot retire: their pos and hops are unchanged since the
-        # round that routed them passed this check.
+        # dispatch order. One test, against the lower of the two limits,
+        # finds every row that drops; the reasons are split only when it
+        # fires. Parked rows cannot retire: their pos and hops are
+        # unchanged since the round that routed them passed this check.
         moving = self._moving
-        done = self.pos[moving] == self.dst[moving]
         hops = self.hops[moving]
-        gone = done
-        retired = False
-        if done.any():
+        done = self.pos[moving] == self.dst[moving]
+        worn = hops >= self._hop_limit
+        if worn.any():
+            gone = done | worn
+            if done.any():
+                self._deliver(moving[done])
+            self._expire(hops, worn & ~done)
+        elif done.any():
+            gone = done
             self._deliver(moving[done])
-            retired = True
-        ceiling = self.fabric.hop_ceiling
+        else:
+            return
+        self._moving = moving[~gone]
+        self._progressed = True
+
+    def _expire(self, hops: np.ndarray, worn: np.ndarray) -> None:
+        """Drop the undelivered rows at a hop limit, by reason."""
+        ceiling = self._hop_ceiling
         if ceiling is not None:
-            over = ~gone & (hops >= ceiling)
+            over = worn & (hops >= ceiling)
             if over.any():
                 k = int(np.count_nonzero(over))
                 self._drop(k, "livelock")
@@ -318,17 +385,10 @@ class CohortEngine:
                     # past tolerance.
                     watchdog.livelocked_packets += k - 1
                     watchdog.note_livelock(self.sim, int(hops[over].max()))
-                gone = gone | over
-                retired = True
+                worn = worn & ~over
         # TTL = default_ttl - hops; a row at TTL 1 or less expires.
-        dead = ~gone & (hops >= self.default_ttl - 1)
-        if dead.any():
-            self._drop(int(np.count_nonzero(dead)), "ttl_expired")
-            gone = gone | dead
-            retired = True
-        if retired:
-            self._moving = moving[~gone]
-            self._progressed = True
+        if worn.any():
+            self._drop(int(np.count_nonzero(worn)), "ttl_expired")
 
     def _deliver(self, slots: np.ndarray) -> None:
         # The latency fold stays per round: its merge order is in the
@@ -392,27 +452,34 @@ class CohortEngine:
         # channel across rounds, like a queued packet holding its output in
         # the exact engine.
         moving = self._moving
-        parked = self._parked
+        fresh = None
         if moving.size:
-            channels, degrees = self.routes.lookup(self.pos[moving],
-                                                   self.dst[moving])
-            blocked = degrees == 0
-            if blocked.any():
+            pos = self.pos[moving]
+            rows, degrees = self.routes.rows(pos, self.dst[moving])
+            if not degrees.all():
+                blocked = degrees == 0
                 self._drop(int(np.count_nonzero(blocked)), "unroutable")
                 self._progressed = True
                 routable = ~blocked
                 moving = moving[routable]
-                channels = channels[routable]
+                pos = pos[routable]
+                rows = rows[routable]
                 degrees = degrees[routable]
             if moving.size:
-                cols = self._choose(channels, degrees)
-                chan = channels[np.arange(moving.size), cols]
-                # Two sorted runs, the parked keys and the fresh ones: the
+                chan = self._select(pos, rows, degrees)
+                fresh = np.sort((chan << 32) | moving)
+        self._until_rebalance -= 1
+        if self._until_rebalance <= 0:
+            hot = self._rebalance(fresh)
+        else:
+            hot = self._hot
+            if fresh is not None:
+                # Two sorted runs, the hot keys and the fresh ones: the
                 # stable sort (a merge sort) merges them in one pass.
-                parked = np.concatenate([parked,
-                                         np.sort((chan << 32) | moving)])
-                parked.sort(kind="stable")
-        if not parked.size:  # every moving row was unroutable
+                hot = np.concatenate([hot, fresh])
+                hot.sort(kind="stable")
+        if not hot.size:  # every moving row was unroutable
+            self._hot = hot
             self._moving = moving
             return
 
@@ -420,13 +487,17 @@ class CohortEngine:
         # per round, lowest rank first — waiting rows outrank newcomers. A
         # key is among the first ``quota`` of its channel group iff the key
         # ``quota`` places earlier belongs to another channel: their XOR
-        # reaches the channel bits.
+        # reaches the channel bits. A channel with cold keys still holds
+        # at least ``quota`` hot keys below them (see _HOT_ROUNDS), so
+        # the hot tier alone answers.
         quota = self.quota
-        head = parked[:quota]
-        tail = parked[quota:]
-        admit = (tail ^ parked[:-quota]) >= 1 << 32
+        head = hot[:quota]
+        tail = hot[quota:]
+        admit = (tail ^ hot[:-quota]) >= 1 << 32
         moved = np.concatenate([head, tail[admit]])
-        self._parked = waiting = tail[~admit]
+        self._hot = waiting = tail[~admit]
+        if self._sanitizer is not None:
+            self._sanitizer.check_parked_store(self, hot, moved)
 
         # Admitted rows hop in rank order (the marking draws follow it).
         flipped = np.sort(((moved & _SLOT_MASK) << 32) | (moved >> 32))
@@ -434,13 +505,14 @@ class CohortEngine:
         before = self.time[slots]
         # The rest wait a round — eagerly charged, so float sums match a
         # row-by-row schedule — and become the congestion signal. One add
-        # over the slot window the waiting rows span: the admitted rows in
-        # it are rewritten below, and no other live row lies in it.
-        if waiting.size:
-            waiting_slots = waiting & _SLOT_MASK
-            self.time[waiting_slots.min():waiting_slots.max() + 1] += \
-                self.round_delta
+        # over the kept slot window: every live row lies in it, the
+        # admitted ones are rewritten below, and the retired ones' times
+        # are read no more.
+        if waiting.size or self._cold.size:
+            self.time[self._lo:self._hi + 1] += self.round_delta
         if self.mode == "congestion":
+            if self._cold.size:
+                waiting = np.concatenate([waiting, self._cold])
             self._backlog = np.bincount(
                 waiting >> 32, minlength=self._backlog.size).astype(np.float64)
 
@@ -458,20 +530,47 @@ class CohortEngine:
         self._moving = slots
         self._progressed = True
 
-    def _choose(self, channels: np.ndarray,
+    def _rebalance(self, fresh: Optional[np.ndarray]) -> np.ndarray:
+        """Merge both tiers and the fresh keys into one sorted run, split
+        it into each channel's first ``_HOT_ROUNDS * quota`` keys (the
+        hot tier, returned) and the rest (the cold tier), and refresh the
+        wait window's lower bound."""
+        self._until_rebalance = _HOT_ROUNDS
+        parts = [self._hot, self._cold]
+        if fresh is not None:
+            parts.append(fresh)
+        keys = np.concatenate(parts)
+        keys.sort(kind="stable")
+        depth = _HOT_ROUNDS * self.quota
+        if keys.size > depth:
+            # The admission test at depth instead of quota.
+            tail = keys[depth:]
+            inside = (tail ^ keys[:-depth]) >= 1 << 32
+            hot = np.concatenate([keys[:depth], tail[inside]])
+            self._cold = tail[~inside]
+        else:
+            hot, self._cold = keys, keys[:0]
+        if hot.size:
+            # Each channel's lowest slots are hot, so the lowest live one is.
+            self._lo = int((hot & _SLOT_MASK).min())
+        return hot
+
+    def _select(self, pos: np.ndarray, rows: np.ndarray,
                 degrees: np.ndarray) -> np.ndarray:
-        """Column index of the chosen candidate, per fresh row."""
-        m = degrees.size
-        if self.mode == "first" or channels.shape[1] == 1:
-            return np.zeros(m, dtype=np.int64)
+        """The chosen candidate's channel, per fresh row."""
+        routes = self.routes
+        if self.mode == "first" or routes.width == 1:
+            return routes.channel(pos, rows, 0)
         if self.mode == "random":
-            return (self.rng.random(m) * degrees).astype(np.int64)
+            cols = (self.rng.random(degrees.size) * degrees).astype(np.int64)
+            return routes.channel(pos, rows, cols)
         # Least-congested: last round's deferred-row backlog per candidate
         # channel, tie-broken by a sub-1.0 jitter draw (the vectorized twin
         # of LeastCongestedPolicy's seeded random tie-break).
+        channels = routes.channel_matrix(pos, rows)
         score = self._backlog[channels] + self.rng.random(channels.shape)
         score[channels < 0] = np.inf
-        return np.argmin(score, axis=1)
+        return channels[np.arange(degrees.size), np.argmin(score, axis=1)]
 
     # ------------------------------------------------------------------
     def _flush(self) -> None:

@@ -18,6 +18,14 @@ Checked invariants
 * **Event-heap ordering** — the scheduler's heap must satisfy the heap
   property on (time, sequence) and never hold an event earlier
   than the clock (kind ``"heap-order"``).
+* **Cohort parked store** — checked every admission round of the cohort
+  engines (:meth:`SimSanitizer.check_parked_store`): each tier strictly
+  increasing (``"parked-order"``); at least ``buffer_capacity`` hot keys
+  on every channel with cold keys (``"parked-depth"``); every admitted
+  key below its channel's first cold key (``"parked-tier"``); at most
+  ``buffer_capacity`` admissions per channel (``"admission-quota"``);
+  and every row activated here either delivered, dropped, moving or
+  parked (``"row-conservation"``).
 
 Sanitizing never perturbs simulation results: the RNG guards delegate every
 draw to the real generator unchanged, so a sanitized run is draw-for-draw
@@ -73,7 +81,10 @@ class SanitizerReport:
     Attributes
     ----------
     kind:
-        ``"rng-cross-use"``, ``"credit-leak"``, or ``"heap-order"``.
+        ``"rng-cross-use"``, ``"credit-leak"``, ``"heap-order"``, or
+        one of the parked-store kinds: ``"parked-order"``,
+        ``"parked-tier"``, ``"parked-depth"``, ``"admission-quota"``,
+        ``"row-conservation"``.
     detail:
         Human-readable one-liner with the offending identifiers.
     subject:
@@ -295,6 +306,67 @@ class SimSanitizer:
                         f"{entry[:2]!r} sorts after child {heap[child_index][:2]!r}",
                         subject=str(index),
                     )
+
+    # ------------------------------------------------------------------
+    # Cohort parked store
+    # ------------------------------------------------------------------
+    def check_parked_store(self, engine: Any, hot: np.ndarray,
+                           moved: np.ndarray) -> None:
+        """The cohort engine's parked store after one admission.
+
+        ``hot`` is the hot tier admission read, ``moved`` the keys it
+        admitted; the engine holds the waiting hot keys (``_hot``) and the
+        cold tier (``_cold``). Keys are ``chan << 32 | slot``.
+        """
+        quota = engine.quota
+        cold = engine._cold
+        for name, keys in (("hot", hot), ("cold", cold)):
+            if keys.size > 1 and not (np.diff(keys) > 0).all():
+                self._raise("parked-order",
+                            f"the {name} tier is not strictly increasing",
+                            subject=name)
+        if cold.size:
+            # Each cold channel's first cold key, and its hot keys.
+            chans = np.unique(cold >> 32)
+            heads = cold[np.searchsorted(cold, chans << 32)]
+            held = (np.searchsorted(hot, (chans + 1) << 32)
+                    - np.searchsorted(hot, chans << 32))
+            if (held < quota).any():
+                chan = int(chans[held < quota][0])
+                self._raise("parked-depth",
+                            f"channel {chan} has cold keys but "
+                            f"{int(held[held < quota][0])} hot keys "
+                            f"(admission needs {quota})",
+                            subject=str(chan))
+            index = np.minimum(np.searchsorted(chans, moved >> 32),
+                               chans.size - 1)
+            late = (chans[index] == moved >> 32) & (moved > heads[index])
+            if late.any():
+                key = int(moved[late][0])
+                self._raise("parked-tier",
+                            f"channel {key >> 32} admitted slot "
+                            f"{key & 0xFFFFFFFF} while a lower-ranked "
+                            "cold key waits",
+                            subject=str(key >> 32))
+        if moved.size:
+            counts = np.unique(moved >> 32, return_counts=True)[1]
+            if counts.max() > quota:
+                self._raise("admission-quota",
+                            f"{int(counts.max())} rows admitted to one "
+                            f"channel in a round; the quota is {quota}",
+                            subject=str(int(counts.max())))
+        stats = engine._stats
+        parked = engine._hot.size + cold.size
+        activated = stats.n_injected + engine._migrated
+        settled = (stats.n_delivered + stats.n_dropped + moved.size
+                   + parked)
+        if activated != settled:
+            self._raise("row-conservation",
+                        f"{activated} rows activated here, but "
+                        f"{stats.n_delivered} delivered + {stats.n_dropped} "
+                        f"dropped + {moved.size} moving + {parked} parked "
+                        f"= {settled}",
+                        subject=str(activated - settled))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SimSanitizer(streams={len(self.stream_owners)})"

@@ -146,11 +146,17 @@ class _ShardCohortEngine(CohortEngine):
         }
 
     def _absorb(self, inbox: Dict[str, np.ndarray]) -> None:
-        """Store boundary rows at their slots; they join the moving set."""
+        """Store boundary rows at their slots; they join the moving set.
+
+        Their slots can lie outside the range this shard activated, so
+        the wait window widens to cover them."""
         slots = inbox["slot"]
         for name in _STORE_COLUMNS:  # per-column, once per window  # repro-lint: disable=H3
             getattr(self, name)[slots] = inbox[name]
         self._moving = np.sort(np.concatenate([self._moving, slots]))
+        self._lo = min(self._lo, int(self._moving[0]))
+        self._hi = max(self._hi, int(self._moving[-1]))
+        self._migrated += slots.size
 
     def _extract_outboxes(self) -> Dict[int, Dict[str, np.ndarray]]:
         """Pull rows whose position now lies in another shard, per peer.
@@ -173,6 +179,7 @@ class _ShardCohortEngine(CohortEngine):
             outboxes[int(peer)] = {"slot": slots, **{
                 name: getattr(self, name)[slots] for name in _STORE_COLUMNS}}
         self._moving = moving[~foreign]
+        self._migrated -= leaving.size
         return outboxes
 
     def harvest(self) -> dict:

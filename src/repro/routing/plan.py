@@ -27,10 +27,14 @@ reads:
   (:class:`~repro.network.fabric.Fabric` holds it under the link version
   it was read at); :meth:`RouteTable.candidates` and
   :func:`~repro.routing.base.walk_route` read it too.
-* :meth:`RouteTable.lookup` — the columnar read. The cohort engines call it
-  per round; it takes each row's sign class from
-  :meth:`~repro.topology.base.Topology.offset_array`, indexes the move
-  table and adds the row's ``node * moves``.
+* the columnar read. :meth:`RouteTable.rows` takes each row's sign class
+  from :meth:`~repro.topology.base.Topology.offset_array` and names its
+  move-table row and degree; :meth:`RouteTable.channel` turns one chosen
+  column into channels by adding the row's ``node * moves``, and
+  :meth:`RouteTable.channel_matrix` every column. The cohort engines read
+  ``rows`` per round, then the chosen column only, unless the selection
+  policy compares candidates; :meth:`RouteTable.lookup` is ``rows`` plus
+  ``channel_matrix``.
 
 A router without a closed form on the topology's link state — Valiant,
 odd-even, non-minimal west-first, pooled fully-adaptive, fully-adaptive
@@ -93,7 +97,13 @@ class RouteTable(dict):
         self._weights = base ** np.arange(len(topology.dims), dtype=np.int64)
         self._shift = shift * int(self._weights.sum())
         self._classes = classes = base ** len(topology.dims)
-        signs = np.arange(classes)[:, None] // self._weights % base - shift
+        # One int8 digit column per axis: a 2^16 hypercube has 65,536
+        # classes of 16 digits.
+        signs = np.empty((classes, len(topology.dims)), dtype=np.int8)
+        digits = np.arange(classes, dtype=np.int64)
+        for column in signs.T:  # per axis
+            np.subtract(digits % base, shift, out=column, casting="unsafe")
+            digits //= base
 
         # Each move's target per node, -1 where the topology has no such
         # link: the topology's neighbour table, itself when the moves are
@@ -118,7 +128,8 @@ class RouteTable(dict):
             up[1 + nodes.index(a)] &= target[a] != b
 
         # The closed form, evaluated once per (group, sign class) row.
-        profitable = np.tile(signs[:, axis] == sign, (up.shape[0], 1))
+        profitable = np.tile(signs[:, axis] == sign.astype(np.int8),
+                             (up.shape[0], 1))
         live = profitable & up.repeat(classes, axis=0)
         gated = live if form.gate == LIVE else profitable
         # First gated phase per row; phase 0 when none is, which then has
@@ -130,12 +141,18 @@ class RouteTable(dict):
         # Each row's kept moves packed left in move order, as the move whose
         # channel they take: the first move reaching the same neighbour (a
         # hypercube's two moves along one axis reach the same one). Padding
-        # is -channels, so ``node * moves`` plus it is still negative.
+        # is -channels, so ``node * moves`` plus it is still negative. One
+        # move column at a time: each row's next free column is its count
+        # of kept moves so far.
         key = axis if hypercube else 3 * axis + sign
         first = (key[:, None] == key).argmax(axis=1)
-        order = np.argsort(~keep, axis=1, kind="stable")[:, :self.width]
-        self._moves = np.where(np.take_along_axis(keep, order, axis=1),
-                               first[order], -self.channels)
+        self._moves = np.full((keep.shape[0], self.width), -self.channels,
+                              dtype=np.int64)
+        packed = np.zeros(keep.shape[0], dtype=np.int8)
+        for move, kept in zip(first.tolist(), keep.T):  # per move
+            rows = np.flatnonzero(kept)
+            self._moves[rows, packed[rows]] = move
+            packed[rows] += 1
 
         # The (node * classes + class) rows scalar reads have touched, as
         # candidate tuples: a column shares them instead of building one
@@ -146,18 +163,26 @@ class RouteTable(dict):
         offsets = self.topology.offset_array(pos, dst)
         return np.sign(offsets) @ self._weights + self._shift
 
-    def _read(self, pos: np.ndarray,
-              classes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate channels (padded with -1) and degrees of the nodes
-        ``pos`` at sign classes ``classes``: group 0's row unless the node
-        is on a failed link."""
+    def _group(self, pos: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """Move-table rows of the nodes ``pos`` at sign classes
+        ``classes``: group 0's row unless the node is on a failed link."""
         if self._failed.size:
             group = np.searchsorted(self._failed, pos)
             hit = self._failed.take(group, mode="clip") == pos
             classes = classes + hit * (group + 1) * self._classes
-        chan = self._moves.take(classes, axis=0)
+        return classes
+
+    def channel_matrix(self, pos: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Candidate channels (padded with -1) of the nodes ``pos`` at
+        move-table rows ``rows``."""
+        chan = self._moves.take(rows, axis=0)
         chan += (pos * self._stride)[:, None]
-        return np.maximum(chan, -1, out=chan), self._deg.take(classes)
+        return np.maximum(chan, -1, out=chan)
+
+    def channel(self, pos: np.ndarray, rows: np.ndarray, cols) -> np.ndarray:
+        """The channel of candidate ``cols`` (one column, or one per row,
+        below the row's degree) of the nodes ``pos`` at rows ``rows``."""
+        return self._moves[rows, cols] + pos * self._stride
 
     def candidates(self, current: int, destination: int) -> Tuple[int, ...]:
         """Legal next hops from ``current`` toward ``destination``."""
@@ -174,14 +199,25 @@ class RouteTable(dict):
         # One row per node, so a column never names a row twice.
         missing = [node for node, row in enumerate(rows) if row not in cache]
         if missing:
-            chan, deg = self._read(nodes[missing], classes[missing])
+            pos = nodes[missing]
+            moves = self._group(pos, classes[missing])
+            chan, deg = self.channel_matrix(pos, moves), self._deg.take(moves)
             cache.update((rows[node], tuple(row[:d])) for node, row, d in zip(
                 missing, self.channel_target[chan].tolist(), deg.tolist()))
         column = self[destination] = list(map(cache.__getitem__, rows))
         return column
 
+    def rows(self, pos: np.ndarray,
+             dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-row (move-table row, degree) for a cohort's positions: read
+        a chosen column with :meth:`channel`, every column with
+        :meth:`channel_matrix`."""
+        rows = self._group(pos, self._sign_class(pos, dst))
+        return rows, self._deg.take(rows)
+
     def lookup(self, pos: np.ndarray,
                dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-row (candidate channel matrix, degree) for a cohort's
         positions; ``channel_target`` maps the channels to next hops."""
-        return self._read(pos, self._sign_class(pos, dst))
+        rows, degrees = self.rows(pos, dst)
+        return self.channel_matrix(pos, rows), degrees

@@ -20,6 +20,7 @@ from repro.core.cluster import Cluster
 from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
 from repro.core.experiment import run_identification_experiment
+from repro.engine import batched
 from repro.engine.batched import CohortEngine
 from repro.engine.contract import ENGINES
 from repro.errors import ConfigurationError, EngineUnsupported, SimulationError
@@ -835,3 +836,22 @@ def test_rounds_equal_the_reference_round(topology, routing, selection, saf,
                 latency.max)
 
     assert totals(probe.fabric) == totals(reference.fabric)
+
+
+@pytest.mark.parametrize("hot_rounds", [1, 2])
+def test_cold_tier_rounds_equal_the_reference_round(monkeypatch, hot_rounds):
+    """The differential rounds again, with the hot tier cut to one or two
+    rounds of admissions: the small clusters then spill keys to the cold
+    tier and rebalance every round or every other round."""
+    spilled = []
+    rebalance = CohortEngine._rebalance
+
+    def spy(self, fresh):
+        hot = rebalance(self, fresh)
+        spilled.append(self._cold.size)
+        return hot
+
+    monkeypatch.setattr(batched, "_HOT_ROUNDS", hot_rounds)
+    monkeypatch.setattr(CohortEngine, "_rebalance", spy)
+    test_rounds_equal_the_reference_round()
+    assert max(spilled) > 0

@@ -14,6 +14,8 @@ classes come from ``Topology.offset_array``, checked here row for row
 against the scalar ``distance_vector``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -346,3 +348,45 @@ class TestExactEngineInvalidation:
         assert second[:2] == [0, 1]
         assert fabric._routes_version == fabric.topology.links.version
         assert fabric.n_rerouted == rerouted
+
+
+@pytest.mark.parametrize("build", [lambda: Mesh((5, 4)), lambda: Torus((4, 3)),
+                                   lambda: Hypercube(4)])
+def test_a_chosen_column_reads_what_the_matrix_holds(build):
+    """The cohort engines read only the chosen candidate's channel
+    (``channel``); it must equal that column of ``channel_matrix``, with a
+    failed link putting some nodes in their own link group."""
+    topology = build()
+    topology.fail_link(0, topology.neighbors(0)[0])
+    table = RouteTable(MinimalAdaptiveRouter(), topology)
+    assert table._failed.size
+    n = topology.num_nodes
+    pos = np.repeat(np.arange(n), n)
+    dst = np.tile(np.arange(n), n)
+    rows, deg = table.rows(pos, dst)
+    matrix = table.channel_matrix(pos, rows)
+    assert np.array_equal(table.lookup(pos, dst)[0], matrix)
+    cols = np.random.default_rng(0).integers(0, np.maximum(deg, 1))
+    live = deg > 0
+    assert np.array_equal(
+        table.channel(pos[live], rows[live], cols[live]),
+        matrix[live.nonzero()[0], cols[live]])
+    assert np.array_equal(table.channel(pos[live], rows[live], 0),
+                          matrix[live, 0])
+
+
+def test_building_the_table_allocates_little_beside_it():
+    """The build's peak traced memory on a 2^14 hypercube (16,384 sign
+    classes of 28 moves) stays within three times the tables it keeps:
+    int8 sign digits and a per-move pack, no int64 (class, move) sorts."""
+    topology = Hypercube(14)
+    topology.neighbor_table()
+    tracemalloc.start()
+    try:
+        table = RouteTable(MinimalAdaptiveRouter(), topology)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = table._moves.nbytes + table._deg.nbytes
+    assert kept > 1 << 20
+    assert peak <= 3 * kept

@@ -1,6 +1,7 @@
 """Unit tests for the runtime SimSanitizer and its engine wiring."""
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,6 +131,48 @@ class TestCreditConservation:
             (2, 3): _FakeChannel(3, 4, queue=[object()]),
             (3, 4): _FakeChannel(4, 4),
         })
+
+
+def _key(chan, slot):
+    return (chan << 32) | slot
+
+
+def _store(**changes):
+    """A cohort engine's parked store after one admission at quota 1:
+    channel 1 admits slot 1 and keeps slots 5 and 7 cold, channel 2
+    admits slot 2 and keeps slot 3 hot."""
+    keys = lambda *pairs: np.array([_key(*p) for p in pairs], dtype=np.int64)
+    store = dict(hot=keys((1, 1), (2, 2), (2, 3)), moved=keys((1, 1), (2, 2)),
+                 waiting=keys((2, 3)), cold=keys((1, 5), (1, 7)),
+                 injected=10)
+    store.update(changes)
+    stats = SimpleNamespace(n_injected=store["injected"], n_delivered=3,
+                            n_dropped=2)
+    engine = SimpleNamespace(quota=1, _hot=store["waiting"],
+                             _cold=store["cold"], _stats=stats, _migrated=0)
+    return engine, store["hot"], store["moved"]
+
+
+class TestParkedStore:
+    def test_a_sound_store_passes(self):
+        SimSanitizer().check_parked_store(*_store())
+
+    @pytest.mark.parametrize("kind, changes", [
+        ("parked-order", dict(cold=np.array([_key(1, 7), _key(1, 5)]))),
+        ("parked-depth", dict(hot=np.array([_key(2, 2), _key(2, 3)]),
+                              moved=np.array([_key(2, 2)]), injected=9)),
+        ("parked-tier", dict(hot=np.array([_key(1, 6), _key(2, 2),
+                                           _key(2, 3)]),
+                             moved=np.array([_key(1, 6), _key(2, 2)]))),
+        ("admission-quota", dict(moved=np.array([_key(1, 1), _key(2, 2),
+                                                 _key(2, 3)]),
+                                 waiting=np.array([], dtype=np.int64))),
+        ("row-conservation", dict(injected=11)),
+    ])
+    def test_each_broken_invariant_raises_its_kind(self, kind, changes):
+        with pytest.raises(SanitizerError) as excinfo:
+            SimSanitizer().check_parked_store(*_store(**changes))
+        assert excinfo.value.report.kind == kind
 
 
 class TestHeapOrdering:

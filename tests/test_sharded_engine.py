@@ -16,8 +16,10 @@ from repro.core.cluster import Cluster
 from repro.core.config import (ExperimentConfig, MarkingSpec, RoutingSpec,
                                SelectionSpec, TopologySpec)
 from repro.engine.profile import EventProfiler
+from repro.engine.sharded import _ShardCohortEngine
 from repro.errors import ConfigurationError
 from repro.marking.ddpm import DdpmScheme
+from repro.network.fabric import FabricConfig
 from repro.routing import DimensionOrderRouter
 from repro.routing.selection import FirstCandidatePolicy
 from repro.topology.mesh import Mesh
@@ -331,3 +333,60 @@ class TestMerge:
         times = np.concatenate(seen) if seen else np.empty(0)
         assert times.size > 0
         assert np.all(np.diff(times) >= 0)
+
+
+# ----------------------------------------------------------------------
+# The wait window of a shard
+# ----------------------------------------------------------------------
+def test_absorbed_row_waiting_above_the_shards_own_slots():
+    """A row absorbed from the other shard, with a slot above every slot
+    its new shard activated, waits there for a channel: it is charged for
+    each round it waits, exactly as on the batched engine."""
+    mesh = Mesh((4, 4))  # two slabs: x < 2 is shard 0, x >= 2 shard 1
+    local, victim, neighbour = mesh.index((2, 0)), mesh.index((3, 0)), \
+        mesh.index((1, 0))
+    observed = {}
+    waited = []
+    for engine in ("batched", "sharded"):
+        cluster = Cluster(mesh, DimensionOrderRouter(), marking=DdpmScheme(),
+                          config=FabricConfig(buffer_capacity=2), seed=3,
+                          engine=engine,
+                          shards=2 if engine == "sharded" else None)
+        fabric = cluster.fabric
+        fabric.selection = FirstCandidatePolicy()
+        if engine == "sharded":
+            fabric.shard_mode = "serial"
+        rows = []
+        fabric.attach_delivery_sink(
+            victim, lambda batch: rows.append(
+                (np.asarray(batch.times).copy(),
+                 np.asarray(batch.hops).copy())))
+        # Six rows queue on the channel local -> victim inside shard 1;
+        # the last row, injected a moment later in shard 0, joins them
+        # there one hop on.
+        fabric.inject_rows([0.0] * 6, [local] * 6, [victim] * 6)
+        fabric.inject_rows([1e-9], [neighbour], [victim])
+        if engine == "sharded":
+            original = _ShardCohortEngine.advance_window
+
+            def spy(self, frontier, inbox):
+                report = original(self, frontier, inbox)
+                if inbox is not None:
+                    own = self._slots[:self._next].max()
+                    parked = self._parked & ((1 << 32) - 1)
+                    waited.extend(int(slot) for slot in inbox["slot"]
+                                  if slot > own and slot in parked)
+                return report
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(_ShardCohortEngine, "advance_window", spy)
+                cluster.run()
+        else:
+            cluster.run()
+        latency = fabric.latency
+        observed[engine] = (fabric.n_delivered, latency.count, latency.min,
+                            latency.max, latency._mean, latency._m2,
+                            [tuple(map(tuple, part)) for part in rows])
+    assert observed["batched"][0] == 7 and observed["batched"][-1]
+    assert waited == [6]
+    assert observed["sharded"] == observed["batched"]
